@@ -86,6 +86,22 @@ def write_instance(
     return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
 
 
+def _vertex_pairs(raw, section: str) -> list[tuple[Vertex, Vertex]]:
+    """The ``[u, v]`` entries of a link list as tuples of integer ids
+    (``type(...) is int`` also turns away JSON booleans)."""
+    if type(raw) is not list:
+        raise FormatError(f"{section} must be a list of [u, v] pairs")
+    pairs = []
+    for item in raw:
+        if (type(item) is not list or len(item) != 2
+                or type(item[0]) is not int or type(item[1]) is not int):
+            raise FormatError(
+                f"malformed entry {item!r} in {section}: need [u, v] with integer ids"
+            )
+        pairs.append((item[0], item[1]))
+    return pairs
+
+
 def _normalize_links(raw_edges, raw_arcs, normalize_multi: bool):
     """Collapse parallel links per the multigraph reduction, or reject them.
 
@@ -149,8 +165,8 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
 
     try:
         records = list(doc["vertices"])
-        raw_edges = [tuple(e) for e in doc["edges"]]
-        raw_arcs = [tuple(a) for a in doc["arcs"]]
+        raw_edges = _vertex_pairs(doc["edges"], "edges")
+        raw_arcs = _vertex_pairs(doc["arcs"], "arcs")
     except (KeyError, TypeError) as exc:
         raise FormatError(f"missing or malformed section: {exc}") from exc
 
@@ -161,6 +177,8 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
         if not isinstance(rec, dict) or "id" not in rec:
             raise FormatError(f"malformed vertex record {rec!r}")
         v = rec["id"]
+        if type(v) is not int:
+            raise FormatError(f"vertex id {v!r} is not an integer")
         ids.append(v)
         if rec.get("in_T"):
             odd.append(v)
@@ -213,7 +231,7 @@ def read_witness(data: Union[bytes, str], problem: OrientationProblem) -> Orient
         raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise FormatError("not a witness document")
-    arcs = {tuple(a) for a in doc.get("arcs", ())}
+    arcs = set(_vertex_pairs(doc.get("arcs", []), "arcs"))
     directed = [a for a in arcs if a not in problem.graph.arcs]
     fixed = arcs - set(directed)
     if fixed != set(problem.graph.arcs):

@@ -267,20 +267,6 @@ def is_uniform(view: BoundaryView) -> bool:
     return not view.out_arcs or not view.in_arcs
 
 
-def boundary_between(
-    graph: PartiallyDirectedGraph,
-    left: Iterable[Vertex],
-    right: Iterable[Vertex],
-) -> frozenset[tuple[Vertex, Vertex]]:
-    """Links with one endpoint in ``left`` and the other in ``right``."""
-    a, b = set(left), set(right)
-    result: set[tuple[Vertex, Vertex]] = set()
-    for u, v in graph.links():
-        if (u in a and v in b) or (v in a and u in b):
-            result.add((u, v))
-    return frozenset(result)
-
-
 def gamma_subgraph(
     graph: PartiallyDirectedGraph, core: Iterable[Vertex]
 ) -> PartiallyDirectedGraph:

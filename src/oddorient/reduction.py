@@ -21,7 +21,6 @@ from oddorient.p3sat import (
     RotationSystem,
     clause_vertex,
     eval_formula,
-    incidence_graph,
     sat_oracle,
     validate_embedding,
     variable_vertex,
@@ -424,8 +423,9 @@ def structural_check(red: Reduction) -> StructuralReport:
     if (len(g.edges) + len(g.arcs) + len(red.problem.odd_set)) % 2 != 0:
         problems.append("parity gate violated")
 
+    adjacency = g.adjacency()
     for v in sorted(g.vertices):
-        deg = g.degree(v)
+        deg = len(adjacency[v])
         if deg > 3:
             problems.append(f"degree {deg} at {red.registry.label(v)}")
         if v not in red.problem.odd_set and deg != 2:
@@ -503,10 +503,6 @@ def _mode_template() -> dict[str, tuple[str, str]]:
     directed = {}
     for t, h in res.witness.arcs:
         directed[(t, h)] = True
-    name_of = {}
-    for k, ids in zip(range(2), gadget.ids):
-        for name, v in ids.items():
-            name_of[v] = (k, name)
     template: dict[str, tuple[str, str]] = {}
     for x, y in CORE_EDGES:
         a, b = gadget.ids[0][x], gadget.ids[0][y]
@@ -563,7 +559,6 @@ def orientation_from_assignment(
             next_s = copies[(k + 1) % d]["s"]
             directed.extend(_copy_arcs(copies[k], next_s, bool(assignment[i])))
 
-    adjacency = red.problem.graph.adjacency()
     for j in range(formula.clause_count):
         ids = red.clause_ids[j]
         satisfied = []

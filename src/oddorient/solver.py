@@ -439,6 +439,16 @@ class _ExactSearch:
     subgraph; if both fail the state is conflicting, if one fails the other is
     forced.  All three rules are sound, so exhausted search remains a proof of
     infeasibility.
+
+    Reachability is kept exact at all times: ``desc[x]`` is the bitmask of
+    vertices reachable from x (x included) over the fixed and decided arcs,
+    so an arc t->h closes a cycle iff bit t of ``desc[h]`` is set.  Adding
+    t->h walks the in-arcs backwards from t and ORs ``desc[h]`` into every
+    vertex that does not reach h yet; the walk stops at vertices that already
+    do, so only changed entries are touched.  Undo restores a ``desc``
+    snapshot taken at the backtrack point (in the search frame, or before a
+    probe) and pops the newest in-arc of each head on the trail, which is
+    exactly the arc the trail entry added.
     """
 
     def __init__(self, problem: OrientationProblem, budget: int, scope, count_all: bool):
@@ -466,11 +476,14 @@ class _ExactSearch:
             self.scoped = [v in scoped_set for v in self.verts]
         self.target = [v in problem.odd_set for v in self.verts]
 
-        self.out_adj: list[set[int]] = [set() for _ in range(self.n)]
+        self.desc = [1 << x for x in range(self.n)]
+        self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
         self.in_par = [0] * self.n
         for t, h in g.arcs:
-            self.out_adj[index[t]].add(index[h])
             self.in_par[index[h]] ^= 1
+        self.fixed_acyclic = all(
+            self.extend_closure(index[t], index[h]) for t, h in g.arcs
+        )
 
         self.und = [0] * self.n
         self.edge_at: list[list[int]] = [[] for _ in range(self.n)]
@@ -492,27 +505,29 @@ class _ExactSearch:
 
     # -- state updates ------------------------------------------------------
 
-    def closes_cycle(self, t: int, h: int) -> bool:
-        # arc t->h closes a cycle iff t is reachable from h
-        seen = {h}
-        stack = [h]
+    def extend_closure(self, t: int, h: int) -> bool:
+        """Add arc t->h to the closure; False, with nothing changed, when it
+        closes a directed cycle."""
+        desc = self.desc
+        if (desc[h] >> t) & 1:
+            return False
+        self.in_adj[h].append(t)
+        below = desc[h]
+        stack = [t]
         while stack:
-            x = stack.pop()
-            if x == t:
-                return True
-            for y in self.out_adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return False
+            y = stack.pop()
+            if (desc[y] >> h) & 1:
+                continue
+            desc[y] |= below
+            stack.extend(self.in_adj[y])
+        return True
 
     def apply_arc(self, e: int, t: int, h: int, decision: bool = False) -> bool:
-        if self.closes_cycle(t, h):
+        if not self.extend_closure(t, h):
             return False
         if not decision:
             self.propagations += 1
         self.decided[e] = (t, h)
-        self.out_adj[t].add(h)
         self.in_par[h] ^= 1
         self.und[t] -= 1
         self.und[h] -= 1
@@ -527,15 +542,18 @@ class _ExactSearch:
                 self.force_q.append(x)
         return True
 
-    def undo_to(self, mark: int) -> None:
+    def undo_to(self, mark: int, desc: list[int]) -> None:
+        """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
+        taken when the trail had that length."""
         while len(self.trail) > mark:
             e, t, h = self.trail.pop()
             self.decided[e] = None
-            self.out_adj[t].discard(h)
+            self.in_adj[h].pop()
             self.in_par[h] ^= 1
             self.und[t] += 1
             self.und[h] += 1
             self.undecided_total += 1
+        self.desc[:] = desc
 
     # -- propagation rules ----------------------------------------------------
 
@@ -553,43 +571,22 @@ class _ExactSearch:
                 return False
         return True
 
-    def _closure(self) -> list[int]:
-        # reachability bitmasks over decided arcs (always a DAG here)
-        indeg = [0] * self.n
-        for x in range(self.n):
-            for y in self.out_adj[x]:
-                indeg[y] += 1
-        order = [x for x in range(self.n) if indeg[x] == 0]
-        head = 0
-        while head < len(order):
-            x = order[head]
-            head += 1
-            for y in self.out_adj[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    order.append(y)
-        reach = [0] * self.n
-        for x in reversed(order):
-            r = 1 << x
-            for y in self.out_adj[x]:
-                r |= reach[y]
-            reach[x] = r
-        return reach
-
     def cycle_force_pass(self) -> tuple[bool, bool]:
         """One scan of the cycle-forcing rule; returns (changed, ok).
 
-        The closure may go stale as forcings are applied; stale reachability
-        only under-approximates, so every forcing it justifies stays valid.
+        Edges are tested against a copy of the closure taken when the scan
+        began, so a forcing enabled by this scan's own arcs waits for the
+        next scan.  apply_arc still checks the current closure, so every
+        forcing stays sound.
         """
-        reach = self._closure()
+        desc = self.desc[:]
         changed = False
         for e in range(self.m):
             if self.decided[e] is not None:
                 continue
             u, v = self.ends[e]
-            uv_closes = (reach[v] >> u) & 1
-            vu_closes = (reach[u] >> v) & 1
+            uv_closes = (desc[v] >> u) & 1
+            vu_closes = (desc[u] >> v) & 1
             if uv_closes and vu_closes:
                 return changed, False
             if uv_closes or vu_closes:
@@ -643,10 +640,10 @@ class _ExactSearch:
             u, v = self.ends[e]
             lo, hi = (u, v) if u < v else (v, u)
             outcomes = []
-            mark = len(self.trail)
+            mark, desc = len(self.trail), self.desc[:]
             for t, h in ((hi, lo), (lo, hi)):
                 ok = self.apply_arc(e, t, h) and self.propagate()
-                self.undo_to(mark)
+                self.undo_to(mark, desc)
                 self.force_q.clear()
                 outcomes.append(ok)
             if not outcomes[0] and not outcomes[1]:
@@ -705,7 +702,7 @@ class _ExactSearch:
         )
 
     def run(self) -> SolveResult:
-        if not is_acyclic(self.graph.arcs).acyclic:
+        if not self.fixed_acyclic:
             return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
         for x in range(self.n):
             if not self.scoped[x]:
@@ -717,7 +714,7 @@ class _ExactSearch:
             if self.und[x] == 1:
                 self.force_q.append(x)
         ok = self.quiesce()
-        frames: list[tuple[int, list[Arc], int]] = []
+        frames: list[tuple[int, list[Arc], int, list[int]]] = []
         while True:
             if ok and self.undecided_total == 0:
                 self.enumerated += 1
@@ -732,13 +729,13 @@ class _ExactSearch:
                 e = self.pick_edge()
                 u, v = self.ends[e]
                 lo, hi = (u, v) if u < v else (v, u)
-                frames.append((e, [(lo, hi)], len(self.trail)))
+                frames.append((e, [(lo, hi)], len(self.trail), self.desc[:]))
                 self.decisions += 1
                 ok = self.apply_arc(e, hi, lo, decision=True) and self.quiesce()
             else:
                 while frames:
-                    e, alts, mark = frames[-1]
-                    self.undo_to(mark)
+                    e, alts, mark, desc = frames[-1]
+                    self.undo_to(mark, desc)
                     self.force_q.clear()
                     if alts:
                         t, h = alts.pop()

@@ -63,6 +63,13 @@ class TestSolve:
         assert run("solve", inst, "--witness", wit) == 0
         assert run("solve", inst, "--check-witness", wit) == 0
 
+    def test_malformed_witness_is_an_error(self, tmp_path, capsys):
+        inst = _instance_file(tmp_path, "t.json", [0, 1], [(0, 1)], odd=[1])
+        wit = tmp_path / "w.json"
+        wit.write_text('{"format": "oddorient-witness", "arcs": [5]}')
+        assert run("solve", inst, "--check-witness", wit) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run("solve", tmp_path / "nope.json") == 2
         assert "error" in capsys.readouterr().err

@@ -135,6 +135,28 @@ class TestNormalizeMulti:
             read_instance(_doc_with_links([(0, 0)], []), normalize_multi=True)
 
 
+class TestMalformedLinks:
+    def test_edge_of_three_endpoints(self):
+        doc = json.loads(_doc_with_links([(0, 1)], []))
+        doc["edges"] = [[0, 1, 2]]
+        with pytest.raises(FormatError, match="edges"):
+            read_instance(json.dumps(doc))
+
+    def test_string_vertex_ids(self):
+        doc = json.loads(_doc_with_links([], []))
+        doc["vertices"] = [{"id": "a", "in_T": False}, {"id": "b", "in_T": True}]
+        with pytest.raises(FormatError, match="integer"):
+            read_instance(json.dumps(doc))
+        doc["edges"] = [["a", "b"]]
+        with pytest.raises(FormatError, match="integer"):
+            read_instance(json.dumps(doc))
+
+    def test_witness_arc_not_a_pair(self):
+        p = _problem([0, 1], [(0, 1)])
+        with pytest.raises(FormatError, match="arcs"):
+            read_witness('{"format": "oddorient-witness", "arcs": [5]}', p)
+
+
 class TestWitness:
     def test_round_trip(self):
         red = assemble(sample_planar_formula())
