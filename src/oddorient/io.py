@@ -183,6 +183,8 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
         if rec.get("in_T"):
             odd.append(v)
         if "label" in rec:
+            if type(rec["label"]) is not str:
+                raise FormatError(f"label of vertex {v} is not a string")
             labels.append((v, rec["label"]))
     if len(set(ids)) != len(ids):
         raise FormatError("duplicate vertex ids")
@@ -193,20 +195,60 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
 
     rotation = None
     if "rotation" in doc:
-        rotation = RotationSystem.build(
-            {v: tuple(order) for v, order in doc["rotation"]}
-        )
+        rotation = RotationSystem.build(_rotation_orders(doc["rotation"], graph.vertices))
     registry = None
     if labels:
         registry = GadgetRegistry.build(labels)
     formula = None
     if "formula" in doc:
-        sec = doc["formula"]
-        formula = Formula.build(
-            sec["variables"],
-            [tuple((var, bool(pol)) for var, pol in clause) for clause in sec["clauses"]],
-        )
+        formula = _formula_section(doc["formula"])
     return InstanceBundle(problem, rotation, registry, formula)
+
+
+def _rotation_orders(raw, vertices) -> dict[Vertex, tuple[Vertex, ...]]:
+    """The ``[v, [neighbors...]]`` entries of a rotation section, each vertex
+    at most once and every id a vertex of the graph."""
+    if type(raw) is not list:
+        raise FormatError("rotation must be a list of [v, [neighbors...]] entries")
+    orders: dict[Vertex, tuple[Vertex, ...]] = {}
+    for item in raw:
+        if (type(item) is not list or len(item) != 2 or type(item[0]) is not int
+                or type(item[1]) is not list or set(map(type, item[1])) - {int}):
+            raise FormatError(
+                f"malformed rotation entry {item!r}: need [v, [neighbors...]] "
+                "with integer ids"
+            )
+        v, order = item
+        if v in orders:
+            raise FormatError(f"repeated rotation for vertex {v}")
+        orders[v] = tuple(order)
+    stray = set(orders).union(*orders.values()) - vertices
+    if stray:
+        raise FormatError(f"rotation names non-vertices: {sorted(stray)}")
+    return orders
+
+
+def _formula_section(raw) -> Formula:
+    """The formula of a formula section, once its variable count is an
+    integer and its literals are [integer, boolean] pairs; ``Formula.build``
+    checks the rest."""
+    if type(raw) is not dict or "variables" not in raw or "clauses" not in raw:
+        raise FormatError("formula must have 'variables' and 'clauses'")
+    variables, clauses = raw["variables"], raw["clauses"]
+    if type(variables) is not int or variables < 0:
+        raise FormatError(f"formula variable count {variables!r} is not a count")
+    if type(clauses) is not list:
+        raise FormatError("formula clauses must be a list")
+    for clause in clauses:
+        if type(clause) is not list or not all(
+            type(lit) is list and len(lit) == 2
+            and type(lit[0]) is int and type(lit[1]) is bool
+            for lit in clause
+        ):
+            raise FormatError(
+                f"malformed clause {clause!r}: need [variable, polarity] literals"
+            )
+    return Formula.build(variables, clauses)
 
 
 # -- witness JSON -----------------------------------------------------------------

@@ -43,7 +43,7 @@ class Formula:
         cls, variable_count: int, clauses: Iterable[Sequence[Literal]]
     ) -> "Formula":
         packed = []
-        for idx, clause in zip(range(10**9), clauses):
+        for idx, clause in enumerate(clauses):
             lits = tuple((int(v), bool(p)) for v, p in clause)
             if len(lits) != 3:
                 raise FormulaError(f"clause {idx} must have exactly 3 literals")
@@ -108,7 +108,7 @@ def incidence_graph(formula: Formula) -> PartiallyDirectedGraph:
     """Bipartite graph joining each variable vertex to the clauses using it."""
     n = formula.variable_count
     edges = set()
-    for j, clause in zip(range(len(formula.clauses)), formula.clauses):
+    for j, clause in enumerate(formula.clauses):
         for v, _ in clause:
             edges.add((v, n + j))
     return PartiallyDirectedGraph.build(
@@ -367,7 +367,7 @@ class _SpineMap:
             for up in (True, False):
                 corners: dict[int, tuple[int, Vertex]] = {}
                 clean = True
-                for idx, (a, b) in zip(range(len(walk)), walk):
+                for idx, (a, b) in enumerate(walk):
                     if 0 <= b < self.n and self._corner_is_up(b, a) == up:
                         if b in corners:
                             clean = False   # defensive: skip odd faces

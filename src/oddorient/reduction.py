@@ -94,7 +94,7 @@ class GadgetRegistry:
 
 
 def _names_to_ids(names: Sequence[str], base: int) -> dict[str, Vertex]:
-    return {name: base + i for i, name in zip(range(len(names)), names)}
+    return {name: base + i for i, name in enumerate(names)}
 
 
 def attach_stubs(
@@ -407,7 +407,6 @@ def structural_check(red: Reduction) -> StructuralReport:
     """Invariants every assembled instance must satisfy, reported not assumed."""
     problems: list[str] = []
     g = red.problem.graph
-    n = red.formula.variable_count
     m = red.formula.clause_count
     total_copies = sum(len(c) for c in red.variable_ids)
 
@@ -442,11 +441,11 @@ def structural_check(red: Reduction) -> StructuralReport:
 
     # connectors may only join outward copy vertices to ports
     owner: dict[Vertex, tuple[str, int]] = {}
-    for i, copies in zip(range(n), red.variable_ids):
+    for i, copies in enumerate(red.variable_ids):
         for ids in copies:
             for v in ids.values():
                 owner[v] = ("x", i)
-    for j, ids in zip(range(m), red.clause_ids):
+    for j, ids in enumerate(red.clause_ids):
         for v in ids.values():
             owner[v] = ("c", j)
     for u, v in sorted(g.edges):
@@ -590,7 +589,7 @@ def orientation_from_assignment(
         for mask in range(64):
             arcs = [
                 (a, b) if (mask >> p) & 1 else (b, a)
-                for p, (a, b) in zip(range(6), ring)
+                for p, (a, b) in enumerate(ring)
             ]
             if mask in (0b111111,) or all((mask >> p) & 1 == 0 for p in range(6)):
                 continue   # a consistently directed ring is a cycle

@@ -195,6 +195,27 @@ def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     return True
 
 
+def _components(adj: dict[Vertex, list[Vertex]]) -> list[set[Vertex]]:
+    """Vertex sets of the connected components of an adjacency map, in
+    ascending order of their lowest vertex."""
+    seen: set[Vertex] = set()
+    comps: list[set[Vertex]] = []
+    for v0 in sorted(adj):
+        if v0 in seen:
+            continue
+        comp = {v0}
+        stack = [v0]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in comp:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
 def max_degree(graph: PartiallyDirectedGraph) -> int:
     deg = {v: 0 for v in graph.vertices}
     for u, v in graph.links():
@@ -304,7 +325,6 @@ def solve_degree_two(problem: OrientationProblem) -> SolveResult:
         raise GraphError("solve_degree_two requires maximum degree 2")
 
     adj: dict[Vertex, list[Vertex]] = g.adjacency()
-    seen: set[Vertex] = set()
     directed: list[Arc] = []
     propagations = 0
 
@@ -315,18 +335,7 @@ def solve_degree_two(problem: OrientationProblem) -> SolveResult:
         link_kind[canonical_edge(t, h)] = (t, h)
 
     path_vertices: set[Vertex] = set()
-    for v0 in sorted(g.vertices):
-        if v0 in seen:
-            continue
-        comp = {v0}
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
+    for comp in _components(adj):
         if all(len(adj[x]) == 2 for x in comp):
             outcome = _solve_cycle_component(problem, adj, link_kind, comp)
             if isinstance(outcome, SolveResult):
@@ -451,7 +460,13 @@ class _ExactSearch:
     exactly the arc the trail entry added.
     """
 
-    def __init__(self, problem: OrientationProblem, budget: int, scope, count_all: bool):
+    def __init__(
+        self,
+        problem: OrientationProblem,
+        budget: int,
+        scope: Optional[set[Vertex]],
+        count_all: bool,
+    ):
         g = problem.graph
         self.graph = g
         self.problem = problem
@@ -459,8 +474,8 @@ class _ExactSearch:
         self.count_all = count_all
 
         self.verts = sorted(g.vertices)
-        index = {v: i for i, v in zip(range(len(self.verts)), self.verts)}
         self.n = len(self.verts)
+        index = dict(zip(self.verts, range(self.n)))
         edge_list = sorted(g.edges)
         self.edge_list = edge_list
         self.m = len(edge_list)
@@ -469,11 +484,7 @@ class _ExactSearch:
         if scope is None:
             self.scoped = [True] * self.n
         else:
-            scoped_set = set(scope)
-            stray = scoped_set - g.vertices
-            if stray:
-                raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
-            self.scoped = [v in scoped_set for v in self.verts]
+            self.scoped = [v in scope for v in self.verts]
         self.target = [v in problem.odd_set for v in self.verts]
 
         self.desc = [1 << x for x in range(self.n)]
@@ -600,34 +611,40 @@ class _ExactSearch:
 
     def _pure_cycle_reps(self) -> list[int]:
         """Lowest edge id of each undecided component whose vertices all have
-        exactly two undecided links (such a component is a single cycle)."""
-        seen: set[int] = set()
+        exactly two undecided links (such a component is a single cycle), in
+        ascending order.
+
+        The first undecided edge met of a component is its lowest, and a walk
+        from its low end along two-link vertices comes back to the start
+        exactly when the component is a pure cycle.  A walk stops at the
+        first vertex with another link count or one an earlier walk reached
+        (which lies in the same component, so it is not pure), so each vertex
+        is walked at most once.
+        """
+        decided, ends, und, edge_at = self.decided, self.ends, self.und, self.edge_at
+        reached = bytearray(self.n)
         reps: list[int] = []
         for e in range(self.m):
-            if self.decided[e] is not None:
+            if decided[e] is not None:
                 continue
-            u, _ = self.ends[e]
-            if u in seen:
+            start = ends[e][0]
+            if reached[start]:
                 continue
-            comp_v = {u}
-            comp_e: set[int] = set()
-            stack = [u]
-            pure = True
-            while stack:
-                x = stack.pop()
-                live = [i for i in self.edge_at[x] if self.decided[i] is None]
-                if len(live) != 2:
-                    pure = False
-                for i in live:
-                    comp_e.add(i)
-                    a, b = self.ends[i]
-                    y = b if a == x else a
-                    if y not in comp_v:
-                        comp_v.add(y)
-                        stack.append(y)
-            seen |= comp_v
-            if pure and comp_e:
-                reps.append(min(comp_e))
+            reached[start] = 1
+            if und[start] != 2:
+                continue
+            f, x = e, start
+            while True:
+                a, b = ends[f]
+                y = b if a == x else a
+                if y == start:
+                    reps.append(e)
+                    break
+                if reached[y] or und[y] != 2:
+                    break
+                reached[y] = 1
+                f = next(i for i in edge_at[y] if i != f and decided[i] is None)
+                x = y
         return reps
 
     def probe_pass(self) -> tuple[bool, bool]:
@@ -685,10 +702,7 @@ class _ExactSearch:
         return best
 
     def build_witness(self) -> Orientation:
-        directed = [
-            (self.verts[t], self.verts[h])
-            for e, (t, h) in zip(range(self.m), self.decided)
-        ]
+        directed = [(self.verts[t], self.verts[h]) for t, h in self.decided]
         return Orientation.of(self.graph, directed)
 
     def result(self, status: str, detail: str = "") -> SolveResult:
@@ -760,16 +774,83 @@ def solve_exact(
 ) -> SolveResult:
     """Complete backtracking search; infeasible answers are proofs.
 
-    ``budget`` caps branch decisions; overruns return status "aborted", never
-    a wrong answer.  ``scope`` restricts the parity constraint (full vertex
-    set by default).  With ``count_all`` the search exhausts the space and
-    reports the number of solutions in ``enumerated``.
+    A directed cycle and an in-degree both stay inside one connected
+    component of the links (direction ignored), so the components are
+    searched one at a time, in ascending order of their lowest vertex, and
+    the first infeasible or aborted one ends the solve.  A connected instance
+    is searched as given.
+
+    ``budget`` caps branch decisions over all components together: each gets
+    what the earlier ones left.  Overruns return status "aborted", never a
+    wrong answer.  ``scope`` restricts the parity constraint (full vertex
+    set by default).  ``decisions`` and ``propagations`` are summed over the
+    components searched.  With ``count_all`` each component's search
+    exhausts its space, and ``enumerated`` is the product of their solution
+    counts.  The witness is the union of the component witnesses.
     """
-    search = _ExactSearch(problem, budget, scope, count_all)
-    outcome = search.run()
-    if outcome.feasible and scope is None:
-        _check_witness(problem, outcome.witness)
-    return outcome
+    g = problem.graph
+    if scope is not None:
+        scope = set(scope)
+        stray = scope - g.vertices
+        if stray:
+            raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
+    comps = _components(g.adjacency())
+    parts = [problem] if len(comps) == 1 else _split(problem, comps)
+    decisions = propagations = 0
+    enumerated = 1
+    arcs: set[Arc] = set()
+    for part in parts:
+        part_scope = None if scope is None else scope & part.graph.vertices
+        outcome = _ExactSearch(part, budget - decisions, part_scope, count_all).run()
+        decisions += outcome.decisions
+        propagations += outcome.propagations
+        enumerated *= outcome.enumerated
+        if not outcome.feasible:
+            return SolveResult(
+                outcome.status,
+                decisions=decisions,
+                propagations=propagations,
+                enumerated=enumerated,
+                detail=outcome.detail,
+            )
+        arcs |= outcome.witness.arcs
+    witness = Orientation(arcs=frozenset(arcs))
+    if scope is None:
+        _check_witness(problem, witness)
+    return SolveResult(
+        FEASIBLE,
+        witness=witness,
+        decisions=decisions,
+        propagations=propagations,
+        enumerated=enumerated,
+    )
+
+
+def _split(
+    problem: OrientationProblem, comps: list[set[Vertex]]
+) -> list[OrientationProblem]:
+    """The sub-problem induced by each vertex set of a partition into
+    connected components, in the order given."""
+    owner: dict[Vertex, int] = {}
+    for i in range(len(comps)):
+        owner.update(dict.fromkeys(comps[i], i))
+    edges: list[list[Edge]] = [[] for _ in comps]
+    arcs: list[list[Arc]] = [[] for _ in comps]
+    for e in problem.graph.edges:
+        edges[owner[e[0]]].append(e)
+    for a in problem.graph.arcs:
+        arcs[owner[a[0]]].append(a)
+    return [
+        OrientationProblem(
+            graph=PartiallyDirectedGraph(
+                vertices=frozenset(comp),
+                edges=frozenset(comp_edges),
+                arcs=frozenset(comp_arcs),
+            ),
+            odd_set=problem.odd_set & comp,
+        )
+        for comp, comp_edges, comp_arcs in zip(comps, edges, arcs)
+    ]
 
 
 def decide(problem: OrientationProblem, *, budget: int = 10_000_000) -> SolveResult:

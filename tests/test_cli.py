@@ -70,6 +70,14 @@ class TestSolve:
         assert run("solve", inst, "--check-witness", wit) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_malformed_rotation_is_an_error(self, tmp_path, capsys):
+        inst = _instance_file(tmp_path, "t.json", [0, 1], [(0, 1)], odd=[1])
+        doc = json.loads(inst.read_text())
+        doc["rotation"] = [5]
+        inst.write_text(json.dumps(doc))
+        assert run("solve", inst) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run("solve", tmp_path / "nope.json") == 2
         assert "error" in capsys.readouterr().err

@@ -157,6 +157,25 @@ class TestMalformedLinks:
             read_witness('{"format": "oddorient-witness", "arcs": [5]}', p)
 
 
+class TestMalformedSections:
+    @pytest.mark.parametrize("section, value", [
+        pytest.param("rotation", [5], id="rotation-entry-not-a-pair"),
+        pytest.param("rotation", [[99, [0, 1]]], id="rotation-non-vertex"),
+        pytest.param("formula", {}, id="formula-empty"),
+        pytest.param("formula", {"variables": 2, "clauses": [5]}, id="formula-clause-not-a-list"),
+        pytest.param("formula", {"variables": "x", "clauses": []}, id="formula-count-not-an-int"),
+        pytest.param("label", [1], id="label-not-a-string"),
+    ])
+    def test_rejected(self, section, value):
+        doc = json.loads(_doc_with_links([(0, 1)], []))
+        if section == "label":
+            doc["vertices"][0]["label"] = value
+        else:
+            doc[section] = value
+        with pytest.raises(FormatError):
+            read_instance(json.dumps(doc))
+
+
 class TestWitness:
     def test_round_trip(self):
         red = assemble(sample_planar_formula())

@@ -1,5 +1,6 @@
-"""The exact search against the exhaustive oracle, and its reachability
-closure against reachability recomputed from scratch."""
+"""The exact search against the exhaustive oracle, its reachability closure
+and pure-cycle scan against references recomputed from scratch, and its
+component-by-component search of disconnected instances."""
 
 import random
 
@@ -7,7 +8,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddorient.pdgraph import OrientationProblem, PartiallyDirectedGraph
-from oddorient.solver import _ExactSearch, enumerate as enum, solve_exact
+from oddorient.reduction import assemble
+from oddorient.samples import sample_planar_formula, unsat_samples
+from oddorient.solver import (
+    ABORTED,
+    INFEASIBLE,
+    _ExactSearch,
+    decide,
+    enumerate as enum,
+    solve_exact,
+)
 
 
 def problem(verts, edges=(), arcs=(), odd=()):
@@ -118,3 +128,97 @@ def test_closure_tracks_apply_and_undo(prob, seed):
             if search.decided[e] is None:
                 assert not ok and search.desc == before
         assert search.desc == reach_by_bfs(search)
+
+
+def pure_cycle_reps_by_bfs(search: _ExactSearch) -> list[int]:
+    """Lowest edge id of each undecided component whose vertices all have
+    two undecided links, by a search over every undecided component."""
+    live_at = [
+        [i for i in search.edge_at[x] if search.decided[i] is None]
+        for x in range(search.n)
+    ]
+    seen: set[int] = set()
+    reps = []
+    for e in range(search.m):
+        u = search.ends[e][0]
+        if search.decided[e] is not None or u in seen:
+            continue
+        comp_v, comp_e, stack = {u}, set(), [u]
+        while stack:
+            x = stack.pop()
+            for i in live_at[x]:
+                comp_e.add(i)
+                for y in search.ends[i]:
+                    if y not in comp_v:
+                        comp_v.add(y)
+                        stack.append(y)
+        seen |= comp_v
+        if all(len(live_at[x]) == 2 for x in comp_v):
+            reps.append(min(comp_e))
+    return sorted(reps)
+
+
+@st.composite
+def low_degree_instances(draw):
+    """Undirected graphs of average degree 2 to 3 on random vertex ids, so
+    that once a few edges are decided the undecided components are often
+    paths and cycles."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    ids = draw(st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True))
+    pairs = [(ids[u], ids[v]) for u in range(n) for v in range(u + 1, n)]
+    k = min(len(pairs), draw(st.integers(n, 3 * n // 2)))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=k, max_size=k))
+    return problem(ids, edges)
+
+
+@given(low_degree_instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_pure_cycle_walk_matches_bfs(prob, seed):
+    rng = random.Random(seed)
+    search = _ExactSearch(prob, budget=0, scope=None, count_all=False)
+    for _ in range(search.m + 1):
+        assert search._pure_cycle_reps() == pure_cycle_reps_by_bfs(search)
+        undecided = [e for e in range(search.m) if search.decided[e] is None]
+        if not undecided:
+            break
+        e = rng.choice(undecided)
+        u, v = search.ends[e]
+        # a refused arc changes nothing, so try the other direction
+        search.apply_arc(e, u, v) or search.apply_arc(e, v, u)
+
+
+def disjoint_union(first: OrientationProblem, second: OrientationProblem):
+    """Both problems side by side; ``second`` is shifted above ``first``."""
+    shift = max(first.graph.vertices) + 1
+    g1, g2 = first.graph, second.graph
+    return problem(
+        list(g1.vertices) + [v + shift for v in g2.vertices],
+        list(g1.edges) + [(u + shift, v + shift) for u, v in g2.edges],
+        list(g1.arcs) + [(u + shift, v + shift) for u, v in g2.arcs],
+        list(first.odd_set) + [v + shift for v in second.odd_set],
+    )
+
+
+def feasible_then_unsat():
+    """A feasible reduction with the reduction of a frozen UNSAT core placed
+    after it, and the two parts."""
+    pad = assemble(sample_planar_formula()).problem
+    core = assemble(unsat_samples()[0]).problem
+    return disjoint_union(pad, core), pad, core
+
+
+def test_infeasible_component_is_proved_once():
+    union, pad, core = feasible_then_unsat()
+    d_pad, d_core = decide(pad), decide(core)
+    assert d_pad.feasible and not d_core.feasible
+    res = decide(union)
+    assert res.status == INFEASIBLE
+    # a single search over both parts re-proves the core under each pad branch
+    assert res.decisions <= d_pad.decisions + d_core.decisions
+
+
+def test_components_share_the_decision_budget():
+    union, pad, core = feasible_then_unsat()
+    need = solve_exact(pad).decisions + solve_exact(core).decisions
+    assert solve_exact(union, budget=need - 1).status == ABORTED
+    assert solve_exact(union, budget=need).status == INFEASIBLE
