@@ -180,7 +180,10 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
         if type(v) is not int:
             raise FormatError(f"vertex id {v!r} is not an integer")
         ids.append(v)
-        if rec.get("in_T"):
+        in_t = rec.get("in_T", False)
+        if type(in_t) is not bool:
+            raise FormatError(f"in_T of vertex {v} is not a boolean")
+        if in_t:
             odd.append(v)
         if "label" in rec:
             if type(rec["label"]) is not str:

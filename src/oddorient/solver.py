@@ -3,7 +3,10 @@
 Four solvers with one contract ("is there an acyclic orientation, extending
 the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
 
-* ``enumerate``      exhaustive sweep over all 2^k edge directions (oracle),
+* ``enumerate``      exhaustive oracle over all 2^k edge directions; it
+                     generates only the solutions of the parity constraints
+                     (an affine space over GF(2)) and checks their
+                     acyclicity in numpy blocks,
 * ``solve_tree``     leaf peeling on forests (the unique-orientation case),
 * ``solve_degree_two``  path/cycle propagation for max degree 2,
 * ``solve_exact``    complete backtracking with parity and cycle propagation,
@@ -17,7 +20,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -87,6 +91,10 @@ class EnumerationReport:
 
 # -- exhaustive oracle ----------------------------------------------------------
 
+# Upper bound on the uint64 words of one block's out-mask array: 4 MB.
+_BLOCK_WORDS = 1 << 19
+_WORD = (1 << 64) - 1
+
 
 def enumerate(
     problem: OrientationProblem,
@@ -96,15 +104,21 @@ def enumerate(
     require_acyclic: bool = True,
     max_edges: int = 26,
 ) -> EnumerationReport:
-    """Sweep all 2^k direction choices for the k undirected edges.
+    """Count the orientations of the k undirected edges that meet the parity
+    constraint on ``scope`` (default: every vertex) and, unless
+    ``require_acyclic=False``, are acyclic together with the fixed arcs.
 
-    Parity is enforced only on ``scope`` (default: every vertex).  With
-    ``require_acyclic=False`` the count ignores directed cycles, which is how
-    per-class completion counts are measured.  Witnesses are returned in
-    ascending sweep order, at most ``witness_cap`` of them (None = all).
+    The sweep covers all 2^k direction choices, and ``explored`` is that
+    2^k: it counts the choices covered, not the masks touched.  Only the
+    parity solutions are generated, as an affine space over GF(2), and their
+    acyclicity is checked in numpy blocks.  With ``require_acyclic=False``
+    the count ignores directed cycles, which is how per-class completion
+    counts are measured.  Witnesses come in ascending mask order (bit i set
+    means ``sorted(edges)[i]`` runs from its first to its second endpoint),
+    at most ``witness_cap`` of them (None = all).
 
-    Raises BudgetError when k exceeds ``max_edges``; a partial count is never
-    returned.
+    Raises BudgetError when k exceeds ``max_edges`` or the 64-bit mask
+    width; a partial count is never returned.
     """
     g = problem.graph
     edge_list = sorted(g.edges)
@@ -113,6 +127,8 @@ def enumerate(
         raise BudgetError(
             f"enumeration over {k} edges exceeds the 2**{max_edges} budget"
         )
+    if k > 64:
+        raise BudgetError(f"enumeration over {k} edges exceeds the 64-bit mask width")
     if scope is None:
         scoped = sorted(g.vertices)
     else:
@@ -121,57 +137,181 @@ def enumerate(
         if stray:
             raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
 
-    # bit i set means edge_list[i] runs lo -> hi
-    inc = {v: 0 for v in scoped}
-    lo_count = {v: 0 for v in scoped}
-    for i in range(k):
-        u, v = edge_list[i]
-        if u in inc:
-            inc[u] |= 1 << i
-            lo_count[u] += 1
-        if v in inc:
-            inc[v] |= 1 << i
-    fixed_in = {v: 0 for v in scoped}
-    for _, h in g.arcs:
-        if h in fixed_in:
-            fixed_in[h] += 1
-
-    inc_arr = np.array([inc[v] for v in scoped], dtype=np.uint64)
-    # popcount(mask & inc_v) must equal this parity for v's in-degree to match
-    tgt_arr = np.array(
-        [
-            ((v in problem.odd_set) ^ (lo_count[v] & 1) ^ (fixed_in[v] & 1)) & 1
-            for v in scoped
-        ],
-        dtype=np.uint64,
-    )
-
     explored = 1 << k
-    fixed_arcs = tuple(g.arcs)
+    space = _parity_space(problem, edge_list, scoped)
+    order = is_acyclic(g.arcs).order if require_acyclic else ()
+    if space is None or order is None:
+        return EnumerationReport(total_valid=0, witnesses=(), explored=explored)
+    offset, basis = space
+
+    def orientation(m: int) -> Orientation:
+        chosen = [
+            edge_list[i] if (m >> i) & 1 else (edge_list[i][1], edge_list[i][0])
+            for i in range(k)
+        ]
+        return Orientation(arcs=frozenset(chosen) | g.arcs)
+
+    if not require_acyclic:
+        # every solution counts, so blocks only feed the witnesses: keep them small
+        masks = (
+            m for block in _solution_blocks(offset, basis, min(len(basis), 10))
+            for m in block.tolist()
+        )
+        witnesses = [orientation(m) for m in islice(masks, witness_cap)]
+        return EnumerationReport(
+            total_valid=1 << len(basis), witnesses=tuple(witnesses), explored=explored
+        )
+
+    terminals = sorted({x for e in edge_list for x in e})
+    tidx = {v: i for i, v in zip(range(len(terminals)), terminals)}
+    base = _fixed_reach(g.arcs, order, tidx)
+    ends = [(i, tidx[u], tidx[v]) for i, (u, v) in zip(range(k), edge_list)]
+    b = min(len(basis), max(0, (_BLOCK_WORDS // max(base.size, 1)).bit_length() - 1))
+
     total_valid = 0
     witnesses: list[Orientation] = []
-    one = np.uint64(1)
-    chunk = 1 << 20
-    for start in range(0, explored, chunk):
-        stop = min(start + chunk, explored)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(masks.shape, dtype=bool)
-        for j in range(len(scoped)):
-            ok &= (np.bitwise_count(masks & inc_arr[j]) & one) == tgt_arr[j]
-        for m in masks[ok]:
-            m = int(m)
-            chosen = [
-                edge_list[i] if (m >> i) & 1 else (edge_list[i][1], edge_list[i][0])
-                for i in range(k)
-            ]
-            if require_acyclic and not is_acyclic(chosen + list(fixed_arcs)).acyclic:
-                continue
-            total_valid += 1
-            if witness_cap is None or len(witnesses) < witness_cap:
-                witnesses.append(Orientation(arcs=frozenset(chosen) | g.arcs))
+    for masks in _solution_blocks(offset, basis, b):
+        hits = np.flatnonzero(_acyclic_rows(masks, ends, base))
+        total_valid += hits.size
+        room = hits.size if witness_cap is None else witness_cap - len(witnesses)
+        witnesses += [orientation(m) for m in masks[hits[:room]].tolist()]
     return EnumerationReport(
         total_valid=total_valid, witnesses=tuple(witnesses), explored=explored
     )
+
+
+def _parity_space(
+    problem: OrientationProblem, edge_list: list[Edge], scoped: list[Vertex]
+) -> Optional[tuple[int, list[int]]]:
+    """The masks meeting the parity constraint on ``scoped``, as an affine
+    space over GF(2): ``(offset, basis)`` with one basis vector per free edge,
+    ascending, or None when the constraints are inconsistent.
+
+    Each scoped vertex gives one row: the bitset of its incident edges and the
+    parity its in-degree from them must have.  Gauss–Jordan elimination pivots
+    each row on its lowest set bit, so a pivot bit depends only on free bits
+    above it and each basis vector's highest bit is its free edge.  Hence
+    ``offset ^ XOR(basis[j] for j in c)`` over counters c = 0, 1, ... runs
+    through the solutions in ascending mask order.
+    """
+    row = {v: 0 for v in scoped}
+    rhs = {v: int(v in problem.odd_set) for v in scoped}
+    for bit, (u, v) in zip(range(len(edge_list)), edge_list):
+        # bit set: u -> v, so v gains an in-arc; bit clear: u gains one
+        if u in row:
+            row[u] |= 1 << bit
+            rhs[u] ^= 1
+        if v in row:
+            row[v] |= 1 << bit
+    for _, h in problem.graph.arcs:
+        if h in rhs:
+            rhs[h] ^= 1
+
+    pivots: dict[int, tuple[int, int]] = {}   # lowest bit -> (row, rhs)
+    for v in scoped:
+        r, c = row[v], rhs[v]
+        for low, (pr, pc) in pivots.items():
+            if r & low:
+                r ^= pr
+                c ^= pc
+        if not r:
+            if c:
+                return None
+            continue
+        low = r & -r
+        for plow, (pr, pc) in pivots.items():
+            if pr & low:
+                pivots[plow] = (pr ^ r, pc ^ c)
+        pivots[low] = (r, c)
+
+    offset = 0
+    for low, (_, c) in pivots.items():
+        if c:
+            offset |= low
+    basis = []
+    for bit in range(len(edge_list)):
+        free = 1 << bit
+        if free in pivots:
+            continue
+        vec = free
+        for low, (r, _) in pivots.items():
+            if r & free:
+                vec |= low
+        basis.append(vec)
+    return offset, basis
+
+
+def _solution_blocks(offset: int, basis: list[int], b: int) -> Iterator[np.ndarray]:
+    """All ``offset ^ span(basis)`` masks in counter order, as uint64 blocks
+    of 2^b: a table over the low b basis vectors, shifted per block by the
+    combination of the high ones."""
+    table = np.zeros(1, dtype=np.uint64)
+    for vec in basis[:b]:
+        table = np.concatenate([table, table ^ np.uint64(vec)])
+    high = basis[b:]
+    for h in range(1 << len(high)):
+        shift = offset
+        for j in range(len(high)):
+            if (h >> j) & 1:
+                shift ^= high[j]
+        yield table ^ np.uint64(shift)
+
+
+def _fixed_reach(
+    arcs: Iterable[Arc], order: tuple[Vertex, ...], tidx: dict[Vertex, int]
+) -> np.ndarray:
+    """Row i: the terminals that terminal i reaches over one or more fixed
+    arcs, as bits over terminal indices in ceil(T/64) uint64 words.
+    ``order`` is a topological order of the arcs."""
+    succ: dict[Vertex, list[Vertex]] = {}
+    for t, h in arcs:
+        succ.setdefault(t, []).append(h)
+    reach: dict[Vertex, int] = {}
+    for x in reversed(order):
+        r = 0
+        for y in succ.get(x, ()):
+            r |= reach[y]
+            if y in tidx:
+                r |= 1 << tidx[y]
+        reach[x] = r
+    words = (len(tidx) + 63) // 64
+    return np.array(
+        [[(reach.get(v, 0) >> (64 * w)) & _WORD for w in range(words)] for v in tidx],
+        dtype=np.uint64,
+    ).reshape(len(tidx), words)
+
+
+def _acyclic_rows(
+    masks: np.ndarray, ends: list[tuple[int, int, int]], base: np.ndarray
+) -> np.ndarray:
+    """Which masks orient the edges acyclically, given acyclic fixed arcs.
+
+    Every cycle passes through edge endpoints ("terminals"), so each mask is
+    checked on a graph over the terminals alone: ``base[a]`` (terminals that
+    a reaches over fixed arcs, in 64-bit words) plus a's out-edges under the
+    mask.  Vertices with no live successor are peeled until a row is empty
+    (acyclic) or a round peels nothing (a cycle is left).
+    """
+    n = masks.size
+    t, w = base.shape
+    one = np.uint64(1)
+    out = np.broadcast_to(base, (n, t, w)).copy()
+    for i, a, b in ends:
+        fwd = (masks >> np.uint64(i)) & one
+        out[:, a, b >> 6] |= fwd << np.uint64(b & 63)
+        out[:, b, a >> 6] |= (fwd ^ one) << np.uint64(a & 63)
+    ok = np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    live = np.ones((n, t), dtype=bool)
+    while rows.size:
+        packed = np.zeros((rows.size, 8 * w), dtype=np.uint8)
+        packed[:, : (t + 7) // 8] = np.packbits(live, axis=1, bitorder="little")
+        kept = live & (out & packed.view("<u8")[:, None, :]).any(axis=2)
+        left = kept.any(axis=1)
+        ok[rows[~left]] = True
+        again = left & (kept != live).any(axis=1)
+        rows, out, live = rows[again], out[again], kept[again]
+    return ok
 
 
 # -- structure helpers ----------------------------------------------------------

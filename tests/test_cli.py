@@ -78,6 +78,14 @@ class TestSolve:
         assert run("solve", inst) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_non_boolean_in_T_is_an_error(self, tmp_path, capsys):
+        inst = _instance_file(tmp_path, "t.json", [0, 1], [(0, 1)], odd=[1])
+        doc = json.loads(inst.read_text())
+        doc["vertices"][0]["in_T"] = "false"
+        inst.write_text(json.dumps(doc))
+        assert run("solve", inst) == 2
+        assert "in_T" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert run("solve", tmp_path / "nope.json") == 2
         assert "error" in capsys.readouterr().err
@@ -131,6 +139,11 @@ class TestGadget:
 
     def test_variable_over_budget(self):
         assert run("gadget", "variable", "--copies", 3) == 2
+
+    def test_variable_past_mask_width(self, capsys):
+        # 66 edges: over the 64-bit mask width even with a cap of 100
+        assert run("gadget", "variable", "--copies", 6, "--enum-cap", 100) == 2
+        assert "64-bit" in capsys.readouterr().err
 
     def test_clause_classes(self, capsys):
         assert run("gadget", "clause", "--polarities", "++-", "--json") == 0

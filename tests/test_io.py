@@ -165,11 +165,13 @@ class TestMalformedSections:
         pytest.param("formula", {"variables": 2, "clauses": [5]}, id="formula-clause-not-a-list"),
         pytest.param("formula", {"variables": "x", "clauses": []}, id="formula-count-not-an-int"),
         pytest.param("label", [1], id="label-not-a-string"),
+        pytest.param("in_T", "false", id="in-T-a-string"),
+        pytest.param("in_T", 1, id="in-T-an-int"),
     ])
     def test_rejected(self, section, value):
         doc = json.loads(_doc_with_links([(0, 1)], []))
-        if section == "label":
-            doc["vertices"][0]["label"] = value
+        if section in ("label", "in_T"):
+            doc["vertices"][0][section] = value
         else:
             doc[section] = value
         with pytest.raises(FormatError):

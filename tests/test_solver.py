@@ -1,9 +1,11 @@
 """Solver agreement with the exhaustive oracle, plus the two transforms."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddorient.pdgraph import (
@@ -101,6 +103,66 @@ class TestEnumerate:
         rep = enum(prob, scope=[], witness_cap=2)
         assert rep.total_valid == 4
         assert len(rep.witnesses) == 2
+
+    def test_budget_refuses_past_mask_width(self):
+        edges = [(i, i + 1) for i in range(65)]
+        with pytest.raises(BudgetError, match="64-bit"):
+            enum(problem(range(66), edges), max_edges=100)
+
+    def test_terminals_past_one_word(self):
+        # a 64-edge path has 65 terminals, in two words each
+        path = problem(range(65), [(i, i + 1) for i in range(64)], odd=range(1, 65))
+        assert enum(path, max_edges=64).total_valid == 1
+        # 64 disjoint edges (2i, 2i+1) have 128 terminals; the fixed arcs
+        # 2i -> 2i-1 and 64 -> 127 close one cycle through the upper 64
+        # exactly when each of their edges runs backward
+        edges = [(2 * i, 2 * i + 1) for i in range(64)]
+        arcs = [(2 * i, 2 * i - 1) for i in range(33, 64)] + [(64, 127)]
+        lower = [(2 * i, 2 * i + 1) for i in range(32)]
+        odd = set(range(1, 64, 2)) | set(range(64, 128))
+        backward = problem(range(128), edges, arcs, odd=odd)
+        rep = enum(backward, max_edges=64)
+        assert (rep.total_valid, rep.explored) == (0, 2 ** 64)
+        assert enum(backward, max_edges=64, require_acyclic=False).total_valid == 1
+        last_forward = problem(range(128), edges, arcs, odd=odd - {126, 127})
+        rep = enum(last_forward, max_edges=64)
+        assert rep.total_valid == 1
+        assert rep.witnesses[0].arcs == frozenset(
+            arcs + lower + [(2 * i + 1, 2 * i) for i in range(32, 63)] + [(126, 127)]
+        )
+
+    def test_disjoint_union_count_is_the_product(self):
+        rng = random.Random(8)
+        pairs = [(u, v) for u in range(8) for v in range(u + 1, 8)]
+        parts = []
+        while len(parts) < 2:
+            edges = rng.sample(pairs, 12)
+            odd = set(rng.sample(range(8), 4))
+            part = problem(range(8), edges, odd=odd)
+            count = enum(part).total_valid
+            if count:
+                parts.append((edges, odd, count))
+        (e1, t1, c1), (e2, t2, c2) = parts
+        union = problem(
+            range(16),
+            e1 + [(u + 8, v + 8) for u, v in e2],
+            odd=t1 | {v + 8 for v in t2},
+        )
+        rep = enum(union)
+        assert rep.explored == 2 ** 24
+        assert rep.total_valid == c1 * c2
+
+    def test_sweep_memory_is_bounded(self):
+        # an empty scope keeps all 2^20 masks; the 20-cycle has two cyclic ones
+        prob = problem(range(20), [(i, (i + 1) % 20) for i in range(20)])
+        tracemalloc.start()
+        try:
+            rep = enum(prob, scope=[])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.total_valid == 2 ** 20 - 2
+        assert peak < 64 * 2 ** 20
 
 
 class TestSolveTree:
@@ -398,6 +460,52 @@ def small_problems(draw):
             arcs.append((v, u))
     odd = draw(st.sets(st.integers(0, n - 1)))
     return problem(range(n), edges, arcs, odd)
+
+
+def brute_force_sweep(prob, scope, witness_cap, require_acyclic):
+    """Every direction choice in ascending mask order, checked one by one."""
+    g = prob.graph
+    edges = sorted(g.edges)
+    valid = []
+    # product varies its last position fastest, so edge i takes position
+    # k-1-i and bit i of the mask
+    for bits in itertools.product((False, True), repeat=len(edges)):
+        chosen = [(u, v) if fwd else (v, u) for (u, v), fwd in zip(edges, bits[::-1])]
+        w = Orientation(arcs=frozenset(chosen) | g.arcs)
+        if is_T_odd_on(prob, w, scope) and (
+            not require_acyclic or is_acyclic(w.arcs).acyclic
+        ):
+            valid.append(w)
+    shown = valid if witness_cap is None else valid[:witness_cap]
+    return len(valid), tuple(shown), 2 ** len(edges)
+
+
+@st.composite
+def sweep_cases(draw):
+    prob = draw(small_problems())
+    scope = draw(st.none() | st.sets(st.sampled_from(sorted(prob.graph.vertices))))
+    return prob, scope, draw(st.sampled_from([None, 0, 1, 4])), draw(st.booleans())
+
+
+@given(sweep_cases())
+@example((  # a cycle closed by fixed arcs through edge-free vertices
+    problem(range(4), [(0, 3)], [(0, 1), (1, 2), (2, 3)]), set(), None, True))
+@example((  # fixed arcs cyclic on their own
+    problem(range(4), [(0, 3), (1, 3)], [(0, 1), (1, 2), (2, 0)]), set(), None, True))
+@example((  # inconsistent parity system
+    problem(range(3), [(0, 1), (1, 2), (0, 2)]), None, None, False))
+@example((  # witness order: the two solutions are masks 01 and 10
+    problem(range(3), [(0, 1), (1, 2)]), {1}, None, True))
+@example((  # empty scope
+    problem(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), set(), 4, True))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_matches_brute_force(case):
+    prob, scope, witness_cap, require_acyclic = case
+    rep = enum(prob, scope=scope, witness_cap=witness_cap,
+               require_acyclic=require_acyclic)
+    assert (rep.total_valid, rep.witnesses, rep.explored) == brute_force_sweep(
+        prob, scope, witness_cap, require_acyclic
+    )
 
 
 @given(small_problems())
