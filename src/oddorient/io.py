@@ -327,7 +327,10 @@ def read_formula(data: Union[bytes, str]) -> Union[Formula, PlanarFormula]:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise FormatError(f"line {lineno}: malformed header {line!r}")
-            header = (int(parts[2]), int(parts[3]))
+            try:
+                header = (int(parts[2]), int(parts[3]))
+            except ValueError as exc:
+                raise FormatError(f"line {lineno}: malformed header {line!r}") from exc
             continue
         if line.startswith("r"):
             parts = line.split()

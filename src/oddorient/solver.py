@@ -64,7 +64,10 @@ class SolveResult:
     ``status`` is one of feasible / infeasible / aborted.  A feasible result
     carries a witness that passes both is_acyclic and full-scope is_T_odd_on.
     ``enumerated`` counts complete solutions encountered (at most 1 unless the
-    solver ran in counting mode).
+    solver ran in counting mode).  ``propagations`` counts forced steps.  In
+    the exact search these are the arcs a rule forced and applied, decisions
+    excluded, including those a backtrack later undid; its probe applies no
+    arc, so a direction it only tests counts nothing.
     """
 
     status: str
@@ -576,28 +579,74 @@ def _solve_cycle_component(problem, adj, link_kind, comp):
 # -- complete backtracking solver ----------------------------------------------------
 
 
+def _has_cycle(succ: list[int]) -> bool:
+    """Whether the digraph on 0..len(succ)-1 in which ``succ[x]`` is the
+    bitmask of x's out-neighbours has a directed cycle (depth-first search
+    that meets a vertex still on its path)."""
+    done = 0
+    for root in range(len(succ)):
+        if (done >> root) & 1:
+            continue
+        path, stack, left = 1 << root, [root], [succ[root]]
+        while stack:
+            rest = left[-1] & ~done
+            if rest & path:
+                return True
+            if rest:
+                low = rest & -rest
+                left[-1] = rest ^ low
+                y = low.bit_length() - 1
+                path |= low
+                stack.append(y)
+                left.append(succ[y])
+            else:
+                x = stack.pop()
+                left.pop()
+                path ^= 1 << x
+                done |= 1 << x
+    return False
+
+
 class _ExactSearch:
     """Backtracking over undirected edges with parity forcing, cycle forcing,
     and a cycle-component probe.
 
     Parity forcing: a scoped vertex with exactly one undecided link and a
-    known residue forces that link.  Cycle forcing: at quiescence, an edge
-    with one direction closing a directed cycle among decided arcs is forced
-    the other way (both directions closing is a conflict).  The probe tests
-    both directions of one edge in each pure cycle component of the undecided
-    subgraph; if both fail the state is conflicting, if one fails the other is
-    forced.  All three rules are sound, so exhausted search remains a proof of
-    infeasibility.
+    known residue forces that link.  Cycle forcing: an edge with one
+    direction closing a directed cycle among decided arcs is forced the other
+    way.  The probe tests both directions of one edge in each pure cycle
+    component of the undecided subgraph; if both fail the state is
+    conflicting, if one fails the other is forced.  All three rules are
+    sound, so exhausted search remains a proof of infeasibility.  They are
+    also monotone (a rule that fires keeps firing as arcs are added), so the
+    state ``quiesce`` reaches does not depend on the order in which they fire.
 
     Reachability is kept exact at all times: ``desc[x]`` is the bitmask of
     vertices reachable from x (x included) over the fixed and decided arcs,
     so an arc t->h closes a cycle iff bit t of ``desc[h]`` is set.  Adding
     t->h walks the in-arcs backwards from t and ORs ``desc[h]`` into every
     vertex that does not reach h yet; the walk stops at vertices that already
-    do, so only changed entries are touched.  Undo restores a ``desc``
-    snapshot taken at the backtrack point (in the search frame, or before a
-    probe) and pops the newest in-arc of each head on the trail, which is
-    exactly the arc the trail entry added.
+    do, so only changed entries are touched.  Undo restores the ``desc``
+    snapshot of the search frame and pops the newest in-arc of each head on
+    the trail, which is exactly the arc the trail entry added.
+
+    Cycle forcing is driven by closure growth.  An edge u-v becomes forced
+    exactly when bit v enters ``desc[u]`` or bit u enters ``desc[v]``, so
+    ``extend_closure`` queues every edge at a vertex whose closure gains the
+    edge's other endpoint, and ``cycle_force_pass`` drains that queue
+    against the live closure.  Building the fixed arcs' closure queues the
+    edges they force.  An undo clears the queue, because every backtrack
+    point is a state that ``quiesce`` left with the queue drained.
+
+    The probe makes no trial moves.  In a pure cycle, parity at a scoped
+    vertex fixes whether its two ring links point the same way around the
+    ring.  So the arc chosen on the probed edge forces the arcs around the
+    ring, up to the first unscoped vertex on each side, and the opposite arc
+    forces the reverse arcs.  When every ring vertex is scoped the walk
+    closes with a parity check, which is the same for both directions.  A
+    direction that passes it fails iff its arcs close a directed cycle with
+    the closure restricted to the ring's vertices.  Nothing is applied or
+    undone; a forced direction is then committed like any other arc.
     """
 
     def __init__(
@@ -627,6 +676,21 @@ class _ExactSearch:
             self.scoped = [v in scope for v in self.verts]
         self.target = [v in problem.odd_set for v in self.verts]
 
+        self.und = [0] * self.n
+        self.edge_at: list[list[int]] = [[] for _ in range(self.n)]
+        # bitmask of the vertices joined to x by an edge
+        self.nbr_bits = [0] * self.n
+        for i in range(self.m):
+            u, v = self.ends[i]
+            self.und[u] += 1
+            self.und[v] += 1
+            self.edge_at[u].append(i)
+            self.edge_at[v].append(i)
+            self.nbr_bits[u] |= 1 << v
+            self.nbr_bits[v] |= 1 << u
+
+        self.decided: list[Optional[Arc]] = [None] * self.m
+        self.cycle_q: list[int] = []
         self.desc = [1 << x for x in range(self.n)]
         self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
         self.in_par = [0] * self.n
@@ -636,16 +700,6 @@ class _ExactSearch:
             self.extend_closure(index[t], index[h]) for t, h in g.arcs
         )
 
-        self.und = [0] * self.n
-        self.edge_at: list[list[int]] = [[] for _ in range(self.n)]
-        for i in range(self.m):
-            u, v = self.ends[i]
-            self.und[u] += 1
-            self.und[v] += 1
-            self.edge_at[u].append(i)
-            self.edge_at[v].append(i)
-
-        self.decided: list[Optional[Arc]] = [None] * self.m
         self.undecided_total = self.m
         self.trail: list[tuple[int, int, int]] = []
         self.force_q: deque[int] = deque()
@@ -658,19 +712,27 @@ class _ExactSearch:
 
     def extend_closure(self, t: int, h: int) -> bool:
         """Add arc t->h to the closure; False, with nothing changed, when it
-        closes a directed cycle."""
-        desc = self.desc
+        closes a directed cycle.  Queues the edges whose direction the new
+        reachability may force."""
+        desc, in_adj, nbr_bits = self.desc, self.in_adj, self.nbr_bits
         if (desc[h] >> t) & 1:
             return False
-        self.in_adj[h].append(t)
+        in_adj[h].append(t)
         below = desc[h]
         stack = [t]
         while stack:
             y = stack.pop()
-            if (desc[y] >> h) & 1:
+            old = desc[y]
+            if (old >> h) & 1:
                 continue
-            desc[y] |= below
-            stack.extend(self.in_adj[y])
+            desc[y] = old | below
+            gained = below & ~old & nbr_bits[y]
+            if gained:
+                for i in self.edge_at[y]:
+                    u, v = self.ends[i]
+                    if (gained >> (v if u == y else u)) & 1:
+                        self.cycle_q.append(i)
+            stack.extend(in_adj[y])
         return True
 
     def apply_arc(self, e: int, t: int, h: int, decision: bool = False) -> bool:
@@ -695,7 +757,7 @@ class _ExactSearch:
 
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
-        taken when the trail had that length."""
+        taken when the trail had that length.  Both queues are emptied."""
         while len(self.trail) > mark:
             e, t, h = self.trail.pop()
             self.decided[e] = None
@@ -705,6 +767,8 @@ class _ExactSearch:
             self.und[h] += 1
             self.undecided_total += 1
         self.desc[:] = desc
+        self.force_q.clear()
+        self.cycle_q.clear()
 
     # -- propagation rules ----------------------------------------------------
 
@@ -722,37 +786,32 @@ class _ExactSearch:
                 return False
         return True
 
-    def cycle_force_pass(self) -> tuple[bool, bool]:
-        """One scan of the cycle-forcing rule; returns (changed, ok).
-
-        Edges are tested against a copy of the closure taken when the scan
-        began, so a forcing enabled by this scan's own arcs waits for the
-        next scan.  apply_arc still checks the current closure, so every
-        forcing stays sound.
-        """
-        desc = self.desc[:]
-        changed = False
-        for e in range(self.m):
-            if self.decided[e] is not None:
+    def cycle_force_pass(self) -> bool:
+        """Drain the cycle queue, forcing each queued undecided edge that has
+        one direction closing a cycle; False on a conflict."""
+        desc, ends, decided, queue = self.desc, self.ends, self.decided, self.cycle_q
+        while queue:
+            e = queue.pop()
+            if decided[e] is not None:
                 continue
-            u, v = self.ends[e]
-            uv_closes = (desc[v] >> u) & 1
-            vu_closes = (desc[u] >> v) & 1
-            if uv_closes and vu_closes:
-                return changed, False
-            if uv_closes or vu_closes:
-                t, h = (v, u) if uv_closes else (u, v)
-                if not self.apply_arc(e, t, h):
-                    return changed, False
-                if not self.propagate():
-                    return changed, False
-                changed = True
-        return changed, True
+            u, v = ends[e]
+            # the closure is acyclic, so at most one direction closes a cycle
+            if (desc[v] >> u) & 1:
+                t, h = v, u
+            elif (desc[u] >> v) & 1:
+                t, h = u, v
+            else:
+                continue
+            if not (self.apply_arc(e, t, h) and self.propagate()):
+                return False
+        return True
 
-    def _pure_cycle_reps(self) -> list[int]:
+    def _pure_cycle_reps(self) -> list[tuple[int, list[int]]]:
         """Lowest edge id of each undecided component whose vertices all have
         exactly two undecided links (such a component is a single cycle), in
-        ascending order.
+        ascending order, each with the component's vertices in ring order
+        from that edge's low end: ring[0]-ring[1] is the edge, and ring[i]
+        is joined to ring[i + 1] and ring[-1] to ring[0].
 
         The first undecided edge met of a component is its lowest, and a walk
         from its low end along two-link vertices comes back to the start
@@ -763,7 +822,7 @@ class _ExactSearch:
         """
         decided, ends, und, edge_at = self.decided, self.ends, self.und, self.edge_at
         reached = bytearray(self.n)
-        reps: list[int] = []
+        reps: list[tuple[int, list[int]]] = []
         for e in range(self.m):
             if decided[e] is not None:
                 continue
@@ -774,39 +833,92 @@ class _ExactSearch:
             if und[start] != 2:
                 continue
             f, x = e, start
+            ring = [start]
             while True:
                 a, b = ends[f]
                 y = b if a == x else a
                 if y == start:
-                    reps.append(e)
+                    reps.append((e, ring))
                     break
                 if reached[y] or und[y] != 2:
                     break
                 reached[y] = 1
+                ring.append(y)
                 f = next(i for i in edge_at[y] if i != f and decided[i] is None)
                 x = y
         return reps
 
-    def probe_pass(self) -> tuple[bool, bool]:
-        """Test both directions of one representative edge per pure cycle
-        component; force the survivor when exactly one direction works."""
-        changed = False
-        for e in self._pure_cycle_reps():
-            if self.decided[e] is not None:
+    def probe(self, ring: list[int]) -> tuple[bool, bool]:
+        """Whether the arcs ring[1]->ring[0] and ring[0]->ring[1] each
+        survive parity forcing around the pure cycle ``ring`` (an entry of
+        ``_pure_cycle_reps``) without a conflict."""
+        r = len(ring)
+        scoped, target, in_par, desc = self.scoped, self.target, self.in_par, self.desc
+        # fwd[i]: edge ring[i]-ring[i+1] points ring[i] -> ring[i+1] (1) or
+        # back (0) under the first direction, None where parity leaves it
+        # open.  A scoped x keeps the direction iff one of its two ring links
+        # must enter it, i.e. iff its decided in-parity misses its target.
+        fwd: list[Optional[int]] = [None] * r
+        fwd[0] = 0   # the first direction, ring[1] -> ring[0]
+        i = 1
+        while i < r and scoped[ring[i]]:
+            x = ring[i]
+            fwd[i] = fwd[i - 1] ^ 1 ^ target[x] ^ in_par[x]
+            i += 1
+        if i == r:
+            # every edge is forced; parity at ring[0] closes the walk, and
+            # reversing every arc keeps each vertex's in-parity
+            x = ring[0]
+            if scoped[x] and fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ in_par[x]:
+                return False, False
+        else:
+            # walk backwards from ring[0]; ring[i] is unscoped, so this stops
+            j = 0
+            while scoped[ring[j]]:
+                x = ring[j]
+                fwd[j - 1] = fwd[j] ^ 1 ^ target[x] ^ in_par[x]
+                j -= 1
+
+        ring_bits = 0
+        for x in ring:
+            ring_bits |= 1 << x
+        # the other ring vertices each one reaches over decided arcs
+        reached = [(desc[x] & ring_bits) ^ (1 << x) for x in ring]
+        if not any(reached):
+            # the forced arcs alone close a cycle only by going all the way
+            # round one way, and then so do the reverse arcs
+            circular = None not in fwd and len(set(fwd)) == 1
+            return not circular, not circular
+        # the same as bitmasks over ring positions
+        pos = dict(zip(ring, range(r)))
+        reach = [0] * r
+        for i in range(r):
+            rest = reached[i]
+            while rest:
+                low = rest & -rest
+                reach[i] |= 1 << pos[low.bit_length() - 1]
+                rest ^= low
+        first, second = reach[:], reach
+        for i in range(r):
+            if fwd[i] is None:
                 continue
-            u, v = self.ends[e]
-            lo, hi = (u, v) if u < v else (v, u)
-            outcomes = []
-            mark, desc = len(self.trail), self.desc[:]
-            for t, h in ((hi, lo), (lo, hi)):
-                ok = self.apply_arc(e, t, h) and self.propagate()
-                self.undo_to(mark, desc)
-                self.force_q.clear()
-                outcomes.append(ok)
-            if not outcomes[0] and not outcomes[1]:
+            k = (i + 1) % r
+            t, h = (i, k) if fwd[i] else (k, i)
+            first[t] |= 1 << h
+            second[h] |= 1 << t
+        return not _has_cycle(first), not _has_cycle(second)
+
+    def probe_pass(self) -> tuple[bool, bool]:
+        """Probe one representative edge per pure cycle component; force the
+        survivor when exactly one direction works."""
+        changed = False
+        for e, ring in self._pure_cycle_reps():
+            hi_lo, lo_hi = self.probe(ring)
+            if not (hi_lo or lo_hi):
                 return changed, False
-            if outcomes[0] != outcomes[1]:
-                t, h = (hi, lo) if outcomes[0] else (lo, hi)
+            if hi_lo != lo_hi:
+                lo, hi = ring[0], ring[1]
+                t, h = (hi, lo) if hi_lo else (lo, hi)
                 if not (self.apply_arc(e, t, h) and self.propagate()):
                     return changed, False
                 changed = True
@@ -814,13 +926,8 @@ class _ExactSearch:
 
     def quiesce(self) -> bool:
         while True:
-            if not self.propagate():
+            if not (self.propagate() and self.cycle_force_pass()):
                 return False
-            changed, ok = self.cycle_force_pass()
-            if not ok:
-                return False
-            if changed:
-                continue
             changed, ok = self.probe_pass()
             if not ok:
                 return False
@@ -890,7 +997,6 @@ class _ExactSearch:
                 while frames:
                     e, alts, mark, desc = frames[-1]
                     self.undo_to(mark, desc)
-                    self.force_q.clear()
                     if alts:
                         t, h = alts.pop()
                         if self.decisions >= self.budget:

@@ -1,9 +1,12 @@
 """The exact search against the exhaustive oracle, its reachability closure
-and pure-cycle scan against references recomputed from scratch, and its
-component-by-component search of disconnected instances."""
+and pure-cycle scan against references recomputed from scratch, its ring
+probe against trial propagation, the completeness of its cycle forcing, its
+component-by-component search of disconnected instances, and its decision
+counts on the frozen UNSAT samples."""
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -177,7 +180,15 @@ def test_pure_cycle_walk_matches_bfs(prob, seed):
     rng = random.Random(seed)
     search = _ExactSearch(prob, budget=0, scope=None, count_all=False)
     for _ in range(search.m + 1):
-        assert search._pure_cycle_reps() == pure_cycle_reps_by_bfs(search)
+        reps = search._pure_cycle_reps()
+        assert [e for e, _ in reps] == pure_cycle_reps_by_bfs(search)
+        live = {search.ends[i] for i in range(search.m) if search.decided[i] is None}
+        for e, ring in reps:
+            # the rep edge first, then undecided edges once around the ring
+            assert search.ends[e] == (ring[0], ring[1])
+            assert len(set(ring)) == len(ring) == sum(search.und[x] for x in ring) // 2
+            for x, y in zip(ring, ring[1:] + ring[:1]):
+                assert (min(x, y), max(x, y)) in live
         undecided = [e for e in range(search.m) if search.decided[e] is None]
         if not undecided:
             break
@@ -185,6 +196,105 @@ def test_pure_cycle_walk_matches_bfs(prob, seed):
         u, v = search.ends[e]
         # a refused arc changes nothing, so try the other direction
         search.apply_arc(e, u, v) or search.apply_arc(e, v, u)
+
+
+def random_search_state(prob: OrientationProblem, rng: random.Random):
+    """A search on ``prob`` with about a fifth of its edges turned into fixed
+    arcs, a random odd set and scope, and a few arcs applied; None when the
+    fixed arcs close a cycle."""
+    verts = sorted(prob.graph.vertices)
+    edges, arcs = [], []
+    for u, v in sorted(prob.graph.edges):
+        if rng.random() < 0.2:
+            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+        else:
+            edges.append((u, v))
+    odd = [v for v in verts if rng.random() < 0.5]
+    scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
+    search = _ExactSearch(problem(verts, edges, arcs, odd), 0, scope, False)
+    if not search.fixed_acyclic:
+        return None
+    for _ in range(rng.randrange(len(edges) // 2 + 1)):
+        apply_random_arc(search, rng)
+    return search
+
+
+def apply_random_arc(search: _ExactSearch, rng: random.Random) -> None:
+    undecided = [e for e in range(search.m) if search.decided[e] is None]
+    if undecided:
+        e = rng.choice(undecided)
+        u, v = search.ends[e]
+        # a refused arc changes nothing, so try the other direction
+        search.apply_arc(e, u, v) or search.apply_arc(e, v, u)
+
+
+def probe_by_trial(search: _ExactSearch, e: int) -> tuple[bool, bool]:
+    """Each direction of edge e, high end to low end first: applied,
+    propagated by parity, and undone."""
+    lo, hi = search.ends[e]
+    mark, desc = len(search.trail), search.desc[:]
+    outcomes = []
+    for t, h in ((hi, lo), (lo, hi)):
+        outcomes.append(search.apply_arc(e, t, h) and search.propagate())
+        search.undo_to(mark, desc)
+    return outcomes[0], outcomes[1]
+
+
+def test_probe_walks_both_ways_to_the_unscoped_vertex():
+    # the 5-cycle 0-1-2-3-4 with 2 unscoped and the rest odd: parity forces
+    # 1->0->4->3->2 and 2->1 from the arc 1->0, once round the ring
+    search = _ExactSearch(
+        problem(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], odd=[0, 1, 3, 4]),
+        0, {0, 1, 3, 4}, False,
+    )
+    [(e, ring)] = search._pure_cycle_reps()
+    assert ring == [0, 1, 2, 3, 4]
+    assert search.probe(ring) == probe_by_trial(search, e) == (False, False)
+
+
+@given(low_degree_instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_probe_matches_trial_propagation(prob, seed):
+    rng = random.Random(seed)
+    search = random_search_state(prob, rng)
+    if search is None:
+        return
+    for _ in range(search.m + 1):
+        # the search probes only once parity propagation has drained
+        search.force_q.clear()
+        for e, ring in search._pure_cycle_reps():
+            assert search.probe(ring) == probe_by_trial(search, e)
+        apply_random_arc(search, rng)
+
+
+@given(low_degree_instances(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
+    rng = random.Random(seed)
+    search = random_search_state(prob, rng)
+    if search is None:
+        return
+    # decide and backtrack the way the search does, with random choices
+    frames = []
+    for _ in range(2 * search.m + 1):
+        if not search.quiesce():
+            if not frames:
+                return
+            search.undo_to(*frames.pop())
+            continue
+        desc = search.desc
+        undecided = [e for e in range(search.m) if search.decided[e] is None]
+        for e in undecided:
+            u, v = search.ends[e]
+            assert not (desc[u] >> v) & 1 and not (desc[v] >> u) & 1
+        if not undecided:
+            return
+        frames.append((len(search.trail), desc[:]))
+        e = rng.choice(undecided)
+        u, v = search.ends[e]
+        t, h = (u, v) if rng.random() < 0.5 else (v, u)
+        if not search.apply_arc(e, t, h, decision=True):
+            search.undo_to(*frames.pop())
 
 
 def disjoint_union(first: OrientationProblem, second: OrientationProblem):
@@ -222,3 +332,13 @@ def test_components_share_the_decision_budget():
     need = solve_exact(pad).decisions + solve_exact(core).decisions
     assert solve_exact(union, budget=need - 1).status == ABORTED
     assert solve_exact(union, budget=need).status == INFEASIBLE
+
+
+# The decision counts the search needs on the frozen UNSAT samples.  The
+# propagation rules only prune, so a change to them that loses a forcing
+# shows up here as more decisions.
+@pytest.mark.parametrize("index, decisions", [(0, 110), (1, 238), (2, 110)])
+def test_frozen_unsat_decision_counts(index, decisions):
+    res = decide(assemble(unsat_samples()[index]).problem)
+    assert res.status == INFEASIBLE
+    assert res.decisions == decisions
