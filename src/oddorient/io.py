@@ -331,6 +331,8 @@ def read_formula(data: Union[bytes, str]) -> Union[Formula, PlanarFormula]:
                 header = (int(parts[2]), int(parts[3]))
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: malformed header {line!r}") from exc
+            if min(header) < 0:
+                raise FormatError(f"line {lineno}: malformed header {line!r}")
             continue
         if line.startswith("r"):
             parts = line.split()

@@ -579,6 +579,12 @@ def _solve_cycle_component(problem, adj, link_kind, comp):
 # -- complete backtracking solver ----------------------------------------------------
 
 
+# kinds of ``_ExactSearch.ring_log`` entries: a ring found, a ring dropped
+# (with its ring, vertex bitmask and pending flag), a ring made pending, and
+# a walk of the trail (with the previous ``scanned``)
+_RING_NEW, _RING_DROP, _RING_DIRTY, _RING_SCAN = range(4)
+
+
 def _has_cycle(succ: list[int]) -> bool:
     """Whether the digraph on 0..len(succ)-1 in which ``succ[x]`` is the
     bitmask of x's out-neighbours has a directed cycle (depth-first search
@@ -647,6 +653,30 @@ class _ExactSearch:
     direction that passes it fails iff its arcs close a directed cycle with
     the closure restricted to the ring's vertices.  Nothing is applied or
     undone; a forced direction is then committed like any other arc.
+
+    The pure cycles are search state: ``rings`` maps each one's lowest edge
+    id (its rep) to its vertices in ring order, and ``ring_of``/``ring_mask``
+    give each ring vertex its rep and the ring's vertex bitmask.  Only the
+    root walks every vertex.  After that a component can become a pure cycle
+    only at an endpoint of a newly decided arc, so each probe pass walks
+    from the endpoints of the arcs on the trail since the previous pass, and
+    a ring leaves the set when one of its edges is decided (any undecided
+    link at a ring vertex is a ring edge).  A ring's ``in_par`` cannot change
+    while it stays a ring, so a probe that lets both directions through stays
+    valid until the closure of a ring vertex gains another ring vertex, which
+    ``extend_closure`` sees.  ``pending`` holds the rings not probed since
+    they appeared or since that happened, and a pass probes only those, in
+    ascending rep order, as a pass over every ring would find them.  Every
+    change to this state goes on ``ring_log``, and each trail entry records
+    the log length before its arc, so ``undo_to`` rewinds the rings with the
+    trail.  Being probed is not logged: a ring that passes the probe also
+    passes it on any earlier state where it is a ring, whose closure is
+    smaller.
+
+    The branch edge has the fewest undecided links at its lower-count end,
+    lowest id first.  No undecided edge has fewer than one, and none fewer
+    than two while no vertex has exactly one (``ones`` counts them), so the
+    scan from the first undecided edge stops at the first edge on that floor.
     """
 
     def __init__(
@@ -689,11 +719,20 @@ class _ExactSearch:
             self.nbr_bits[u] |= 1 << v
             self.nbr_bits[v] |= 1 << u
 
+        # vertices with exactly one undecided link, for pick_edge's floor
+        self.ones = self.und.count(1)
+
         self.decided: list[Optional[Arc]] = [None] * self.m
         self.cycle_q: list[int] = []
         self.desc = [1 << x for x in range(self.n)]
         self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
         self.in_par = [0] * self.n
+        self.rings: dict[int, list[int]] = {}
+        self.ring_of = [-1] * self.n
+        self.ring_mask = [0] * self.n
+        self.pending: set[int] = set()
+        self.dirtied: list[int] = []
+        self.ring_log: list[tuple] = []
         for t, h in g.arcs:
             self.in_par[index[h]] ^= 1
         self.fixed_acyclic = all(
@@ -701,7 +740,14 @@ class _ExactSearch:
         )
 
         self.undecided_total = self.m
-        self.trail: list[tuple[int, int, int]] = []
+        # (edge, tail, head, ring_log length before the arc)
+        self.trail: list[tuple[int, int, int, int]] = []
+        self.seen = [0] * self.n   # the stamp of the last walk to reach x
+        self.stamp = 0
+        # the root's rings are never rewound, so they are not logged
+        self._find_rings(range(self.n))
+        self.ring_log.clear()
+        self.scanned = 0   # trail entries whose endpoints have been walked
         self.force_q: deque[int] = deque()
         self.decisions = 0
         self.propagations = 0
@@ -715,6 +761,7 @@ class _ExactSearch:
         closes a directed cycle.  Queues the edges whose direction the new
         reachability may force."""
         desc, in_adj, nbr_bits = self.desc, self.in_adj, self.nbr_bits
+        ring_mask, pending = self.ring_mask, self.pending
         if (desc[h] >> t) & 1:
             return False
         in_adj[h].append(t)
@@ -726,59 +773,188 @@ class _ExactSearch:
             if (old >> h) & 1:
                 continue
             desc[y] = old | below
-            gained = below & ~old & nbr_bits[y]
+            new = below & ~old
+            gained = new & nbr_bits[y]
             if gained:
                 for i in self.edge_at[y]:
                     u, v = self.ends[i]
                     if (gained >> (v if u == y else u)) & 1:
                         self.cycle_q.append(i)
+            if new & ring_mask[y] and self.ring_of[y] not in pending:
+                # y now reaches another vertex of its ring: probe it again
+                r = self.ring_of[y]
+                pending.add(r)
+                self.dirtied.append(r)
+                self.ring_log.append((_RING_DIRTY, r))
             stack.extend(in_adj[y])
         return True
 
     def apply_arc(self, e: int, t: int, h: int, decision: bool = False) -> bool:
+        log_at = len(self.ring_log)
         if not self.extend_closure(t, h):
             return False
         if not decision:
             self.propagations += 1
         self.decided[e] = (t, h)
         self.in_par[h] ^= 1
-        self.und[t] -= 1
-        self.und[h] -= 1
         self.undecided_total -= 1
-        self.trail.append((e, t, h))
+        self.trail.append((e, t, h, log_at))
+        r = self.ring_of[t]
+        if r >= 0:
+            # e is an edge of t's ring, so h is on it too
+            was_pending = r in self.pending
+            self.pending.discard(r)
+            bits = self.ring_mask[t]
+            self.ring_log.append((_RING_DROP, r, self._unlink_ring(r), bits, was_pending))
+        und, ok = self.und, True
         for x in (t, h):
-            if not self.scoped[x]:
-                continue
-            if self.und[x] == 0 and self.in_par[x] != self.target[x]:
-                return False
-            if self.und[x] == 1:
-                self.force_q.append(x)
-        return True
+            left = und[x] - 1
+            und[x] = left
+            if left < 2:
+                self.ones += 1 if left else -1
+                if ok and self.scoped[x]:
+                    if left:
+                        self.force_q.append(x)
+                    elif self.in_par[x] != self.target[x]:
+                        ok = False
+        return ok
 
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
-        taken when the trail had that length.  Both queues are emptied."""
-        while len(self.trail) > mark:
-            e, t, h = self.trail.pop()
+        taken when the trail had that length.  The rings are rewound with the
+        trail, and the queues are emptied."""
+        trail, und = self.trail, self.und
+        if len(trail) > mark:
+            self._rewind_rings(trail[mark][3])
+        while len(trail) > mark:
+            e, t, h, _ = trail.pop()
             self.decided[e] = None
             self.in_adj[h].pop()
             self.in_par[h] ^= 1
-            self.und[t] += 1
-            self.und[h] += 1
             self.undecided_total += 1
+            for x in (t, h):
+                left = und[x] + 1
+                und[x] = left
+                if left < 3:
+                    self.ones += 1 if left == 1 else -1
         self.desc[:] = desc
         self.force_q.clear()
         self.cycle_q.clear()
+        self.dirtied.clear()
+
+    # -- pure cycles ------------------------------------------------------------
+
+    def _link_ring(self, rep: int, ring: list[int], bits: int) -> None:
+        self.rings[rep] = ring
+        for x in ring:
+            self.ring_of[x] = rep
+            self.ring_mask[x] = bits
+
+    def _unlink_ring(self, rep: int) -> list[int]:
+        ring = self.rings.pop(rep)
+        for x in ring:
+            self.ring_of[x] = -1
+            self.ring_mask[x] = 0
+        return ring
+
+    def _rewind_rings(self, length: int) -> None:
+        """Undo the ring log back to ``length`` entries, newest first."""
+        log = self.ring_log
+        while len(log) > length:
+            entry = log.pop()
+            kind, r = entry[0], entry[1]
+            if kind == _RING_NEW:
+                self._unlink_ring(r)
+                self.pending.discard(r)
+            elif kind == _RING_DROP:
+                self._link_ring(r, entry[2], entry[3])
+                if entry[4]:
+                    self.pending.add(r)
+            elif kind == _RING_DIRTY:
+                self.pending.discard(r)
+            else:
+                self.scanned = r
+
+    def _find_rings(self, starts: Iterable[int]) -> None:
+        """Add the pure cycle through each start vertex that is on one.
+
+        A walk from x along two-link vertices comes back to x exactly when
+        x's component is a pure cycle.  It stops at the first vertex with
+        another link count or one an earlier walk of this call reached (which
+        lies in the same component, so it is not pure), so each vertex is
+        walked at most once per call.  A new ring is pending.
+        """
+        und, decided, ends, edge_at, seen = (
+            self.und, self.decided, self.ends, self.edge_at, self.seen
+        )
+        self.stamp += 1
+        stamp = self.stamp
+        for x in starts:
+            if und[x] != 2 or seen[x] == stamp:
+                continue
+            seen[x] = stamp
+            # cyc[i] - cyc[i + 1] is edge es[i], and es[-1] closes the ring
+            cyc, es, bits = [x], [], 1 << x
+            f = next(i for i in edge_at[x] if decided[i] is None)
+            y = x
+            while True:
+                es.append(f)
+                a, b = ends[f]
+                y = b if a == y else a
+                if y == x:
+                    break
+                if und[y] != 2 or seen[y] == stamp:
+                    cyc = []
+                    break
+                seen[y] = stamp
+                cyc.append(y)
+                bits |= 1 << y
+                f = next(i for i in edge_at[y] if i != f and decided[i] is None)
+            if not cyc:
+                continue
+            # start from the low end of the lowest edge, across that edge
+            r = len(cyc)
+            k = es.index(min(es))
+            rep = es[k]
+            if cyc[k] == ends[rep][0]:
+                ring = cyc[k:] + cyc[:k]
+            else:
+                ring = [cyc[(k + 1 - i) % r] for i in range(r)]
+            self._link_ring(rep, ring, bits)
+            self.pending.add(rep)
+            self.ring_log.append((_RING_NEW, rep))
+
+    def _update_rings(self) -> None:
+        """Walk from the endpoints of the arcs decided since the last call."""
+        trail = self.trail
+        if self.scanned == len(trail):
+            return
+        starts = [x for item in trail[self.scanned:] for x in item[1:3]]
+        self.ring_log.append((_RING_SCAN, self.scanned))
+        self.scanned = len(trail)
+        self._find_rings(starts)
+
+    def _pure_cycle_reps(self) -> list[tuple[int, list[int]]]:
+        """Each undecided component whose vertices all have exactly two
+        undecided links (such a component is a single cycle), as its lowest
+        edge id and its vertices in ring order from that edge's low end:
+        ring[0]-ring[1] is the edge, ring[i] is joined to ring[i + 1] and
+        ring[-1] to ring[0].  In ascending edge order."""
+        self._update_rings()
+        return sorted(self.rings.items())
 
     # -- propagation rules ----------------------------------------------------
 
     def propagate(self) -> bool:
-        while self.force_q:
-            x = self.force_q.popleft()
-            if self.und[x] != 1:
+        force_q, und, decided, ends = self.force_q, self.und, self.decided, self.ends
+        while force_q:
+            x = force_q.popleft()
+            if und[x] != 1:
                 continue
-            e = next(i for i in self.edge_at[x] if self.decided[i] is None)
-            u, v = self.ends[e]
+            for e in self.edge_at[x]:
+                if decided[e] is None:
+                    break
+            u, v = ends[e]
             other = v if u == x else u
             need_in = self.in_par[x] != self.target[x]
             t, h = (other, x) if need_in else (x, other)
@@ -805,48 +981,6 @@ class _ExactSearch:
             if not (self.apply_arc(e, t, h) and self.propagate()):
                 return False
         return True
-
-    def _pure_cycle_reps(self) -> list[tuple[int, list[int]]]:
-        """Lowest edge id of each undecided component whose vertices all have
-        exactly two undecided links (such a component is a single cycle), in
-        ascending order, each with the component's vertices in ring order
-        from that edge's low end: ring[0]-ring[1] is the edge, and ring[i]
-        is joined to ring[i + 1] and ring[-1] to ring[0].
-
-        The first undecided edge met of a component is its lowest, and a walk
-        from its low end along two-link vertices comes back to the start
-        exactly when the component is a pure cycle.  A walk stops at the
-        first vertex with another link count or one an earlier walk reached
-        (which lies in the same component, so it is not pure), so each vertex
-        is walked at most once.
-        """
-        decided, ends, und, edge_at = self.decided, self.ends, self.und, self.edge_at
-        reached = bytearray(self.n)
-        reps: list[tuple[int, list[int]]] = []
-        for e in range(self.m):
-            if decided[e] is not None:
-                continue
-            start = ends[e][0]
-            if reached[start]:
-                continue
-            reached[start] = 1
-            if und[start] != 2:
-                continue
-            f, x = e, start
-            ring = [start]
-            while True:
-                a, b = ends[f]
-                y = b if a == x else a
-                if y == start:
-                    reps.append((e, ring))
-                    break
-                if reached[y] or und[y] != 2:
-                    break
-                reached[y] = 1
-                ring.append(y)
-                f = next(i for i in edge_at[y] if i != f and decided[i] is None)
-                x = y
-        return reps
 
     def probe(self, ring: list[int]) -> tuple[bool, bool]:
         """Whether the arcs ring[1]->ring[0] and ring[0]->ring[1] each
@@ -909,19 +1043,35 @@ class _ExactSearch:
         return not _has_cycle(first), not _has_cycle(second)
 
     def probe_pass(self) -> tuple[bool, bool]:
-        """Probe one representative edge per pure cycle component; force the
-        survivor when exactly one direction works."""
+        """Probe the representative edge of each pending pure cycle; force
+        the survivor when exactly one direction works.  A ring that a
+        forcing makes pending is probed in the same pass when its rep is
+        above the current one, and in the next pass otherwise."""
+        self._update_rings()
+        pending, rings = self.pending, self.rings
+        queue = sorted(pending)
+        self.dirtied.clear()
         changed = False
-        for e, ring in self._pure_cycle_reps():
+        while queue:
+            e = heapq.heappop(queue)
+            if e not in pending:
+                continue
+            ring = rings[e]
             hi_lo, lo_hi = self.probe(ring)
             if not (hi_lo or lo_hi):
                 return changed, False
-            if hi_lo != lo_hi:
-                lo, hi = ring[0], ring[1]
-                t, h = (hi, lo) if hi_lo else (lo, hi)
-                if not (self.apply_arc(e, t, h) and self.propagate()):
-                    return changed, False
-                changed = True
+            if hi_lo == lo_hi:
+                pending.discard(e)
+                continue
+            lo, hi = ring[0], ring[1]
+            t, h = (hi, lo) if hi_lo else (lo, hi)
+            if not (self.apply_arc(e, t, h) and self.propagate()):
+                return changed, False
+            changed = True
+            for r in self.dirtied:
+                if r > e:
+                    heapq.heappush(queue, r)
+            self.dirtied.clear()
         return changed, True
 
     def quiesce(self) -> bool:
@@ -937,14 +1087,19 @@ class _ExactSearch:
     # -- search ------------------------------------------------------------
 
     def pick_edge(self) -> int:
-        best = None
-        best_key = None
-        for e in range(self.m):
-            if self.decided[e] is not None:
+        """The undecided edge of least key, min(und[u], und[v]), lowest id
+        first; some edge must be undecided."""
+        decided, ends, und = self.decided, self.ends, self.und
+        floor = 1 if self.ones else 2
+        best, best_key = -1, self.m + 1
+        for e in range(decided.index(None), self.m):
+            if decided[e] is not None:
                 continue
-            u, v = self.ends[e]
-            key = (min(self.und[u], self.und[v]), e)
-            if best_key is None or key < best_key:
+            u, v = ends[e]
+            key = und[u] if und[u] < und[v] else und[v]
+            if key < best_key:
+                if key == floor:
+                    return e
                 best, best_key = e, key
         return best
 

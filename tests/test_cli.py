@@ -104,6 +104,12 @@ class TestReduce:
         assert run("reduce", f) == 2
         assert "embedding required" in capsys.readouterr().err
 
+    def test_negative_header_count_exits_2(self, tmp_path, capsys):
+        f = tmp_path / "neg.cnf"
+        f.write_bytes(b"p cnf -3 0\n")
+        assert run("reduce", f) == 2
+        assert "malformed header" in capsys.readouterr().err
+
     def test_artifact_reloads(self, tmp_path, capsys):
         f = tmp_path / "f.cnf"
         art = tmp_path / "art.json"

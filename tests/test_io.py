@@ -228,7 +228,9 @@ class TestFormulaText:
         with pytest.raises(FormatError):
             read_formula(b"p cnf 3 1\np cnf 3 1\n1 2 3 0\n")
 
-    @pytest.mark.parametrize("header", ["p cnf x 4", "p cnf 4 r", "p cnf 3.0 1"])
+    @pytest.mark.parametrize(
+        "header", ["p cnf x 4", "p cnf 4 r", "p cnf 3.0 1", "p cnf -3 1", "p cnf 3 -1"]
+    )
     def test_non_integer_header_counts_rejected(self, header):
         with pytest.raises(FormatError, match="line 2: malformed header"):
             read_formula(f"c counts\n{header}\n1 2 3 0\n".encode())

@@ -1,8 +1,9 @@
-"""The exact search against the exhaustive oracle, its reachability closure
-and pure-cycle scan against references recomputed from scratch, its ring
-probe against trial propagation, the completeness of its cycle forcing, its
-component-by-component search of disconnected instances, and its decision
-counts on the frozen UNSAT samples."""
+"""The exact search against the exhaustive oracle, its reachability closure,
+pure-cycle state and branch choice against references recomputed from
+scratch, its ring probe against trial propagation, the completeness of its
+cycle forcing, its component-by-component search of disconnected instances,
+and its decision counts on the frozen UNSAT samples and two generated
+reductions."""
 
 import random
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oddorient.p3sat import generate
 from oddorient.pdgraph import OrientationProblem, PartiallyDirectedGraph
 from oddorient.reduction import assemble
 from oddorient.samples import sample_planar_formula, unsat_samples
@@ -174,21 +176,58 @@ def low_degree_instances(draw):
     return problem(ids, edges)
 
 
+def pure_cycle_reps_by_scan(search: _ExactSearch) -> list[tuple[int, list[int]]]:
+    """The pure cycles as ``_pure_cycle_reps`` gives them, found by one walk
+    from the low end of every undecided edge.  The first undecided edge met
+    of a component is its lowest, and a walk from its low end along
+    two-link vertices comes back to the start exactly when the component is
+    a pure cycle."""
+    decided, ends, und, edge_at = search.decided, search.ends, search.und, search.edge_at
+    reached = set()
+    reps = []
+    for e in range(search.m):
+        start = ends[e][0]
+        if decided[e] is not None or start in reached:
+            continue
+        reached.add(start)
+        if und[start] != 2:
+            continue
+        f, x, ring = e, start, [start]
+        while True:
+            a, b = ends[f]
+            y = b if a == x else a
+            if y == start:
+                reps.append((e, ring))
+                break
+            if y in reached or und[y] != 2:
+                break
+            reached.add(y)
+            ring.append(y)
+            f = next(i for i in edge_at[y] if i != f and decided[i] is None)
+            x = y
+    return reps
+
+
+def assert_rings_match_references(search: _ExactSearch) -> None:
+    reps = search._pure_cycle_reps()
+    assert [e for e, _ in reps] == pure_cycle_reps_by_bfs(search)
+    assert reps == pure_cycle_reps_by_scan(search)
+    live = {search.ends[i] for i in range(search.m) if search.decided[i] is None}
+    for e, ring in reps:
+        # the rep edge first, then undecided edges once around the ring
+        assert search.ends[e] == (ring[0], ring[1])
+        assert len(set(ring)) == len(ring) == sum(search.und[x] for x in ring) // 2
+        for x, y in zip(ring, ring[1:] + ring[:1]):
+            assert (min(x, y), max(x, y)) in live
+
+
 @given(low_degree_instances(), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_pure_cycle_walk_matches_bfs(prob, seed):
     rng = random.Random(seed)
     search = _ExactSearch(prob, budget=0, scope=None, count_all=False)
     for _ in range(search.m + 1):
-        reps = search._pure_cycle_reps()
-        assert [e for e, _ in reps] == pure_cycle_reps_by_bfs(search)
-        live = {search.ends[i] for i in range(search.m) if search.decided[i] is None}
-        for e, ring in reps:
-            # the rep edge first, then undecided edges once around the ring
-            assert search.ends[e] == (ring[0], ring[1])
-            assert len(set(ring)) == len(ring) == sum(search.und[x] for x in ring) // 2
-            for x, y in zip(ring, ring[1:] + ring[:1]):
-                assert (min(x, y), max(x, y)) in live
+        assert_rings_match_references(search)
         undecided = [e for e in range(search.m) if search.decided[e] is None]
         if not undecided:
             break
@@ -297,6 +336,96 @@ def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
             search.undo_to(*frames.pop())
 
 
+def pick_edge_by_scan(search: _ExactSearch) -> int:
+    """The undecided edge of least (min(und[u], und[v]), edge id)."""
+    return min(
+        (min(search.und[u], search.und[v]), e)
+        for e, (u, v) in enumerate(search.ends)
+        if search.decided[e] is None
+    )[1]
+
+
+@st.composite
+def rings_with_ears(draw):
+    """A cycle of undecided edges plus a few outer vertices, each tied to
+    one or two cycle vertices by fixed arcs and to other outer vertices by
+    undecided edges: the cycle is a pure cycle from the start, and as the
+    outer edges get decided its vertices come to reach each other."""
+    k = draw(st.integers(min_value=3, max_value=8))
+    j = draw(st.integers(min_value=2, max_value=6))
+    ids = draw(st.lists(st.integers(0, 99), min_size=k + j, max_size=k + j, unique=True))
+    edges = [(ids[i], ids[(i + 1) % k]) for i in range(k)]
+    arcs = []
+    for w in range(k, k + j):
+        for x in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True)):
+            arcs.append((ids[x], ids[w]) if draw(st.booleans()) else (ids[w], ids[x]))
+        for x in draw(st.lists(st.integers(k, w), max_size=3, unique=True)):
+            if x != w:
+                edges.append((ids[x], ids[w]))
+    return problem(ids, edges, arcs)
+
+
+def apply_arc_off_rings(search: _ExactSearch, rng: random.Random) -> None:
+    """A random arc, four times in five on an edge outside the pure cycles
+    when there is one, so that the cycles live on while the closure grows."""
+    on_rings = {x for _, ring in pure_cycle_reps_by_scan(search) for x in ring}
+    undecided = [e for e in range(search.m) if search.decided[e] is None]
+    off = [e for e in undecided if search.ends[e][0] not in on_rings]
+    if off and rng.random() < 0.8:
+        undecided = off
+    if undecided:
+        e = rng.choice(undecided)
+        u, v = search.ends[e]
+        search.apply_arc(e, u, v) or search.apply_arc(e, v, u)
+
+
+@given(st.one_of(low_degree_instances(), rings_with_ears()), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
+    rng = random.Random(seed)
+    verts = sorted(prob.graph.vertices)
+    odd = [v for v in verts if rng.random() < 0.5]
+    # unscoped vertices keep one undecided link after propagation
+    scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
+    g = prob.graph
+    search = _ExactSearch(problem(verts, g.edges, g.arcs, odd), 0, scope, False)
+    if not search.fixed_acyclic:
+        return
+    checkpoints = []
+    clean_reach = {}
+    for _ in range(40):
+        roll = rng.random()
+        if roll < 0.15:
+            checkpoints.append((len(search.trail), search.desc[:]))
+        elif roll < 0.3 and checkpoints:
+            # any checkpoint still on the stack; the later ones become stale
+            i = rng.randrange(len(checkpoints))
+            search.undo_to(*checkpoints[i])
+            del checkpoints[i:]
+        elif roll < 0.6:
+            search.probe_pass()
+        else:
+            apply_arc_off_rings(search, rng)
+        assert_rings_match_references(search)
+        # a ring not waiting for a probe would let both directions through,
+        # and the reach among its vertices has not grown since the last step
+        # (it shrinks on undo)
+        seen_clean = {}
+        for e, ring in search.rings.items():
+            if e in search.pending:
+                continue
+            assert search.probe(ring) == (True, True)
+            bits = sum(1 << x for x in ring)
+            reach = [search.desc[x] & bits for x in ring]
+            before = clean_reach.get((e, tuple(ring)), reach)
+            assert all(now & ~then == 0 for now, then in zip(reach, before))
+            seen_clean[e, tuple(ring)] = reach
+        clean_reach = seen_clean
+        assert search.ones == search.und.count(1)
+        if search.undecided_total:
+            assert search.pick_edge() == pick_edge_by_scan(search)
+
+
 def disjoint_union(first: OrientationProblem, second: OrientationProblem):
     """Both problems side by side; ``second`` is shifted above ``first``."""
     shift = max(first.graph.vertices) + 1
@@ -341,4 +470,13 @@ def test_components_share_the_decision_budget():
 def test_frozen_unsat_decision_counts(index, decisions):
     res = decide(assemble(unsat_samples()[index]).problem)
     assert res.status == INFEASIBLE
+    assert res.decisions == decisions
+
+
+# The same on two larger generated reductions, where the pure-cycle state
+# changes most between decisions.
+@pytest.mark.parametrize("seed, n, m, decisions", [(0, 24, 34, 716), (1, 64, 92, 191)])
+def test_generated_decision_counts(seed, n, m, decisions):
+    res = decide(assemble(generate(seed, n, m)).problem)
+    assert res.feasible
     assert res.decisions == decisions
