@@ -395,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=int, default=10_000_000,
                        help="search node budget (default 10^7)")
         p.add_argument("--enum-cap", type=int, default=26,
-                       help="exhaustive sweep cap, in edge count (default 26)")
+                       help="exhaustive sweep cap: the largest dimension d of "
+                            "the parity solution space, which the sweep walks "
+                            "in 2^d steps (default 26)")
         if instance:
             p.add_argument("--normalize-multi", action="store_true",
                            help="collapse parallel links while reading")

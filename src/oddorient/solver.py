@@ -9,7 +9,8 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
                      acyclicity in numpy blocks,
 * ``solve_tree``     leaf peeling on forests (the unique-orientation case),
 * ``solve_degree_two``  path/cycle propagation for max degree 2,
-* ``solve_exact``    complete backtracking with parity and cycle propagation,
+* ``solve_exact``    complete search with parity and cycle propagation and
+                     conflict-directed backjumping,
 
 plus ``decide`` (dispatcher) and the two instance transforms
 (``apex_transform``, ``normalize_empty_T``).
@@ -113,23 +114,20 @@ def enumerate(
 
     The sweep covers all 2^k direction choices, and ``explored`` is that
     2^k: it counts the choices covered, not the masks touched.  Only the
-    parity solutions are generated, as an affine space over GF(2), and their
-    acyclicity is checked in numpy blocks.  With ``require_acyclic=False``
+    parity solutions are generated, as an affine space over GF(2) of some
+    dimension d, and their acyclicity is checked in numpy blocks, so the
+    sweep touches 2^d masks.  With ``require_acyclic=False``
     the count ignores directed cycles, which is how per-class completion
     counts are measured.  Witnesses come in ascending mask order (bit i set
     means ``sorted(edges)[i]`` runs from its first to its second endpoint),
     at most ``witness_cap`` of them (None = all).
 
-    Raises BudgetError when k exceeds ``max_edges`` or the 64-bit mask
+    Raises BudgetError when d exceeds ``max_edges`` or k the 64-bit mask
     width; a partial count is never returned.
     """
     g = problem.graph
     edge_list = sorted(g.edges)
     k = len(edge_list)
-    if k > max_edges:
-        raise BudgetError(
-            f"enumeration over {k} edges exceeds the 2**{max_edges} budget"
-        )
     if k > 64:
         raise BudgetError(f"enumeration over {k} edges exceeds the 64-bit mask width")
     if scope is None:
@@ -146,6 +144,11 @@ def enumerate(
     if space is None or order is None:
         return EnumerationReport(total_valid=0, witnesses=(), explored=explored)
     offset, basis = space
+    if len(basis) > max_edges:
+        raise BudgetError(
+            f"enumeration over a 2**{len(basis)} parity space exceeds the "
+            f"2**{max_edges} budget"
+        )
 
     def orientation(m: int) -> Orientation:
         chosen = [
@@ -677,6 +680,19 @@ class _ExactSearch:
     lowest id first.  No undecided edge has fewer than one, and none fewer
     than two while no vertex has exactly one (``ones`` counts them), so the
     scan from the first undecided edge stops at the first edge on that floor.
+
+    Every decided arc carries a dependency mask ``dep[e]``, an int with one
+    bit per decision level: the decisions that force it.  A decision at
+    level L gets bit L, and a forced arc the OR of its reason's masks; fixed
+    arcs and the root's forcings rest on none.  The reasons: a parity
+    forcing at x rests on the other links at x; a cycle forcing of u-v to
+    v->u on the decided arcs of one v~>u path (``path_dep`` walks back over
+    ``in_adj``, whose entries ``in_edge`` names, always to an in-neighbour v
+    reaches); a probe forcing on the decided links at every ring vertex and
+    one path for each ring vertex another one reaches.  A conflict gets its
+    mask the same way, in ``conflict``: a parity dead end at x rests on all
+    links at x, an arc t->h that would close a cycle on its own mask and a
+    path h~>t, and a probe that fails both ways on its reason.
     """
 
     def __init__(
@@ -726,6 +742,12 @@ class _ExactSearch:
         self.cycle_q: list[int] = []
         self.desc = [1 << x for x in range(self.n)]
         self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
+        # the edge id of each in_adj entry, -1 for a fixed arc
+        self.in_edge: list[list[int]] = [[] for _ in range(self.n)]
+        # decision levels each decided arc rests on (0 while undecided)
+        self.dep = [0] * self.m
+        # decision levels the last conflict rests on
+        self.conflict = 0
         self.in_par = [0] * self.n
         self.rings: dict[int, list[int]] = {}
         self.ring_of = [-1] * self.n
@@ -756,15 +778,16 @@ class _ExactSearch:
 
     # -- state updates ------------------------------------------------------
 
-    def extend_closure(self, t: int, h: int) -> bool:
-        """Add arc t->h to the closure; False, with nothing changed, when it
-        closes a directed cycle.  Queues the edges whose direction the new
-        reachability may force."""
+    def extend_closure(self, t: int, h: int, e: int = -1) -> bool:
+        """Add arc t->h (edge e, or -1 for a fixed arc) to the closure;
+        False, with nothing changed, when it closes a directed cycle.  Queues
+        the edges whose direction the new reachability may force."""
         desc, in_adj, nbr_bits = self.desc, self.in_adj, self.nbr_bits
         ring_mask, pending = self.ring_mask, self.pending
         if (desc[h] >> t) & 1:
             return False
         in_adj[h].append(t)
+        self.in_edge[h].append(e)
         below = desc[h]
         stack = [t]
         while stack:
@@ -789,13 +812,19 @@ class _ExactSearch:
             stack.extend(in_adj[y])
         return True
 
-    def apply_arc(self, e: int, t: int, h: int, decision: bool = False) -> bool:
+    def apply_arc(
+        self, e: int, t: int, h: int, mask: int = 0, decision: bool = False
+    ) -> bool:
+        """Decide edge e as t->h, resting on the decision levels ``mask``;
+        False on a conflict, whose levels go to ``conflict``."""
         log_at = len(self.ring_log)
-        if not self.extend_closure(t, h):
+        if not self.extend_closure(t, h, e):
+            self.conflict = mask | self.path_dep(h, t)
             return False
         if not decision:
             self.propagations += 1
         self.decided[e] = (t, h)
+        self.dep[e] = mask
         self.in_par[h] ^= 1
         self.undecided_total -= 1
         self.trail.append((e, t, h, log_at))
@@ -816,6 +845,7 @@ class _ExactSearch:
                     if left:
                         self.force_q.append(x)
                     elif self.in_par[x] != self.target[x]:
+                        self.conflict = self.links_dep(x)
                         ok = False
         return ok
 
@@ -829,7 +859,9 @@ class _ExactSearch:
         while len(trail) > mark:
             e, t, h, _ = trail.pop()
             self.decided[e] = None
+            self.dep[e] = 0
             self.in_adj[h].pop()
+            self.in_edge[h].pop()
             self.in_par[h] ^= 1
             self.undecided_total += 1
             for x in (t, h):
@@ -943,22 +975,68 @@ class _ExactSearch:
         self._update_rings()
         return sorted(self.rings.items())
 
+    # -- reasons -------------------------------------------------------------
+
+    def links_dep(self, x: int) -> int:
+        """The levels the decided links at x rest on, which fix its
+        in-parity (fixed arcs rest on none, undecided edges count 0)."""
+        dep, mask = self.dep, 0
+        for f in self.edge_at[x]:
+            mask |= dep[f]
+        return mask
+
+    def path_dep(self, a: int, b: int) -> int:
+        """The levels the arcs of one a~>b path rest on; a reaches b.  The
+        walk goes back from b, each time to the first in-neighbour that a
+        reaches, so it ends at a."""
+        reach, in_adj, in_edge, dep = self.desc[a], self.in_adj, self.in_edge, self.dep
+        mask = 0
+        while b != a:
+            for p, f in zip(in_adj[b], in_edge[b]):
+                if (reach >> p) & 1:
+                    break
+            if f >= 0:
+                mask |= dep[f]
+            b = p
+        return mask
+
+    def ring_dep(self, ring: list[int]) -> int:
+        """The levels a probe of ``ring`` rests on: the decided links at its
+        vertices, which fix their in-parities and leave the ring a pure
+        cycle, and one path for each ring vertex another one reaches."""
+        desc, bits, mask = self.desc, self.ring_mask[ring[0]], 0
+        for x in ring:
+            mask |= self.links_dep(x)
+            rest = (desc[x] & bits) ^ (1 << x)
+            while rest:
+                low = rest & -rest
+                mask |= self.path_dep(x, low.bit_length() - 1)
+                rest ^= low
+        return mask
+
     # -- propagation rules ----------------------------------------------------
 
     def propagate(self) -> bool:
-        force_q, und, decided, ends = self.force_q, self.und, self.decided, self.ends
+        """Force the last undecided link at each queued scoped vertex by its
+        parity; the arc rests on the other links there."""
+        force_q, und, decided, ends, dep = (
+            self.force_q, self.und, self.decided, self.ends, self.dep
+        )
         while force_q:
             x = force_q.popleft()
             if und[x] != 1:
                 continue
-            for e in self.edge_at[x]:
-                if decided[e] is None:
-                    break
+            mask = 0
+            for f in self.edge_at[x]:
+                if decided[f] is None:
+                    e = f
+                else:
+                    mask |= dep[f]
             u, v = ends[e]
             other = v if u == x else u
             need_in = self.in_par[x] != self.target[x]
             t, h = (other, x) if need_in else (x, other)
-            if not self.apply_arc(e, t, h):
+            if not self.apply_arc(e, t, h, mask):
                 return False
         return True
 
@@ -978,7 +1056,8 @@ class _ExactSearch:
                 t, h = u, v
             else:
                 continue
-            if not (self.apply_arc(e, t, h) and self.propagate()):
+            # the arc rests on one t~>h path, which h->t would close
+            if not (self.apply_arc(e, t, h, self.path_dep(t, h)) and self.propagate()):
                 return False
         return True
 
@@ -1058,14 +1137,15 @@ class _ExactSearch:
                 continue
             ring = rings[e]
             hi_lo, lo_hi = self.probe(ring)
-            if not (hi_lo or lo_hi):
-                return changed, False
             if hi_lo == lo_hi:
+                if not hi_lo:
+                    self.conflict = self.ring_dep(ring)
+                    return changed, False
                 pending.discard(e)
                 continue
             lo, hi = ring[0], ring[1]
             t, h = (hi, lo) if hi_lo else (lo, hi)
-            if not (self.apply_arc(e, t, h) and self.propagate()):
+            if not (self.apply_arc(e, t, h, self.ring_dep(ring)) and self.propagate()):
                 return changed, False
             changed = True
             for r in self.dirtied:
@@ -1118,6 +1198,21 @@ class _ExactSearch:
         )
 
     def run(self) -> SolveResult:
+        """Depth-first search with conflict-directed backjumping (Prosser,
+        Comput. Intell. 1993).
+
+        Each frame is one decision level and keeps the levels its failed
+        branches rest on.  A conflict resting on levels D goes back to level
+        max(D) in one undo: the frames above it are dropped untried, because
+        the decisions in D fail under any choice of theirs.  The frame at
+        max(D) adds the rest of D to its set and tries its other direction;
+        with none left, its set is the next conflict.  A conflict resting on
+        no level ends the search.  The branching rule is that of
+        chronological backtracking, so the search visits a subset of its
+        nodes and meets the same first solution.  In counting mode a
+        solution counts as a conflict on every level, so no frame with a
+        solution below it is skipped and the count stays exact.
+        """
         if not self.fixed_acyclic:
             return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
         for x in range(self.n):
@@ -1130,7 +1225,9 @@ class _ExactSearch:
             if self.und[x] == 1:
                 self.force_q.append(x)
         ok = self.quiesce()
-        frames: list[tuple[int, list[Arc], int, list[int]]] = []
+        # one frame per decision level, from 1: [edge, alternatives left,
+        # trail mark, desc snapshot, levels its failed branches rest on]
+        frames: list[list] = []
         while True:
             if ok and self.undecided_total == 0:
                 self.enumerated += 1
@@ -1138,32 +1235,47 @@ class _ExactSearch:
                     self.first_witness = self.build_witness()
                 if not self.count_all:
                     return self.result(FEASIBLE)
-                ok = False   # keep exhausting
+                # keep exhausting, through every frame's alternative
+                ok = False
+                self.conflict = (2 << len(frames)) - 2
             if ok:
                 if self.decisions >= self.budget:
                     return self.result(ABORTED, "decision budget exceeded")
                 e = self.pick_edge()
                 u, v = self.ends[e]
                 lo, hi = (u, v) if u < v else (v, u)
-                frames.append((e, [(lo, hi)], len(self.trail), self.desc[:]))
+                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0])
                 self.decisions += 1
-                ok = self.apply_arc(e, hi, lo, decision=True) and self.quiesce()
-            else:
-                while frames:
-                    e, alts, mark, desc = frames[-1]
+                ok = (
+                    self.apply_arc(e, hi, lo, 1 << len(frames), decision=True)
+                    and self.quiesce()
+                )
+                continue
+            conflict = self.conflict
+            while conflict:
+                level = conflict.bit_length() - 1
+                del frames[level:]
+                frame = frames[-1]
+                e, alts, mark, desc, _ = frame
+                frame[4] |= conflict ^ (1 << level)
+                if alts:
                     self.undo_to(mark, desc)
-                    if alts:
-                        t, h = alts.pop()
-                        if self.decisions >= self.budget:
-                            return self.result(ABORTED, "decision budget exceeded")
-                        self.decisions += 1
-                        ok = self.apply_arc(e, t, h, decision=True) and self.quiesce()
-                        break
-                    frames.pop()
-                else:
-                    if self.count_all and self.enumerated:
-                        return self.result(FEASIBLE)
-                    return self.result(INFEASIBLE, "search space exhausted")
+                    t, h = alts.pop()
+                    if self.decisions >= self.budget:
+                        return self.result(ABORTED, "decision budget exceeded")
+                    self.decisions += 1
+                    ok = (
+                        self.apply_arc(e, t, h, 1 << level, decision=True)
+                        and self.quiesce()
+                    )
+                    break
+                # both directions failed: their levels below are the conflict
+                conflict = frame[4]
+                frames.pop()
+            else:
+                if self.count_all and self.enumerated:
+                    return self.result(FEASIBLE)
+                return self.result(INFEASIBLE, "search space exhausted")
 
 
 def solve_exact(

@@ -143,8 +143,11 @@ class TestGadget:
         assert report["orientations"] == 2
         assert report["boundaries"] == "uniform and opposite"
 
-    def test_variable_over_budget(self):
-        assert run("gadget", "variable", "--copies", 3) == 2
+    def test_variable_over_budget(self, capsys):
+        # three copies: 33 edges, but a parity space of dimension 4
+        assert run("gadget", "variable", "--copies", 3, "--enum-cap", 3) == 2
+        assert "2**4 parity space" in capsys.readouterr().err
+        assert run("gadget", "variable", "--copies", 3) == 0
 
     def test_variable_past_mask_width(self, capsys):
         # 66 edges: over the 64-bit mask width even with a cap of 100

@@ -88,10 +88,13 @@ class TestEnumerate:
         assert enum(prob, scope=[0]).total_valid == 1  # only 0 constrained
 
     def test_budget_refuses_oversize(self):
+        # the budget is on the parity space: a 29-edge path has one solution
+        # when every vertex is scoped and 2^29 when none is
         n = 30
-        edges = [(i, i + 1) for i in range(n - 1)]
-        with pytest.raises(BudgetError):
-            enum(problem(range(n), edges), max_edges=26)
+        path = problem(range(n), [(i, i + 1) for i in range(n - 1)], odd=range(1, n))
+        assert enum(path, max_edges=26).total_valid == 1
+        with pytest.raises(BudgetError, match="2\\*\\*29 parity space"):
+            enum(path, scope=[], max_edges=26)
 
     def test_witness_cap(self):
         prob = problem([0, 1, 2, 3], [(0, 1), (2, 3)], odd=[1, 3])
