@@ -1,8 +1,11 @@
 """Reading and writing instances, formulas, witnesses, and DOT exports.
 
-Instances travel as JSON documents with a canonical writer: vertex records
-sorted by id, links in lexicographic order, so structurally equal problems
-serialize to identical bytes.  Formulas travel as DIMACS CNF text extended
+Instances and witnesses travel as JSON documents with a canonical writer:
+vertex records sorted by id, links in lexicographic order, keys sorted, and
+one compact layout (no whitespace between tokens, one trailing newline), so
+structurally equal problems serialize to identical bytes.  The readers take
+any JSON layout of the same document, so an indented or pretty-printed copy
+reads back to the same bundle.  Formulas travel as DIMACS CNF text extended
 with ``r`` rotation lines (one per incidence vertex, neighbors in cyclic
 order) that standard DIMACS consumers ignore.
 """
@@ -10,22 +13,25 @@ order) that standard DIMACS consumers ignore.
 import json
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Union
 
 from .p3sat import (
     Formula,
+    FormulaError,
     PlanarFormula,
     RotationSystem,
     clause_vertex,
 )
 from .pdgraph import (
+    GraphError,
     Orientation,
     OrientationProblem,
     PartiallyDirectedGraph,
     Vertex,
-    canonical_edge,
+    validate,
 )
-from .reduction import GadgetRegistry
+from .reduction import GadgetError, GadgetRegistry
 
 INSTANCE_FORMAT = "oddorient-instance"
 WITNESS_FORMAT = "oddorient-witness"
@@ -46,6 +52,15 @@ class InstanceBundle:
     formula: Optional[Formula] = None
 
 
+def _text(data: Union[bytes, str]) -> str:
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: byte {exc.start}") from exc
+
+
 # -- instance JSON ----------------------------------------------------------------
 
 
@@ -56,7 +71,11 @@ def write_instance(
     registry: Optional[GadgetRegistry] = None,
     formula: Optional[Formula] = None,
 ) -> bytes:
-    """Canonical JSON bytes for the problem and any attached sections."""
+    """Canonical JSON bytes for the problem and any attached sections.
+
+    The layout is compact (keys sorted, no whitespace between tokens, one
+    trailing newline); ``read_instance`` also reads indented copies.
+    """
     g = problem.graph
     vertices = []
     for v in sorted(g.vertices):
@@ -83,7 +102,13 @@ def write_instance(
                 for clause in formula.clauses
             ],
         }
-    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+    return _canonical_bytes(doc)
+
+
+def _canonical_bytes(doc: dict) -> bytes:
+    """The one canonical layout: sorted keys, no whitespace, one trailing
+    newline.  ``json`` takes its C encoder only when ``indent`` is None."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def _vertex_pairs(raw, section: str) -> list[tuple[Vertex, Vertex]]:
@@ -107,53 +132,59 @@ def _normalize_links(raw_edges, raw_arcs, normalize_multi: bool):
 
     An even bundle of parallel edges is parity-neutral and removable; an odd
     bundle collapses to a single edge.  Fixed arcs cannot be dropped, so only
-    odd same-direction bundles collapse; anything else is an error.
+    odd same-direction bundles collapse; anything else is an error.  The
+    result is canonical and simple: edges lower id first, no loops, no two
+    links on one pair of endpoints.
     """
-    edge_count: Counter = Counter()
-    for u, v in raw_edges:
-        if u == v:
-            raise FormatError(f"self-loop at vertex {u}")
-        edge_count[canonical_edge(u, v)] += 1
-    arc_count: Counter = Counter()
-    for u, v in raw_arcs:
-        if u == v:
-            raise FormatError(f"self-loop arc at vertex {u}")
-        arc_count[(u, v)] += 1
+    loops = [u for u, v in raw_edges if u == v]
+    if loops:
+        raise FormatError(f"self-loop at vertex {loops[0]}")
+    loops = [u for u, v in raw_arcs if u == v]
+    if loops:
+        raise FormatError(f"self-loop arc at vertex {loops[0]}")
+    canon = [(u, v) if u < v else (v, u) for u, v in raw_edges]
+    edges = frozenset(canon)
+    arcs = frozenset(raw_arcs)
 
-    for (u, v), k in sorted(arc_count.items()):
-        if (v, u) in arc_count:
+    clashes = [
+        (u, v) for u, v in arcs
+        if (v, u) in arcs or ((u, v) if u < v else (v, u)) in edges
+    ]
+    if clashes:
+        u, v = min(clashes)
+        if (v, u) in arcs:
             raise FormatError(f"opposite fixed arcs between {u} and {v}")
-        if canonical_edge(u, v) in edge_count:
-            raise FormatError(f"both an edge and an arc between {u} and {v}")
+        raise FormatError(f"both an edge and an arc between {u} and {v}")
 
     if not normalize_multi:
-        for pair, k in sorted(edge_count.items()):
-            if k > 1:
-                raise FormatError(f"duplicate edge {pair} (use normalize_multi)")
-        for pair, k in sorted(arc_count.items()):
-            if k > 1:
-                raise FormatError(f"duplicate arc {pair} (use normalize_multi)")
-        return set(edge_count), set(arc_count)
+        if len(edges) < len(canon):
+            pair = min(p for p, k in Counter(canon).items() if k > 1)
+            raise FormatError(f"duplicate edge {pair} (use normalize_multi)")
+        if len(arcs) < len(raw_arcs):
+            pair = min(p for p, k in Counter(raw_arcs).items() if k > 1)
+            raise FormatError(f"duplicate arc {pair} (use normalize_multi)")
+        return edges, arcs
 
-    edges = {pair for pair, k in edge_count.items() if k % 2 == 1}
-    arcs = set()
-    for pair, k in sorted(arc_count.items()):
-        if k % 2 == 0:
-            raise FormatError(
-                f"even bundle of {k} fixed arcs {pair} has no simple equivalent"
-            )
-        arcs.add(pair)
+    arc_count = Counter(raw_arcs)
+    even = [pair for pair, k in arc_count.items() if k % 2 == 0]
+    if even:
+        pair = min(even)
+        raise FormatError(
+            f"even bundle of {arc_count[pair]} fixed arcs {pair} has no simple equivalent"
+        )
+    edges = frozenset(pair for pair, k in Counter(canon).items() if k % 2 == 1)
     return edges, arcs
 
 
 def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> InstanceBundle:
     """Parse and validate an instance document.
 
-    With ``normalize_multi`` the document may contain parallel links, which
-    are collapsed to an equivalent simple instance before validation.
+    Any JSON layout of the document reads, the canonical compact one as well
+    as an indented one.  With ``normalize_multi`` the document may contain
+    parallel links, which are collapsed to an equivalent simple instance
+    before validation.
     """
-    if isinstance(data, bytes):
-        data = data.decode()
+    data = _text(data)
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -189,31 +220,39 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
             if type(rec["label"]) is not str:
                 raise FormatError(f"label of vertex {v} is not a string")
             labels.append((v, rec["label"]))
-    if len(set(ids)) != len(ids):
+    vertices = frozenset(ids)
+    if len(vertices) != len(ids):
         raise FormatError("duplicate vertex ids")
 
     edges, arcs = _normalize_links(raw_edges, raw_arcs, normalize_multi)
-    graph = PartiallyDirectedGraph.build(ids, edges, arcs)
-    problem = OrientationProblem.build(graph, odd)
+    graph = PartiallyDirectedGraph(vertices=vertices, edges=edges, arcs=arcs)
+    # the links are canonical and simple already, so a dangling endpoint is
+    # the one thing ``validate`` could still report
+    if not vertices.issuperset(chain.from_iterable(chain(edges, arcs))):
+        raise GraphError("; ".join(validate(graph)))
+    problem = OrientationProblem(graph=graph, odd_set=frozenset(odd))
 
     rotation = None
     if "rotation" in doc:
-        rotation = RotationSystem.build(_rotation_orders(doc["rotation"], graph.vertices))
+        rotation = _rotation_section(doc["rotation"], vertices)
     registry = None
     if labels:
-        registry = GadgetRegistry.build(labels)
+        try:
+            registry = GadgetRegistry.build(labels)
+        except GadgetError as exc:
+            raise FormatError(str(exc)) from exc
     formula = None
     if "formula" in doc:
         formula = _formula_section(doc["formula"])
     return InstanceBundle(problem, rotation, registry, formula)
 
 
-def _rotation_orders(raw, vertices) -> dict[Vertex, tuple[Vertex, ...]]:
-    """The ``[v, [neighbors...]]`` entries of a rotation section, each vertex
-    at most once and every id a vertex of the graph."""
+def _rotation_section(raw, vertices: frozenset[Vertex]) -> RotationSystem:
+    """The rotation system of a ``[v, [neighbors...]]`` list: each vertex at
+    most once, every id a vertex of the graph, no neighbor repeated."""
     if type(raw) is not list:
         raise FormatError("rotation must be a list of [v, [neighbors...]] entries")
-    orders: dict[Vertex, tuple[Vertex, ...]] = {}
+    orders: dict[Vertex, list[Vertex]] = {}
     for item in raw:
         if (type(item) is not list or len(item) != 2 or type(item[0]) is not int
                 or type(item[1]) is not list or set(map(type, item[1])) - {int}):
@@ -224,11 +263,15 @@ def _rotation_orders(raw, vertices) -> dict[Vertex, tuple[Vertex, ...]]:
         v, order = item
         if v in orders:
             raise FormatError(f"repeated rotation for vertex {v}")
-        orders[v] = tuple(order)
-    stray = set(orders).union(*orders.values()) - vertices
-    if stray:
+        orders[v] = order
+    if not (vertices.issuperset(orders)
+            and vertices.issuperset(chain.from_iterable(orders.values()))):
+        stray = set(orders).union(*orders.values()) - vertices
         raise FormatError(f"rotation names non-vertices: {sorted(stray)}")
-    return orders
+    try:
+        return RotationSystem.build(orders)
+    except FormulaError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def _formula_section(raw) -> Formula:
@@ -251,25 +294,32 @@ def _formula_section(raw) -> Formula:
             raise FormatError(
                 f"malformed clause {clause!r}: need [variable, polarity] literals"
             )
-    return Formula.build(variables, clauses)
+    return _checked_formula(variables, clauses)
+
+
+def _checked_formula(variable_count: int, clauses) -> Formula:
+    try:
+        return Formula.build(variable_count, clauses)
+    except FormulaError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- witness JSON -----------------------------------------------------------------
 
 
 def write_witness(orientation: Orientation) -> bytes:
+    """Canonical JSON bytes of the orientation's arcs, in the instance layout."""
     doc = {
         "format": WITNESS_FORMAT,
         "version": FORMAT_VERSION,
         "arcs": [list(a) for a in sorted(orientation.arcs)],
     }
-    return (json.dumps(doc, indent=1, sort_keys=True) + "\n").encode()
+    return _canonical_bytes(doc)
 
 
 def read_witness(data: Union[bytes, str], problem: OrientationProblem) -> Orientation:
     """Parse a witness document and bind it to the problem's graph."""
-    if isinstance(data, bytes):
-        data = data.decode()
+    data = _text(data)
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -312,8 +362,7 @@ def write_formula(formula: Union[Formula, PlanarFormula]) -> bytes:
 
 def read_formula(data: Union[bytes, str]) -> Union[Formula, PlanarFormula]:
     """Parse a formula document; with rotation lines, validate the embedding."""
-    if isinstance(data, bytes):
-        data = data.decode()
+    data = _text(data)
     header = None
     clauses = []
     orders: dict[Vertex, tuple[Vertex, ...]] = {}
@@ -370,13 +419,16 @@ def read_formula(data: Union[bytes, str]) -> Union[Formula, PlanarFormula]:
     n, m = header
     if len(clauses) != m:
         raise FormatError(f"header promises {m} clauses, found {len(clauses)}")
-    formula = Formula.build(n, clauses)
+    formula = _checked_formula(n, clauses)
     if not orders:
         return formula
     expected = set(range(n)) | {clause_vertex(formula, j) for j in range(m)}
     if set(orders) != expected:
         raise FormatError("rotation lines do not cover the incidence vertices")
-    return PlanarFormula.build(formula, RotationSystem.build(orders))
+    try:
+        return PlanarFormula.build(formula, RotationSystem.build(orders))
+    except FormulaError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # -- DOT export -------------------------------------------------------------------

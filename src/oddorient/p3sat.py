@@ -127,14 +127,6 @@ def clause_vertex(formula: Formula, j: int) -> Vertex:
 # -- rotation systems --------------------------------------------------------------
 
 
-def _normalize_cycle(order: Sequence[Vertex]) -> tuple[Vertex, ...]:
-    if not order:
-        return ()
-    t = tuple(order)
-    shift = t.index(min(t))
-    return t[shift:] + t[:shift]
-
-
 @dataclass(frozen=True)
 class RotationSystem:
     """A cyclic order of neighbors at each vertex (a combinatorial map).
@@ -149,9 +141,13 @@ class RotationSystem:
     def build(cls, mapping: Mapping[Vertex, Sequence[Vertex]]) -> "RotationSystem":
         orders = {}
         for v in sorted(mapping):
-            cycle = _normalize_cycle(mapping[v])
+            cycle = tuple(mapping[v])
             if len(set(cycle)) != len(cycle):
                 raise FormulaError(f"rotation at {v} repeats a neighbor")
+            if cycle:
+                shift = cycle.index(min(cycle))
+                if shift:
+                    cycle = cycle[shift:] + cycle[:shift]
             orders[v] = cycle
         return cls(orders=orders)
 
@@ -204,61 +200,65 @@ def validate_embedding(
     The rotation must cover every vertex with exactly its neighbor set
     (direction of arcs is irrelevant here); genus-0 means each connected
     component satisfies V - E + F = 2, counting one face for an isolated
-    vertex.
+    vertex.  The trace follows ``next_dart`` through a table that maps each
+    dart u->v to its successor, so every dart costs one dict lookup.
     """
-    adjacency = graph.adjacency()
-    for v in sorted(graph.vertices):
-        if v not in rotation.orders:
+    neighbors: dict[Vertex, set[Vertex]] = {v: set() for v in sorted(graph.vertices)}
+    for u, v in graph.undirected_pairs():
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+
+    nxt: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    for v, nbrs in neighbors.items():
+        order = rotation.orders.get(v)
+        if order is None:
             raise FormulaError(f"rotation missing vertex {v}")
-        if sorted(rotation.orders[v]) != adjacency[v]:
+        if len(order) != len(nbrs) or set(order) != nbrs:
             raise FormulaError(
                 f"rotation at {v} is not a permutation of its neighbors"
             )
+        if order:
+            prev = order[-1]
+            for w in order:
+                nxt[(prev, v)] = (v, w)
+                prev = w
 
-    # component labels over the underlying graph
+    # component labels (the smallest vertex) over the underlying graph, with
+    # vertex and edge counts per component
     comp: dict[Vertex, Vertex] = {}
-    for v in sorted(graph.vertices):
+    counts: dict[Vertex, list[int]] = {}
+    for v in neighbors:
         if v in comp:
             continue
-        stack = [v]
         comp[v] = v
+        stack = [v]
+        n_c = degrees = 0
         while stack:
             x = stack.pop()
-            for y in adjacency[x]:
+            n_c += 1
+            degrees += len(neighbors[x])
+            for y in neighbors[x]:
                 if y not in comp:
                     comp[y] = v
                     stack.append(y)
+        counts[v] = [n_c, degrees // 2, 0]
 
-    darts = sorted(
-        d
-        for u, v in graph.undirected_pairs()
-        for d in ((u, v), (v, u))
-    )
-    faces_per_comp: dict[Vertex, int] = {c: 0 for c in set(comp.values())}
-    seen: set[tuple[Vertex, Vertex]] = set()
-    traced = 0
-    for start in darts:
-        if start in seen:
-            continue
-        faces_per_comp[comp[start[0]]] += 1
-        d = start
-        while True:
-            seen.add(d)
-            traced += 1
-            d = next_dart(rotation, d)
-            if d == start:
-                break
+    # every rotation is a permutation of its neighbors, so the successor
+    # table is a permutation of the darts: popping along each orbit visits
+    # every dart exactly once
+    traced = len(nxt)
+    while nxt:
+        start, d = nxt.popitem()
+        counts[comp[start[0]]][2] += 1
+        while d != start:
+            d = nxt.pop(d)
 
-    counts: dict[Vertex, list[int]] = {c: [0, 0] for c in faces_per_comp}
-    for v, c in comp.items():
-        counts[c][0] += 1
-    for u, v in graph.undirected_pairs():
-        counts[comp[u]][1] += 1
-    checks = []
-    for c in sorted(faces_per_comp):
-        n_c, e_c = counts[c]
-        f_c = faces_per_comp[c] if e_c else 1   # isolated vertex: one face
-        checks.append(ComponentCheck(vertices=n_c, edges=e_c, faces=f_c))
+    # ``counts`` is in label order, as vertices were visited in sorted order;
+    # an isolated vertex has one face
+    checks = [
+        ComponentCheck(vertices=n_c, edges=e_c, faces=f_c if e_c else 1)
+        for n_c, e_c, f_c in counts.values()
+    ]
     return EmbeddingReport(
         valid=all(ch.euler_ok for ch in checks),
         components=tuple(checks),

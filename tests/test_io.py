@@ -17,11 +17,12 @@ from oddorient.io import (
     write_instance,
     write_witness,
 )
-from oddorient.p3sat import PlanarFormula
+from oddorient.p3sat import Formula, PlanarFormula, RotationSystem
 from oddorient.pdgraph import (
     GraphError,
     OrientationProblem,
     PartiallyDirectedGraph,
+    validate,
 )
 from oddorient.reduction import (
     GadgetRegistry,
@@ -32,6 +33,12 @@ from oddorient.reduction import (
 from oddorient.samples import sample_planar_formula
 
 DATA = pathlib.Path(__file__).parent / "data"
+
+
+def _layout(blob: bytes, **dumps_kwargs) -> bytes:
+    """The same JSON document in another layout; ``indent=1, sort_keys=True``
+    is the layout of earlier writers."""
+    return (json.dumps(json.loads(blob), **dumps_kwargs) + "\n").encode()
 
 
 def _problem(vertices, edges, arcs=(), odd=()):
@@ -53,6 +60,20 @@ class TestInstanceRoundTrip:
         assert bundle.rotation == red.rotation
         assert bundle.registry == red.registry
         assert bundle.formula == red.formula
+
+    def test_indented_layout_reads_back(self):
+        red = assemble(sample_planar_formula())
+        blob = write_instance(
+            red.problem, rotation=red.rotation, registry=red.registry,
+            formula=red.formula,
+        )
+        assert blob == _layout(blob, sort_keys=True, separators=(",", ":"))
+        bundle = read_instance(_layout(blob, indent=1, sort_keys=True))
+        assert bundle == read_instance(blob)
+        assert write_instance(
+            bundle.problem, rotation=bundle.rotation, registry=bundle.registry,
+            formula=bundle.formula,
+        ) == blob
 
     def test_write_is_idempotent(self):
         p = _problem([0, 1, 2], [(0, 1)], [(1, 2)], [2])
@@ -76,6 +97,8 @@ class TestInstanceRoundTrip:
             read_instance(b"{}")
         with pytest.raises(FormatError):
             read_instance(b"not json")
+        with pytest.raises(FormatError, match="UTF-8"):
+            read_instance(b'{"format": "\xff"}')
         doc = json.loads(write_instance(_problem([], [])))
         doc["version"] = 99
         with pytest.raises(FormatError):
@@ -167,11 +190,20 @@ class TestMalformedSections:
         pytest.param("label", [1], id="label-not-a-string"),
         pytest.param("in_T", "false", id="in-T-a-string"),
         pytest.param("in_T", 1, id="in-T-an-int"),
+        pytest.param("labels", ["a", "a"], id="label-repeated"),
+        pytest.param("rotation", [[0, [1, 1]], [1, [0]]], id="rotation-neighbor-repeated"),
+        pytest.param("formula", {"variables": 2, "clauses": [[[0, True], [1, True], [2, False]]]},
+                     id="formula-variable-out-of-range"),
+        pytest.param("formula", {"variables": 3, "clauses": [[[0, True], [1, True]]]},
+                     id="formula-clause-of-two-literals"),
     ])
     def test_rejected(self, section, value):
         doc = json.loads(_doc_with_links([(0, 1)], []))
         if section in ("label", "in_T"):
             doc["vertices"][0][section] = value
+        elif section == "labels":
+            for rec, label in zip(doc["vertices"], value):
+                rec["label"] = label
         else:
             doc[section] = value
         with pytest.raises(FormatError):
@@ -184,6 +216,14 @@ class TestWitness:
         o = orientation_from_assignment(red, (False, False, True, False, False))
         blob = write_witness(o)
         assert read_witness(blob, red.problem) == o
+
+    def test_indented_layout_reads_back(self):
+        red = assemble(sample_planar_formula())
+        o = orientation_from_assignment(red, (False, False, True, False, False))
+        blob = write_witness(o)
+        back = read_witness(_layout(blob, indent=1, sort_keys=True), red.problem)
+        assert back == o
+        assert write_witness(back) == blob
 
     def test_fixed_arcs_must_match(self):
         p = _problem([0, 1], [(0, 1)])
@@ -257,6 +297,20 @@ class TestFormulaText:
         with pytest.raises(FormatError):
             read_formula(b"p cnf 3 1\n1 2 3 0\nr zero 1 2\n")
 
+    @pytest.mark.parametrize("lines, match", [
+        pytest.param(b"r 0 3 3\nr 1 3\nr 2 3\nr 3 0 1 2\n", "repeats a neighbor",
+                     id="neighbor-repeated"),
+        pytest.param(b"r 0 3\nr 1 3\nr 2 3\nr 3 0 1\n", "not a permutation",
+                     id="not-the-neighbors"),
+    ])
+    def test_bad_rotation_rejected(self, lines, match):
+        with pytest.raises(FormatError, match=match):
+            read_formula(b"p cnf 3 1\n1 2 3 0\n" + lines)
+
+    def test_variable_out_of_range(self):
+        with pytest.raises(FormatError, match="out of range"):
+            read_formula(b"p cnf 2 1\n1 2 3 0\n")
+
 
 class TestExportDot:
     def test_golden_base_gadget(self):
@@ -310,3 +364,112 @@ class TestProperties:
         blob = write_instance(p)
         assert read_instance(blob).problem == p
         assert write_instance(read_instance(blob).problem) == blob
+
+
+_RETYPED = [None, "x", 1.5, True, [], {}]
+_MUTATIONS = ["drop", "retype", "duplicate", "dangling", "self-loop", "opposite", "truncate"]
+
+
+@st.composite
+def _instance_documents(draw):
+    """A small canonical instance document, with or without rotation, labels
+    and formula sections."""
+    p = draw(_problems())
+    sections = {}
+    if draw(st.booleans()):
+        adj = p.graph.adjacency()
+        sections["rotation"] = RotationSystem.build(
+            {v: draw(st.permutations(adj[v])) for v in sorted(p.graph.vertices)}
+        )
+    if p.graph.vertices and draw(st.booleans()):
+        labelled = draw(st.sets(st.sampled_from(sorted(p.graph.vertices)), min_size=1))
+        sections["registry"] = GadgetRegistry.build((v, f"g.{v}") for v in labelled)
+    if draw(st.booleans()):
+        n = draw(st.integers(min_value=3, max_value=5))
+        clause = st.tuples(st.permutations(range(n)), st.lists(st.booleans(), min_size=3, max_size=3))
+        clauses = draw(st.lists(clause, max_size=3))
+        sections["formula"] = Formula.build(n, [list(zip(vs[:3], pols)) for vs, pols in clauses])
+    return json.loads(write_instance(p, **sections))
+
+
+def _paths(node, path=()):
+    """Every position in a JSON tree, as the keys and indices leading to it."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A canonical document with exactly one mutation applied, as bytes."""
+    doc = draw(_instance_documents())
+    kind = draw(st.sampled_from(_MUTATIONS))
+    ids = [rec["id"] for rec in doc["vertices"]]
+    if kind == "drop":
+        keyed = [p for p in _paths(doc) if p and isinstance(_parent(doc, p), dict)]
+        path = draw(st.sampled_from(keyed))
+        del _parent(doc, path)[path[-1]]
+    elif kind == "retype":
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(st.sampled_from(_RETYPED))
+        if not path:
+            doc = value
+        else:
+            _parent(doc, path)[path[-1]] = value
+    elif kind == "duplicate":
+        labelled = [rec for rec in doc["vertices"] if "label" in rec]
+        choices = [s for s in ("vertices", "edges", "arcs", "rotation") if doc.get(s)]
+        if len(doc["vertices"]) > 1 and labelled:
+            choices.append("label")
+        if not choices:
+            return json.dumps(doc).encode()
+        section = draw(st.sampled_from(choices))
+        if section == "label":
+            source = draw(st.sampled_from(labelled))
+            target = draw(st.sampled_from([r for r in doc["vertices"] if r is not source]))
+            target["label"] = source["label"]
+        else:
+            doc[section].append(draw(st.sampled_from(doc[section])))
+    elif kind in ("dangling", "self-loop"):
+        u = draw(st.sampled_from(ids)) if ids else 0
+        v = max(ids, default=0) + 1 if kind == "dangling" else u
+        doc[draw(st.sampled_from(["edges", "arcs"]))].append([u, v])
+    elif kind == "opposite":
+        if doc["arcs"]:
+            u, v = draw(st.sampled_from(doc["arcs"]))
+            doc["arcs"].append([v, u])
+        elif len(ids) > 1:
+            u, v = draw(st.permutations(ids))[:2]
+            doc["arcs"] += [[u, v], [v, u]]
+    data = json.dumps(doc, sort_keys=True).encode()
+    if kind == "truncate":
+        data = data[:draw(st.integers(min_value=0, max_value=len(data) - 1))]
+    return data
+
+
+class TestReadInstanceFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(_mutated_documents())
+    def test_rejects_or_round_trips(self, data):
+        """A mutated document is either rejected with a FormatError or a
+        GraphError, or it reads to a valid instance that round-trips."""
+        try:
+            bundle = read_instance(data)
+        except (FormatError, GraphError):
+            return
+        problem = bundle.problem
+        assert validate(problem.graph) == []
+        assert problem.odd_set <= problem.graph.vertices
+        blob = write_instance(
+            problem, rotation=bundle.rotation, registry=bundle.registry,
+            formula=bundle.formula,
+        )
+        assert read_instance(blob) == bundle

@@ -4,8 +4,12 @@ planar instance generator."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddorient.p3sat import (
+    ComponentCheck,
+    EmbeddingReport,
     Formula,
     FormulaError,
     GenerationError,
@@ -21,7 +25,13 @@ from oddorient.p3sat import (
     variable_vertex,
 )
 from oddorient.pdgraph import PartiallyDirectedGraph
-from oddorient.samples import sample_formula, sample_planar_formula, sample_rotation
+from oddorient.reduction import assemble
+from oddorient.samples import (
+    sample_formula,
+    sample_planar_formula,
+    sample_rotation,
+    unsat_samples,
+)
 from oddorient.solver import BudgetError
 
 
@@ -166,6 +176,103 @@ class TestValidateEmbedding:
         )
         with pytest.raises(FormulaError):
             validate_embedding(k4(), rot)
+
+
+def reference_report(graph, rotation):
+    """The face trace dart by dart through ``next_dart``: the reference that
+    ``validate_embedding`` must agree with on every field."""
+    adjacency = graph.adjacency()
+    comp = {}
+    for v in sorted(graph.vertices):
+        if v in comp:
+            continue
+        stack = [v]
+        comp[v] = v
+        while stack:
+            x = stack.pop()
+            for y in adjacency[x]:
+                if y not in comp:
+                    comp[y] = v
+                    stack.append(y)
+    pairs = graph.undirected_pairs()
+    darts = sorted(d for u, v in pairs for d in ((u, v), (v, u)))
+    faces = {c: 0 for c in set(comp.values())}
+    seen = set()
+    for start in darts:
+        if start in seen:
+            continue
+        faces[comp[start[0]]] += 1
+        d = start
+        while True:
+            seen.add(d)
+            d = next_dart(rotation, d)
+            if d == start:
+                break
+    checks = []
+    for c in sorted(faces):
+        n_c = sum(1 for v in comp if comp[v] == c)
+        e_c = sum(1 for u, _ in pairs if comp[u] == c)
+        checks.append(ComponentCheck(n_c, e_c, faces[c] if e_c else 1))
+    return EmbeddingReport(
+        valid=all(ch.euler_ok for ch in checks),
+        components=tuple(checks),
+        face_count=sum(ch.faces for ch in checks),
+        darts_traced=len(seen),
+    )
+
+
+@st.composite
+def embedded_graphs(draw):
+    """A simple graph on scattered vertex ids (isolated vertices and several
+    components are common), some links fixed as arcs, and a rotation that
+    shuffles every vertex's neighbors."""
+    ids = draw(st.lists(st.integers(-20, 40), min_size=1, max_size=10, unique=True))
+    pairs = list(itertools.combinations(ids, 2))
+    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=24)) if pairs else []
+    arcs = [p[::-1] for p in links if draw(st.booleans())]
+    edges = [p for p in links if p[::-1] not in arcs]
+    graph = PartiallyDirectedGraph.build(ids, edges, arcs)
+    adjacency = graph.adjacency()
+    rotation = RotationSystem.build(
+        {v: draw(st.permutations(adjacency[v])) for v in ids}
+    )
+    return graph, rotation
+
+
+class TestFaceTraceReference:
+    @settings(max_examples=300, deadline=None)
+    @given(embedded_graphs())
+    def test_matches_reference(self, case):
+        graph, rotation = case
+        assert validate_embedding(graph, rotation) == reference_report(graph, rotation)
+
+    @settings(max_examples=200, deadline=None)
+    @given(embedded_graphs(), st.booleans())
+    def test_agrees_with_networkx(self, case, use_nx_embedding):
+        """A valid report implies a planar graph, and the rotation of any
+        planar embedding networkx finds is reported valid."""
+        nx = pytest.importorskip("networkx")
+        graph, rotation = case
+        g = nx.Graph(list(graph.undirected_pairs()))
+        g.add_nodes_from(graph.vertices)
+        planar, embedding = nx.check_planarity(g)
+        from_networkx = planar and use_nx_embedding
+        if from_networkx:
+            rotation = RotationSystem.build(
+                {v: list(embedding.neighbors_cw_order(v)) for v in graph.vertices}
+            )
+        report = validate_embedding(graph, rotation)
+        assert report == reference_report(graph, rotation)
+        assert planar or not report.valid
+        assert report.valid or not from_networkx
+
+    def test_generated_formulas_and_frozen_samples(self):
+        cases = [(incidence_graph(pf.formula), pf.rotation)
+                 for pf in (generate(seed, 6, 7) for seed in range(5))]
+        for red in map(assemble, unsat_samples()):
+            cases.append((red.problem.graph, red.rotation))
+        for graph, rotation in cases:
+            assert validate_embedding(graph, rotation) == reference_report(graph, rotation)
 
 
 class TestGenerate:
