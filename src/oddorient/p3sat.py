@@ -328,10 +328,13 @@ class _SpineMap:
         cycle = self.sigma[v]
         return cycle[(cycle.index(u) + 1) % len(cycle)]
 
-    def _trace(self, start: tuple[Vertex, Vertex]) -> list[tuple[Vertex, Vertex]]:
+    def _trace(
+        self, start: tuple[Vertex, Vertex], guard: int
+    ) -> list[tuple[Vertex, Vertex]]:
+        """The face walk from dart ``start``; more than ``guard`` darts
+        means the map is broken."""
         walk = [start]
         u, v = start
-        guard = 2 * sum(len(s) for s in self.sigma.values()) + 4
         while True:
             u, v = v, self._succ(v, u)
             if (u, v) == start:
@@ -357,12 +360,14 @@ class _SpineMap:
     def face_sides(self) -> list[_FaceSide]:
         """All (face, side) records with at least one exposed position."""
         darts = sorted((u, v) for u in self.sigma for v in self.sigma[u])
+        # sigma does not change here, so neither does the bound on a walk
+        guard = 2 * len(darts) + 4
         seen: set[tuple[Vertex, Vertex]] = set()
         records = []
         for d0 in darts:
             if d0 in seen:
                 continue
-            walk = self._trace(d0)
+            walk = self._trace(d0, guard)
             seen.update(walk)
             for up in (True, False):
                 corners: dict[int, tuple[int, Vertex]] = {}

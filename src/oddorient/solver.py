@@ -9,8 +9,8 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
                      acyclicity in numpy blocks,
 * ``solve_tree``     leaf peeling on forests (the unique-orientation case),
 * ``solve_degree_two``  path/cycle propagation for max degree 2,
-* ``solve_exact``    complete search with parity and cycle propagation and
-                     conflict-directed backjumping,
+* ``solve_exact``    complete search with parity and cycle propagation,
+                     conflict-directed backjumping and learned nogoods,
 
 plus ``decide`` (dispatcher) and the two instance transforms
 (``apex_transform``, ``normalize_empty_T``).
@@ -67,8 +67,9 @@ class SolveResult:
     ``enumerated`` counts complete solutions encountered (at most 1 unless the
     solver ran in counting mode).  ``propagations`` counts forced steps.  In
     the exact search these are the arcs a rule forced and applied, decisions
-    excluded, including those a backtrack later undid; its probe applies no
-    arc, so a direction it only tests counts nothing.
+    excluded, including those a backtrack later undid and those a learned
+    nogood forced; its probe applies no arc, so a direction it only tests
+    counts nothing.
     """
 
     status: str
@@ -693,6 +694,18 @@ class _ExactSearch:
     mask the same way, in ``conflict``: a parity dead end at x rests on all
     links at x, an arc t->h that would close a cycle on its own mask and a
     path h~>t, and a probe that fails both ways on its reason.
+
+    Each conflict teaches a nogood: the decisions at the levels its mask
+    names cannot all hold (the decision scheme of Zhang, Madigan, Moskewicz
+    & Malik, ICCAD 2001).  A nogood is a list of edge literals 2e + (t < h),
+    and ``occ`` lists the nogoods of each literal; no watched literals, since
+    the nogoods are few and short.  ``apply_arc`` queues the literal it makes
+    true on ``lit_q``, and ``nogood_pass`` checks every nogood of each queued
+    literal: all literals true is a conflict on the OR of their masks, and
+    all true but one undecided forces that edge the other way, on the OR of
+    the others' masks.  ``undo_to`` queues both literals of each edge it
+    makes undecided, because a nogood learned since then turns unit when its
+    last decision is undone, with none of its literals made true.
     """
 
     def __init__(
@@ -748,6 +761,12 @@ class _ExactSearch:
         self.dep = [0] * self.m
         # decision levels the last conflict rests on
         self.conflict = 0
+        # learned nogoods, each a list of literals 2e + (t < h) for the arc
+        # t->h on edge e; ``occ`` maps a literal to the nogoods holding it,
+        # and ``lit_q`` holds the literals whose nogoods need a check
+        self.nogoods: list[list[int]] = []
+        self.occ: dict[int, list[list[int]]] = {}
+        self.lit_q: list[int] = []
         self.in_par = [0] * self.n
         self.rings: dict[int, list[int]] = {}
         self.ring_of = [-1] * self.n
@@ -828,6 +847,9 @@ class _ExactSearch:
         self.in_par[h] ^= 1
         self.undecided_total -= 1
         self.trail.append((e, t, h, log_at))
+        lit = 2 * e + (t < h)
+        if lit in self.occ:
+            self.lit_q.append(lit)
         r = self.ring_of[t]
         if r >= 0:
             # e is an edge of t's ring, so h is on it too
@@ -852,12 +874,17 @@ class _ExactSearch:
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
         taken when the trail had that length.  The rings are rewound with the
-        trail, and the queues are emptied."""
-        trail, und = self.trail, self.und
+        trail, and the queues are emptied, except that both literals of each
+        edge made undecided are queued: a nogood learned since ``mark`` can
+        be unit there, with its undecided literal the only one that moved."""
+        trail, und, occ, lit_q = self.trail, self.und, self.occ, self.lit_q
         if len(trail) > mark:
             self._rewind_rings(trail[mark][3])
         while len(trail) > mark:
             e, t, h, _ = trail.pop()
+            for lit in (2 * e, 2 * e + 1):
+                if lit in occ:
+                    lit_q.append(lit)
             self.decided[e] = None
             self.dep[e] = 0
             self.in_adj[h].pop()
@@ -1154,10 +1181,54 @@ class _ExactSearch:
             self.dirtied.clear()
         return changed, True
 
+    def add_nogood(self, lits: list[int]) -> None:
+        """Store literals that cannot all hold; the next ``quiesce`` checks
+        them."""
+        self.nogoods.append(lits)
+        for lit in lits:
+            self.occ.setdefault(lit, []).append(lits)
+        self.lit_q.append(lits[0])
+
+    def nogood_pass(self) -> bool:
+        """Check the nogoods of each queued literal.  One whose literals all
+        hold is a conflict resting on their levels; one with a single
+        undecided literal and the rest holding forces that edge the other
+        way, resting on the levels of the rest.  False on a conflict."""
+        queue, occ, decided, dep, ends = self.lit_q, self.occ, self.decided, self.dep, self.ends
+        while queue:
+            for lits in occ[queue.pop()]:
+                free, mask = -1, 0
+                for lit in lits:
+                    arc = decided[lit >> 1]
+                    if arc is None:
+                        if free >= 0:
+                            break
+                        free = lit
+                    elif (arc[0] < arc[1]) != (lit & 1):
+                        break   # the opposite arc holds
+                    else:
+                        mask |= dep[lit >> 1]
+                else:
+                    if free < 0:
+                        self.conflict = mask
+                        return False
+                    e = free >> 1
+                    u, v = ends[e]
+                    # the opposite of the literal: t < h iff its low bit is 0
+                    t, h = (u, v) if (u < v) != (free & 1) else (v, u)
+                    if not (self.apply_arc(e, t, h, mask) and self.propagate()):
+                        return False
+        return True
+
     def quiesce(self) -> bool:
         while True:
             if not (self.propagate() and self.cycle_force_pass()):
                 return False
+            if self.lit_q:
+                # arcs a nogood forces go through the other rules first
+                if not self.nogood_pass():
+                    return False
+                continue
             changed, ok = self.probe_pass()
             if not ok:
                 return False
@@ -1197,6 +1268,18 @@ class _ExactSearch:
             detail=detail,
         )
 
+    def learn(self, conflict: int, frames: list[list]) -> None:
+        """Store the decisions at the levels ``conflict`` rests on, which
+        cannot all hold, as a nogood."""
+        lits = []
+        while conflict:
+            low = conflict & -conflict
+            e = frames[low.bit_length() - 2][0]
+            t, h = self.decided[e]
+            lits.append(2 * e + (t < h))
+            conflict ^= low
+        self.add_nogood(lits)
+
     def run(self) -> SolveResult:
         """Depth-first search with conflict-directed backjumping (Prosser,
         Comput. Intell. 1993).
@@ -1212,6 +1295,16 @@ class _ExactSearch:
         nodes and meets the same first solution.  In counting mode a
         solution counts as a conflict on every level, so no frame with a
         solution below it is skipped and the count stays exact.
+
+        Before the undo, each conflict, and each frame set that becomes one,
+        is learned as a nogood over the decisions at its levels, and
+        ``quiesce`` propagates the nogoods from then on.  A nogood follows
+        from the constraints, so an arc it forces is one every solution
+        under the current decisions has: an exhausted search is still a
+        proof and the count stays exact.  An arc forced earlier than without
+        learning can change the branch edge chosen below it.  In counting
+        mode a solution's conflict is no nogood, nor is a frame set that
+        holds it, so neither is learned.
         """
         if not self.fixed_acyclic:
             return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
@@ -1226,9 +1319,11 @@ class _ExactSearch:
                 self.force_q.append(x)
         ok = self.quiesce()
         # one frame per decision level, from 1: [edge, alternatives left,
-        # trail mark, desc snapshot, levels its failed branches rest on]
+        # trail mark, desc snapshot, levels its failed branches rest on,
+        # whether those include a solution]
         frames: list[list] = []
         while True:
+            solved = False
             if ok and self.undecided_total == 0:
                 self.enumerated += 1
                 if self.first_witness is None:
@@ -1237,6 +1332,7 @@ class _ExactSearch:
                     return self.result(FEASIBLE)
                 # keep exhausting, through every frame's alternative
                 ok = False
+                solved = True
                 self.conflict = (2 << len(frames)) - 2
             if ok:
                 if self.decisions >= self.budget:
@@ -1244,7 +1340,7 @@ class _ExactSearch:
                 e = self.pick_edge()
                 u, v = self.ends[e]
                 lo, hi = (u, v) if u < v else (v, u)
-                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0])
+                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0, False])
                 self.decisions += 1
                 ok = (
                     self.apply_arc(e, hi, lo, 1 << len(frames), decision=True)
@@ -1253,11 +1349,14 @@ class _ExactSearch:
                 continue
             conflict = self.conflict
             while conflict:
+                if not solved:
+                    self.learn(conflict, frames)
                 level = conflict.bit_length() - 1
                 del frames[level:]
                 frame = frames[-1]
-                e, alts, mark, desc, _ = frame
+                e, alts, mark, desc, _, _ = frame
                 frame[4] |= conflict ^ (1 << level)
+                frame[5] |= solved
                 if alts:
                     self.undo_to(mark, desc)
                     t, h = alts.pop()
@@ -1270,7 +1369,7 @@ class _ExactSearch:
                     )
                     break
                 # both directions failed: their levels below are the conflict
-                conflict = frame[4]
+                conflict, solved = frame[4], frame[5]
                 frames.pop()
             else:
                 if self.count_all and self.enumerated:

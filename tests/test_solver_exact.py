@@ -2,9 +2,10 @@
 pure-cycle state and branch choice against references recomputed from
 scratch, its ring probe against trial propagation, the completeness of its
 cycle forcing, the soundness of the decision levels each forced arc and
-conflict rests on, its component-by-component search of disconnected
-instances, and its decision counts on the frozen UNSAT samples and on
-generated reductions."""
+conflict rests on and of the nogoods it learns, its verdicts against the
+oracle and on renamed UNSAT cores, its component-by-component search of
+disconnected instances, and its decision counts on the frozen UNSAT samples
+and on generated reductions."""
 
 import random
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddorient.p3sat import eval_formula, generate
+from oddorient.p3sat import Formula, PlanarFormula, eval_formula, generate
 from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
@@ -524,6 +525,99 @@ def test_probe_reason_holds_the_path_between_ring_vertices():
     assert_masks_sound(prob, scope, search, decisions, True)
 
 
+def literal_arc(search: _ExactSearch, lit: int) -> tuple[int, int, int]:
+    """The edge and arc t->h of a nogood literal 2e + (t < h)."""
+    e = lit >> 1
+    u, v = search.ends[e]
+    return (e, u, v) if (u < v) == (lit & 1) else (e, v, u)
+
+
+def replay_nogood(prob, scope, earlier, lits) -> bool:
+    """Whether a fresh search holding the nogoods ``earlier`` reaches a
+    conflict when it takes the literals ``lits`` as decisions, each followed
+    by quiesce."""
+    search = _ExactSearch(prob, 0, scope, False)
+    for old in earlier:
+        search.add_nogood(old)
+    ok = start(search)
+    for level, lit in zip(range(1, len(lits) + 1), lits):
+        if not ok:
+            break
+        e, t, h = literal_arc(search, lit)
+        if search.decided[e] is None:
+            ok = search.apply_arc(e, t, h, 1 << level, decision=True) and search.quiesce()
+        else:
+            # forced already: the other way contradicts this literal
+            ok = search.decided[e] == (t, h)
+    return not ok
+
+
+def frozen_reduction(index: int) -> OrientationProblem:
+    return assemble(unsat_samples()[index]).problem
+
+
+@given(st.one_of(low_degree_instances(), rings_with_ears()), st.integers(0, 2**32 - 1))
+@example(frozen_reduction(0), None)
+@example(frozen_reduction(1), None)
+@example(frozen_reduction(2), None)
+@settings(max_examples=200, deadline=None)
+def test_learned_nogoods_are_sound(prob, seed):
+    # a seed draws an odd set, a scope and the mode; None keeps the problem
+    scope, count_all = None, False
+    if seed is not None:
+        rng = random.Random(seed)
+        verts = sorted(prob.graph.vertices)
+        odd = [v for v in verts if rng.random() < 0.5]
+        scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
+        count_all = rng.random() < 0.5
+        prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
+    search = _ExactSearch(prob, 10**6, scope, count_all)
+    search.run()
+    if seed is None:
+        assert search.nogoods
+    # each nogood follows from the constraints and the nogoods before it
+    for i, lits in enumerate(search.nogoods):
+        assert replay_nogood(prob, scope, search.nogoods[:i], lits)
+
+
+def test_decide_matches_oracle_and_learns():
+    learned = []
+
+    @given(low_degree_instances(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def check(prob, seed):
+        rng = random.Random(seed)
+        verts = sorted(prob.graph.vertices)
+        odd = [v for v in verts if rng.random() < 0.5]
+        prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
+        feasible = enum(prob).total_valid > 0
+        assert decide(prob).feasible == feasible
+        search = _ExactSearch(prob, 10**6, None, False)
+        assert search.run().feasible == feasible
+        learned.append(bool(search.nogoods))
+
+    check()
+    # the draws exercise learning, not only the search without it
+    assert sum(learned) > 0
+
+
+def rename(pf, flips):
+    """The formula with the polarity of each variable v with flips[v] set
+    reversed: satisfiability and the embedding stay as they were."""
+    f = pf.formula
+    clauses = [tuple((v, p != flips[v]) for v, p in c) for c in f.clauses]
+    return PlanarFormula.build(Formula.build(f.variable_count, clauses), pf.rotation)
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_renamed_unsat_cores_stay_infeasible(index):
+    rng = random.Random(index)
+    core = unsat_samples()[index]
+    for _ in range(20):
+        flips = [rng.random() < 0.5 for _ in range(core.formula.variable_count)]
+        assert decide(assemble(rename(core, flips)).problem).status == INFEASIBLE
+
+
 def disjoint_union(first: OrientationProblem, second: OrientationProblem):
     """Both problems side by side; ``second`` is shifted above ``first``."""
     shift = max(first.graph.vertices) + 1
@@ -562,10 +656,11 @@ def test_components_share_the_decision_budget():
 
 
 # The decision counts the search needs on the frozen UNSAT samples.  The
-# propagation rules only prune, and a backjump only skips, so a change that
-# loses a forcing or widens a dependency mask shows up here as more
-# decisions.  The counts are not in the test ids, so a pin can move.
-FROZEN_UNSAT_DECISIONS = {0: 84, 1: 180, 2: 84}
+# propagation rules only prune, a backjump only skips, and a learned nogood
+# only forces, so a change that loses a forcing, widens a dependency mask or
+# drops a nogood shows up here as more decisions.  The counts are not in the
+# test ids, so a pin can move.  Without nogoods they were 84/180/84.
+FROZEN_UNSAT_DECISIONS = {0: 14, 1: 18, 2: 14}
 
 
 @pytest.mark.parametrize("index", sorted(FROZEN_UNSAT_DECISIONS))
@@ -577,8 +672,9 @@ def test_frozen_unsat_decision_counts(index):
 
 # The same on generated reductions, where the pure-cycle state changes most
 # between decisions.  Under chronological backtracking 24/34 seed 0 took 716
-# decisions, and 40/57 seed 0 and 64/92 seed 0 aborted at 20,000.
-GENERATED_DECISIONS = {(0, 24, 34): 72, (1, 64, 92): 176, (0, 40, 57): 119, (0, 64, 92): 677}
+# decisions, and 40/57 seed 0 and 64/92 seed 0 aborted at 20,000; with
+# backjumping alone the four took 72, 176, 119 and 677.
+GENERATED_DECISIONS = {(0, 24, 34): 69, (1, 64, 92): 172, (0, 40, 57): 116, (0, 64, 92): 297}
 
 
 @pytest.mark.parametrize("seed, n, m", list(GENERATED_DECISIONS))
