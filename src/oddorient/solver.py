@@ -6,7 +6,8 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
 * ``enumerate``      exhaustive oracle over all 2^k edge directions; it
                      generates only the solutions of the parity constraints
                      (an affine space over GF(2)) and checks their
-                     acyclicity in numpy blocks,
+                     acyclicity bit-sliced, 64 solutions to a machine word,
+                     by peeling sinks with word-wide AND/OR,
 * ``solve_tree``     leaf peeling on forests (the unique-orientation case),
 * ``solve_degree_two``  path/cycle propagation for max degree 2,
 * ``solve_exact``    complete search with parity and cycle propagation,
@@ -21,7 +22,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -96,9 +96,22 @@ class EnumerationReport:
 
 # -- exhaustive oracle ----------------------------------------------------------
 
-# Upper bound on the uint64 words of one block's out-mask array: 4 MB.
-_BLOCK_WORDS = 1 << 19
-_WORD = (1 << 64) - 1
+# A block of the bit-sliced sweep spans this many uint64 words summed over
+# the (terminal, successor) pairs, 64 parity solutions to a word: its pair
+# slices and each round's gathered successor rows are 128 KB each, however
+# large the space.  Small enough to stay in cache, large enough that the
+# few numpy calls of a peeling round are not paid per handful of words.
+_BLOCK_WORDS = 1 << 14
+# Bit r of _LOW_BITS[j] is bit j of r: the low six counter bits of the 64
+# solutions in one word.
+_LOW_BITS = (
+    0xAAAAAAAAAAAAAAAA,
+    0xCCCCCCCCCCCCCCCC,
+    0xF0F0F0F0F0F0F0F0,
+    0xFF00FF00FF00FF00,
+    0xFFFF0000FFFF0000,
+    0xFFFFFFFF00000000,
+)
 
 
 def enumerate(
@@ -116,16 +129,21 @@ def enumerate(
     The sweep covers all 2^k direction choices, and ``explored`` is that
     2^k: it counts the choices covered, not the masks touched.  Only the
     parity solutions are generated, as an affine space over GF(2) of some
-    dimension d, and their acyclicity is checked in numpy blocks, so the
-    sweep touches 2^d masks.  With ``require_acyclic=False``
+    dimension d, so the sweep touches 2^d of them.  Their acyclicity is
+    checked bit-sliced: bit r of word j stands for solution 64·j + r, each
+    edge direction is a row of such words, and sinks are peeled from 64
+    solutions per word operation.  With ``require_acyclic=False``
     the count ignores directed cycles, which is how per-class completion
     counts are measured.  Witnesses come in ascending mask order (bit i set
     means ``sorted(edges)[i]`` runs from its first to its second endpoint),
     at most ``witness_cap`` of them (None = all).
 
     Raises BudgetError when d exceeds ``max_edges`` or k the 64-bit mask
-    width; a partial count is never returned.
+    width; a partial count is never returned.  Raises ValueError on a
+    negative ``witness_cap``.
     """
+    if witness_cap is not None and witness_cap < 0:
+        raise ValueError(f"witness_cap must be None or non-negative, got {witness_cap}")
     g = problem.graph
     edge_list = sorted(g.edges)
     k = len(edge_list)
@@ -145,13 +163,17 @@ def enumerate(
     if space is None or order is None:
         return EnumerationReport(total_valid=0, witnesses=(), explored=explored)
     offset, basis = space
-    if len(basis) > max_edges:
+    d = len(basis)
+    if d > max_edges:
         raise BudgetError(
-            f"enumeration over a 2**{len(basis)} parity space exceeds the "
-            f"2**{max_edges} budget"
+            f"enumeration over a 2**{d} parity space exceeds the 2**{max_edges} budget"
         )
 
-    def orientation(m: int) -> Orientation:
+    def orientation(c: int) -> Orientation:
+        # solution c of the counter order: offset ^ XOR(basis[j] for bit j of c)
+        m = offset
+        for j in _bits(c):
+            m ^= basis[j]
         chosen = [
             edge_list[i] if (m >> i) & 1 else (edge_list[i][1], edge_list[i][0])
             for i in range(k)
@@ -159,29 +181,25 @@ def enumerate(
         return Orientation(arcs=frozenset(chosen) | g.arcs)
 
     if not require_acyclic:
-        # every solution counts, so blocks only feed the witnesses: keep them small
-        masks = (
-            m for block in _solution_blocks(offset, basis, min(len(basis), 10))
-            for m in block.tolist()
-        )
-        witnesses = [orientation(m) for m in islice(masks, witness_cap)]
+        shown = 1 << d if witness_cap is None else min(witness_cap, 1 << d)
         return EnumerationReport(
-            total_valid=1 << len(basis), witnesses=tuple(witnesses), explored=explored
+            total_valid=1 << d,
+            witnesses=tuple(orientation(c) for c in range(shown)),
+            explored=explored,
         )
-
-    terminals = sorted({x for e in edge_list for x in e})
-    tidx = {v: i for i, v in zip(range(len(terminals)), terminals)}
-    base = _fixed_reach(g.arcs, order, tidx)
-    ends = [(i, tidx[u], tidx[v]) for i, (u, v) in zip(range(k), edge_list)]
-    b = min(len(basis), max(0, (_BLOCK_WORDS // max(base.size, 1)).bit_length() - 1))
 
     total_valid = 0
     witnesses: list[Orientation] = []
-    for masks in _solution_blocks(offset, basis, b):
-        hits = np.flatnonzero(_acyclic_rows(masks, ends, base))
-        total_valid += hits.size
-        room = hits.size if witness_cap is None else witness_cap - len(witnesses)
-        witnesses += [orientation(m) for m in masks[hits[:room]].tolist()]
+    for first, ok in _acyclic_words(g.arcs, order, edge_list, offset, basis):
+        total_valid += int(np.bitwise_count(ok).sum())
+        room = None if witness_cap is None else witness_cap - len(witnesses)
+        # each set word holds a hit, so the first ``room`` of them suffice
+        hits = [
+            64 * (first + j) + r
+            for j in np.flatnonzero(ok)[:room].tolist()
+            for r in _bits(int(ok[j]))
+        ]
+        witnesses += [orientation(c) for c in hits[:room]]
     return EnumerationReport(
         total_valid=total_valid, witnesses=tuple(witnesses), explored=explored
     )
@@ -248,28 +266,78 @@ def _parity_space(
     return offset, basis
 
 
-def _solution_blocks(offset: int, basis: list[int], b: int) -> Iterator[np.ndarray]:
-    """All ``offset ^ span(basis)`` masks in counter order, as uint64 blocks
-    of 2^b: a table over the low b basis vectors, shifted per block by the
-    combination of the high ones."""
-    table = np.zeros(1, dtype=np.uint64)
-    for vec in basis[:b]:
-        table = np.concatenate([table, table ^ np.uint64(vec)])
-    high = basis[b:]
-    for h in range(1 << len(high)):
-        shift = offset
-        for j in range(len(high)):
-            if (h >> j) & 1:
-                shift ^= high[j]
-        yield table ^ np.uint64(shift)
+def _acyclic_words(
+    arcs: frozenset[Arc],
+    order: tuple[Vertex, ...],
+    edge_list: list[Edge],
+    offset: int,
+    basis: list[int],
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Which parity solutions orient the edges acyclically, given acyclic
+    fixed arcs, as ``(first, ok)`` blocks: bit r of ``ok[j]`` is set when
+    solution 64·(first + j) + r of the counter order is acyclic.
+
+    Every cycle passes through edge endpoints ("terminals"), so each
+    solution is checked on a graph over the terminals alone: the first
+    terminals each one meets along fixed arcs, plus its edges in their
+    solved directions.  Bit-sliced, row a of ``live`` holds per solution
+    whether terminal a is still unpeeled, and the slice of a pair (a, b)
+    holds whether a -> b is an arc.  A round keeps a where some pair's
+    slice and b's row are both set; rounds run until nothing changes, and
+    a solution is acyclic when no terminal is left in it.
+    """
+    d = len(basis)
+    valid = (1 << (1 << min(d, 6))) - 1
+    # Edge i runs forward in solution c = 64·j + r when bit i of the offset
+    # ⊕ parity(c & col_i) is 1, col_i being column i of the basis: its low
+    # six bits give a fixed pattern over r, the rest a parity over j.
+    low, high = [0] * len(edge_list), [0] * len(edge_list)
+    for j, vec in zip(range(d), basis):
+        for i in _bits(vec):
+            if j < 6:
+                low[i] ^= _LOW_BITS[j]
+            else:
+                high[i] |= 1 << (j - 6)
+    terminals = sorted({x for e in edge_list for x in e})
+    tidx = {v: i for i, v in zip(range(len(terminals)), terminals)}
+    # (tail, head, low pattern, high column, offset bit) per successor pair;
+    # a fixed pair's slice is all ones.  Every terminal is a tail.
+    pairs = [(a, b, 0, 0, 1) for a, b in _fixed_reach(arcs, order, tidx)]
+    for i, (u, v) in zip(range(len(edge_list)), edge_list):
+        fwd = (offset >> i) & 1
+        pairs.append((tidx[u], tidx[v], low[i], high[i], fwd))
+        pairs.append((tidx[v], tidx[u], low[i], high[i], fwd ^ 1))
+    pairs.sort()
+    starts = np.searchsorted([p[0] for p in pairs], np.arange(len(terminals)))
+    head = np.array([p[1] for p in pairs], dtype=np.intp)
+    pat, col, flip = (
+        np.array([p[f] for p in pairs], dtype=np.uint64)[:, None] for f in (2, 3, 4)
+    )
+
+    words = 1 << max(d - 6, 0)
+    step = max(1, _BLOCK_WORDS // max(len(pairs), 1))
+    for first in range(0, words, step):
+        j = np.arange(first, min(first + step, words), dtype=np.uint64)
+        slices = np.negative((np.bitwise_count(col & j) ^ flip) & 1) ^ pat
+        live = np.full((len(terminals), j.size), valid, dtype=np.uint64)
+        while True:
+            kept = live[head]
+            kept &= slices
+            kept = np.bitwise_or.reduceat(kept, starts, axis=0)
+            kept &= live
+            if np.array_equal(kept, live):
+                break
+            live = kept
+        yield first, np.bitwise_or.reduce(live, axis=0) ^ np.uint64(valid)
 
 
 def _fixed_reach(
     arcs: Iterable[Arc], order: tuple[Vertex, ...], tidx: dict[Vertex, int]
-) -> np.ndarray:
-    """Row i: the terminals that terminal i reaches over one or more fixed
-    arcs, as bits over terminal indices in ceil(T/64) uint64 words.
-    ``order`` is a topological order of the arcs."""
+) -> list[tuple[int, int]]:
+    """The pairs (a, b) of terminal indices where a reaches b over one or
+    more fixed arcs with no terminal inside the path; every terminal that a
+    reaches over fixed arcs is reached through these.  ``order`` is a
+    topological order of the arcs."""
     succ: dict[Vertex, list[Vertex]] = {}
     for t, h in arcs:
         succ.setdefault(t, []).append(h)
@@ -277,48 +345,17 @@ def _fixed_reach(
     for x in reversed(order):
         r = 0
         for y in succ.get(x, ()):
-            r |= reach[y]
-            if y in tidx:
-                r |= 1 << tidx[y]
+            r |= 1 << tidx[y] if y in tidx else reach[y]
         reach[x] = r
-    words = (len(tidx) + 63) // 64
-    return np.array(
-        [[(reach.get(v, 0) >> (64 * w)) & _WORD for w in range(words)] for v in tidx],
-        dtype=np.uint64,
-    ).reshape(len(tidx), words)
+    return [(a, b) for v, a in tidx.items() for b in _bits(reach.get(v, 0))]
 
 
-def _acyclic_rows(
-    masks: np.ndarray, ends: list[tuple[int, int, int]], base: np.ndarray
-) -> np.ndarray:
-    """Which masks orient the edges acyclically, given acyclic fixed arcs.
-
-    Every cycle passes through edge endpoints ("terminals"), so each mask is
-    checked on a graph over the terminals alone: ``base[a]`` (terminals that
-    a reaches over fixed arcs, in 64-bit words) plus a's out-edges under the
-    mask.  Vertices with no live successor are peeled until a row is empty
-    (acyclic) or a round peels nothing (a cycle is left).
-    """
-    n = masks.size
-    t, w = base.shape
-    one = np.uint64(1)
-    out = np.broadcast_to(base, (n, t, w)).copy()
-    for i, a, b in ends:
-        fwd = (masks >> np.uint64(i)) & one
-        out[:, a, b >> 6] |= fwd << np.uint64(b & 63)
-        out[:, b, a >> 6] |= (fwd ^ one) << np.uint64(a & 63)
-    ok = np.zeros(n, dtype=bool)
-    rows = np.arange(n)
-    live = np.ones((n, t), dtype=bool)
-    while rows.size:
-        packed = np.zeros((rows.size, 8 * w), dtype=np.uint8)
-        packed[:, : (t + 7) // 8] = np.packbits(live, axis=1, bitorder="little")
-        kept = live & (out & packed.view("<u8")[:, None, :]).any(axis=2)
-        left = kept.any(axis=1)
-        ok[rows[~left]] = True
-        again = left & (kept != live).any(axis=1)
-        rows, out, live = rows[again], out[again], kept[again]
-    return ok
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 # -- structure helpers ----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oddorient import solver
 from oddorient.pdgraph import (
     GraphError,
     Orientation,
@@ -107,13 +108,19 @@ class TestEnumerate:
         assert rep.total_valid == 4
         assert len(rep.witnesses) == 2
 
+    @pytest.mark.parametrize("require_acyclic", [True, False])
+    def test_negative_witness_cap_is_refused(self, require_acyclic):
+        prob = problem([0, 1, 2, 3], [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="witness_cap"):
+            enum(prob, scope=[], witness_cap=-1, require_acyclic=require_acyclic)
+
     def test_budget_refuses_past_mask_width(self):
         edges = [(i, i + 1) for i in range(65)]
         with pytest.raises(BudgetError, match="64-bit"):
             enum(problem(range(66), edges), max_edges=100)
 
     def test_terminals_past_one_word(self):
-        # a 64-edge path has 65 terminals, in two words each
+        # a 64-edge path has 65 terminals, more than one word of bits
         path = problem(range(65), [(i, i + 1) for i in range(64)], odd=range(1, 65))
         assert enum(path, max_edges=64).total_valid == 1
         # 64 disjoint edges (2i, 2i+1) have 128 terminals; the fixed arcs
@@ -166,6 +173,36 @@ class TestEnumerate:
             tracemalloc.stop()
         assert rep.total_valid == 2 ** 20 - 2
         assert peak < 64 * 2 ** 20
+
+    # (vertices, edges, seed): a connected edge graph with two fixed arcs and
+    # full scope has a parity space of dimension edges - vertices + 1, from
+    # one 64-solution word (6) up; the last spans several blocks
+    @pytest.mark.parametrize("n,k,seed", [
+        (8, 13, 7), (9, 15, 6), (10, 18, 3), (12, 22, 0), (21, 34, 4),
+    ])
+    def test_sweep_across_words_and_blocks(self, n, k, seed):
+        rng = random.Random(seed)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                 if (u, v) not in edges]
+        extra = rng.sample(pairs, k - n + 3)
+        edges += extra[2:]
+        odd = set(rng.sample(range(n), n // 2))
+        odd ^= {0} if (len(odd) + k) % 2 else set()
+        prob = problem(range(n), edges, extra[:2], odd)
+        d = k - n + 1
+        if n == 21:
+            assert 2 ** (d - 6) > solver._BLOCK_WORDS // (2 * k)
+        # the reference does without the kernel: every parity solution,
+        # filtered by is_acyclic
+        every = enum(prob, witness_cap=None, require_acyclic=False)
+        assert every.total_valid == 2 ** d
+        valid = [w for w in every.witnesses if is_acyclic(w.arcs).acyclic]
+        assert len(valid) > 1
+        # the cap keeps all but the last hit: it cuts inside that hit's block
+        for cap in (None, len(valid) - 1):
+            rep = enum(prob, witness_cap=cap)
+            assert (rep.total_valid, rep.witnesses) == (len(valid), tuple(valid[:cap]))
 
 
 class TestSolveTree:
