@@ -1,6 +1,6 @@
 """Decision procedures for acyclic T-odd orientation.
 
-Four solvers with one contract ("is there an acyclic orientation, extending
+Three solvers with one contract ("is there an acyclic orientation, extending
 the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
 
 * ``enumerate``      exhaustive oracle over all 2^k edge directions; it
@@ -8,8 +8,11 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
                      (an affine space over GF(2)) and checks their
                      acyclicity bit-sliced, 64 solutions to a machine word,
                      by peeling sinks with word-wide AND/OR,
-* ``solve_tree``     leaf peeling on forests (the unique-orientation case),
-* ``solve_degree_two``  path/cycle propagation for max degree 2,
+* ``solve_tree`` and ``solve_degree_two``
+                     one linear pass over an integer index for forests and
+                     max-degree-2 graphs: leaf peeling, then a walk round
+                     each remaining cycle; the two names differ only in the
+                     graph class they accept,
 * ``solve_exact``    complete search with parity and cycle propagation,
                      conflict-directed backjumping and learned nogoods,
 
@@ -20,8 +23,9 @@ plus ``decide`` (dispatcher) and the two instance transforms
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -363,19 +367,18 @@ def _bits(x: int) -> Iterator[int]:
 
 def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     """True when edges and arcs together (direction ignored) contain no cycle."""
-    parent = {v: v for v in graph.vertices}
-
-    def find(x: Vertex) -> Vertex:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in sorted(graph.links()):
-        ru, rv = find(u), find(v)
-        if ru == rv:
+    if len(graph.edges) + len(graph.arcs) >= len(graph.vertices) > 0:
+        return False   # a forest has fewer links than vertices
+    parent = dict(zip(graph.vertices, graph.vertices))
+    for u, v in chain(graph.edges, graph.arcs):
+        # union-find with path halving
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
             return False
-        parent[ru] = rv
+        parent[u] = v
     return True
 
 
@@ -401,220 +404,160 @@ def _components(adj: dict[Vertex, list[Vertex]]) -> list[set[Vertex]]:
 
 
 def max_degree(graph: PartiallyDirectedGraph) -> int:
-    deg = {v: 0 for v in graph.vertices}
-    for u, v in graph.links():
-        deg[u] += 1
-        deg[v] += 1
-    return max(deg.values(), default=0)
+    ends = Counter(chain.from_iterable(chain(graph.edges, graph.arcs)))
+    return max(ends.values(), default=0)
 
 
-# -- forest solver ---------------------------------------------------------------
+# -- forests and max-degree-2 graphs ---------------------------------------------
 
 
 def solve_tree(problem: OrientationProblem) -> SolveResult:
-    """Leaf peeling: each leaf's parity demand forces its only link.
+    """Solve a forest (links acyclic, direction ignored) by the linear pass
+    ``decide`` also uses; any other graph raises ``GraphError``.
 
     On a forest the T-odd orientation is unique when it exists, and any
-    orientation of a forest is acyclic, so no cycle checking is needed.
+    orientation of a forest is acyclic, so leaf peeling alone decides it.
     """
-    g = problem.graph
-    if not underlying_is_forest(g):
+    if not underlying_is_forest(problem.graph):
         raise GraphError("solve_tree requires a forest (underlying links acyclic)")
-
-    # link model: id -> (endpoints, fixed direction or None)
-    link_ends: list[tuple[Vertex, Vertex]] = []
-    link_dir: list[Optional[Arc]] = []
-    at: dict[Vertex, set[int]] = {v: set() for v in g.vertices}
-    for u, v in sorted(g.edges):
-        at[u].add(len(link_ends))
-        at[v].add(len(link_ends))
-        link_ends.append((u, v))
-        link_dir.append(None)
-    for t, h in sorted(g.arcs):
-        at[t].add(len(link_ends))
-        at[h].add(len(link_ends))
-        link_ends.append((t, h))
-        link_dir.append((t, h))
-
-    in_par = {v: 0 for v in g.vertices}
-    target = {v: v in problem.odd_set for v in g.vertices}
-    chosen: dict[int, Arc] = {}
-    removed = [False] * len(link_ends)
-    degree = {v: len(at[v]) for v in g.vertices}
-
-    for v in g.vertices:
-        if degree[v] == 0 and target[v]:
-            return SolveResult(
-                INFEASIBLE, detail=f"isolated vertex {v} cannot have odd in-degree"
-            )
-
-    ready = [v for v in g.vertices if degree[v] == 1]
-    heapq.heapify(ready)
-    propagations = 0
-    while ready:
-        v = heapq.heappop(ready)
-        if degree[v] != 1:
-            continue
-        li = next(i for i in at[v] if not removed[i])
-        a, b = link_ends[li]
-        other = b if a == v else a
-        need_in = in_par[v] != target[v]
-        fixed = link_dir[li]
-        if fixed is None:
-            arc = (other, v) if need_in else (v, other)
-        else:
-            if (fixed[1] == v) != need_in:
-                return SolveResult(
-                    INFEASIBLE,
-                    propagations=propagations,
-                    detail=f"fixed arc {fixed[0]}->{fixed[1]} contradicts parity at {v}",
-                )
-            arc = fixed
-        chosen[li] = arc
-        removed[li] = True
-        in_par[arc[1]] ^= 1
-        propagations += 1
-        for x in (a, b):
-            degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(ready, x)
-            elif degree[x] == 0 and in_par[x] != target[x]:
-                return SolveResult(
-                    INFEASIBLE,
-                    propagations=propagations,
-                    detail=f"parity cannot be met at vertex {x}",
-                )
-
-    directed = [chosen[i] for i in range(len(link_ends)) if link_dir[i] is None]
-    witness = Orientation.of(g, directed)
-    _check_witness(problem, witness)
-    return SolveResult(
-        FEASIBLE, witness=witness, propagations=propagations, enumerated=1
-    )
-
-
-# -- max-degree-2 solver -----------------------------------------------------------
+    return _solve_sparse(problem)
 
 
 def solve_degree_two(problem: OrientationProblem) -> SolveResult:
-    """Solve instances whose every vertex has degree at most 2.
+    """Solve a graph of maximum degree 2 (paths and cycles) by the linear
+    pass ``decide`` also uses; any other graph raises ``GraphError``.  The
+    paths peel as in a forest, and each cycle is walked from both directions
+    of one link."""
+    if max_degree(problem.graph) > 2:
+        raise GraphError("solve_degree_two requires maximum degree 2")
+    return _solve_sparse(problem)
 
-    Path components reduce to the forest solver.  Each cycle component is
-    solved by seeding its lowest link in both directions, propagating the
-    parity demand around the cycle, discarding seeds inconsistent with fixed
-    arcs, and rejecting circularly directed candidates.
+
+def _solve_sparse(problem: OrientationProblem) -> SolveResult:
+    """One linear pass for a forest or a graph of maximum degree 2.
+
+    The index numbers the vertices in ascending label order and the links by
+    position, the edges first and then the fixed arcs.  Leaves are peeled
+    lowest first, and each leaf's parity demand forces its only link.  What
+    is left of a max-degree-2 graph is a union of rings.  Each is walked from
+    its lowest vertex, whose link toward its lower neighbour is seeded
+    pointing at the lowest vertex first, then the other way; the parity
+    demands force the rest of the ring, and a seed is dropped when a fixed
+    arc, the parity at the lowest vertex or a circular direction rules it
+    out.  ``propagations`` counts each peeled link and each ring link forced
+    from a seed.
     """
     g = problem.graph
-    if max_degree(g) > 2:
-        raise GraphError("solve_degree_two requires maximum degree 2")
+    labels = sorted(g.vertices)
+    n = len(labels)
+    index = dict(zip(labels, range(n)))
+    edges = list(g.edges)
+    k = len(edges)   # links k.. are the fixed arcs
+    ends = [(index[u], index[v]) for u, v in edges]
+    ends += [(index[t], index[h]) for t, h in g.arcs]
+    # The links at a vertex are kept as their count, the XOR of their ids and
+    # one of them: with one link left the XOR is its id, and on a ring the
+    # XOR with the link walked in is the link to walk out on.
+    deg, xor, one = [0] * n, [0] * n, [0] * n
+    for li, (a, b) in zip(range(len(ends)), ends):
+        deg[a] += 1
+        deg[b] += 1
+        xor[a] ^= li
+        xor[b] ^= li
+        one[a] = one[b] = li
+    owe = [v in problem.odd_set for v in labels]   # odd in-degree still owed
+    arcs = ends[:k]   # the (tail, head) chosen for each edge
 
-    adj: dict[Vertex, list[Vertex]] = g.adjacency()
-    directed: list[Arc] = []
-    propagations = 0
-
-    link_kind: dict[Edge, Optional[Arc]] = {}
-    for u, v in g.edges:
-        link_kind[canonical_edge(u, v)] = None
-    for t, h in g.arcs:
-        link_kind[canonical_edge(t, h)] = (t, h)
-
-    path_vertices: set[Vertex] = set()
-    for comp in _components(adj):
-        if all(len(adj[x]) == 2 for x in comp):
-            outcome = _solve_cycle_component(problem, adj, link_kind, comp)
-            if isinstance(outcome, SolveResult):
-                return outcome
-            arcs, steps = outcome
-            directed.extend(arcs)
-            propagations += steps
-        else:
-            path_vertices |= comp
-
-    if path_vertices:
-        sub = PartiallyDirectedGraph(
-            vertices=frozenset(path_vertices),
-            edges=frozenset(
-                e for e in g.edges if e[0] in path_vertices and e[1] in path_vertices
-            ),
-            arcs=frozenset(
-                a for a in g.arcs if a[0] in path_vertices and a[1] in path_vertices
-            ),
-        )
-        sub_result = solve_tree(
-            OrientationProblem(sub, problem.odd_set & frozenset(path_vertices))
-        )
-        propagations += sub_result.propagations
-        if not sub_result.feasible:
+    for v in range(n):
+        if not deg[v] and owe[v]:
             return SolveResult(
-                sub_result.status,
-                propagations=propagations,
-                detail=sub_result.detail,
+                INFEASIBLE,
+                detail=f"isolated vertex {labels[v]} cannot have odd in-degree",
             )
-        directed.extend(a for a in sub_result.witness.arcs if a not in sub.arcs)
-
-    witness = Orientation.of(g, directed)
-    _check_witness(problem, witness)
-    return SolveResult(
-        FEASIBLE, witness=witness, propagations=propagations, enumerated=1
-    )
-
-
-def _solve_cycle_component(problem, adj, link_kind, comp):
-    """Return (chosen edge arcs, steps) for one cycle component, or an
-    infeasible SolveResult."""
-    target = {v: v in problem.odd_set for v in comp}
-    c0 = min(comp)
-    ring = [c0, min(adj[c0])]
-    while True:
-        prev, cur = ring[-2], ring[-1]
-        nxt = next(y for y in adj[cur] if y != prev)
-        if nxt == c0:
-            break
-        ring.append(nxt)
-    r = len(ring)
-    links = [link_kind[canonical_edge(ring[i], ring[(i + 1) % r])] for i in range(r)]
-
-    seed_fixed = links[0]
-    if seed_fixed is None:
-        # toward the lower endpoint first
-        lo, hi = canonical_edge(ring[0], ring[1])
-        seeds = [(hi, lo), (lo, hi)]
-    else:
-        seeds = [seed_fixed]
 
     steps = 0
-    for seed in seeds:
-        arcs: list[Arc] = [seed]
-        ok = True
-        for i in range(1, r):
-            v = ring[i]
-            prev_in = arcs[i - 1][1] == v
-            need_in = target[v] != prev_in
-            nxt = ring[(i + 1) % r]
-            want = (nxt, v) if need_in else (v, nxt)
-            fixed = links[i]
-            steps += 1
-            if fixed is not None and fixed != want:
-                ok = False
+    ready = [v for v in range(n) if deg[v] == 1]   # ascending, so a heap
+    while ready:
+        v = heapq.heappop(ready)
+        if deg[v] != 1:
+            continue
+        li = xor[v]
+        a, b = ends[li]
+        u = b if a == v else a
+        if li < k:
+            arcs[li] = (u, v) if owe[v] else (v, u)
+        elif (b == v) != owe[v]:
+            return SolveResult(
+                INFEASIBLE,
+                propagations=steps,
+                detail=f"fixed arc {labels[a]}->{labels[b]} contradicts "
+                f"parity at {labels[v]}",
+            )
+        steps += 1
+        head = arcs[li][1] if li < k else b
+        owe[head] = not owe[head]
+        deg[v] = 0
+        deg[u] -= 1
+        xor[u] ^= li
+        if deg[u] == 1:
+            heapq.heappush(ready, u)
+        elif not deg[u] and owe[u]:
+            return SolveResult(
+                INFEASIBLE,
+                propagations=steps,
+                detail=f"parity cannot be met at vertex {labels[u]}",
+            )
+
+    for c in range(n):
+        if deg[c] != 2:
+            continue   # peeled, isolated, or on a ring already walked
+        # ring[i] -- links[i] -- ring[i + 1], from c toward its lower neighbour
+        li = one[c]
+        if sum(ends[xor[c] ^ li]) < sum(ends[li]):   # c is an end of both
+            li ^= xor[c]
+        ring, links = [c], []
+        x = c
+        while True:
+            links.append(li)
+            a, b = ends[li]
+            x = b if a == x else a
+            ring.append(x)
+            if x == c:
                 break
-            arcs.append(want)
-        if not ok:
-            continue
-        # wrap-around parity at the seed vertex
-        v = ring[0]
-        in_deg = (arcs[0][1] == v) + (arcs[-1][1] == v)
-        if (in_deg % 2 == 1) != target[v]:
-            continue
-        forward = sum(1 for i in range(r) if arcs[i][0] == ring[i])
-        if forward in (0, r):
-            continue   # circularly directed
-        chosen = [arcs[i] for i in range(r) if links[i] is None]
-        return chosen, steps
-    return SolveResult(
-        INFEASIBLE,
-        propagations=steps,
-        detail=f"cycle component at {c0} admits no acyclic T-odd orientation",
-    )
+            li ^= xor[x]
+        r = len(links)
+        # fwd[i]: links[i] points from ring[i] to ring[i + 1]
+        seeds = (False, True) if links[0] < k else (ends[links[0]][0] == c,)
+        for fwd0 in seeds:
+            fwd = [fwd0]
+            for i in range(1, r):
+                steps += 1
+                # links[i] leaves ring[i] when links[i - 1] alone meets its parity
+                f = owe[ring[i]] == fwd[-1]
+                if links[i] >= k and f != (ends[links[i]][0] == ring[i]):
+                    break
+                fwd.append(f)
+            else:
+                # c has odd in-degree when fwd0 == fwd[-1]; a ring pointing
+                # one way round is cyclic
+                if (fwd0 == fwd[-1]) == owe[c] and fwd.count(fwd0) < r:
+                    break
+        else:
+            return SolveResult(
+                INFEASIBLE,
+                propagations=steps,
+                detail=f"cycle component at {labels[c]} admits no acyclic "
+                "T-odd orientation",
+            )
+        for i in range(r):
+            deg[ring[i]] = 0
+            if links[i] < k:
+                pair = (ring[i], ring[i + 1])
+                arcs[links[i]] = pair if fwd[i] else pair[::-1]
+
+    witness = Orientation.of(g, [(labels[t], labels[h]) for t, h in arcs])
+    _check_witness(problem, witness)
+    return SolveResult(FEASIBLE, witness=witness, propagations=steps, enumerated=1)
 
 
 # -- complete backtracking solver ----------------------------------------------------
@@ -1503,13 +1446,13 @@ def _split(
 
 
 def decide(problem: OrientationProblem, *, budget: int = 10_000_000) -> SolveResult:
-    """Dispatcher: parity gate, then the cheapest applicable solver."""
+    """Dispatcher: the parity gate, then the linear pass behind
+    ``solve_tree`` and ``solve_degree_two`` on a forest or a graph of
+    maximum degree 2, else ``solve_exact`` within ``budget`` decisions."""
     if not parity_feasible(problem):
         return SolveResult(INFEASIBLE, detail="parity: |E|+|A|+|T| is odd")
-    if underlying_is_forest(problem.graph):
-        return solve_tree(problem)
-    if max_degree(problem.graph) <= 2:
-        return solve_degree_two(problem)
+    if underlying_is_forest(problem.graph) or max_degree(problem.graph) <= 2:
+        return _solve_sparse(problem)
     return solve_exact(problem, budget=budget)
 
 

@@ -17,11 +17,13 @@ from oddorient.io import (
     write_instance,
     write_witness,
 )
-from oddorient.p3sat import Formula, PlanarFormula, RotationSystem
+from oddorient.p3sat import Formula, PlanarFormula, RotationSystem, generate
 from oddorient.pdgraph import (
     GraphError,
+    Orientation,
     OrientationProblem,
     PartiallyDirectedGraph,
+    extends,
     validate,
 )
 from oddorient.reduction import (
@@ -473,3 +475,106 @@ class TestReadInstanceFuzz:
             formula=bundle.formula,
         )
         assert read_instance(blob) == bundle
+
+
+@st.composite
+def _mutated_witnesses(draw):
+    """A problem and a witness document of one of its orientations, with
+    exactly one mutation applied; a drop may also take out one arc."""
+    p = draw(_problems())
+    chosen = [(u, v) if draw(st.booleans()) else (v, u) for u, v in sorted(p.graph.edges)]
+    doc = json.loads(write_witness(Orientation.of(p.graph, chosen)))
+    ids = sorted(p.graph.vertices)
+    kind = draw(st.sampled_from(_MUTATIONS))
+    if kind == "drop":
+        path = draw(st.sampled_from([q for q in _paths(doc) if q]))
+        del _parent(doc, path)[path[-1]]
+    elif kind == "retype":
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(st.sampled_from(_RETYPED))
+        if not path:
+            doc = value
+        else:
+            _parent(doc, path)[path[-1]] = value
+    elif kind == "duplicate" and doc["arcs"]:
+        doc["arcs"].append(draw(st.sampled_from(doc["arcs"])))
+    elif kind in ("dangling", "self-loop"):
+        u = draw(st.sampled_from(ids)) if ids else 0
+        doc["arcs"].append([u, max(ids, default=0) + 1 if kind == "dangling" else u])
+    elif kind == "opposite" and doc["arcs"]:
+        u, v = draw(st.sampled_from(doc["arcs"]))
+        doc["arcs"].append([v, u])
+    data = json.dumps(doc, sort_keys=True).encode()
+    if kind == "truncate":
+        data = data[:draw(st.integers(min_value=0, max_value=len(data) - 1))]
+    return p, data
+
+
+class TestReadWitnessFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_witnesses())
+    def test_rejects_or_round_trips(self, case):
+        """A mutated witness is either rejected with a FormatError or a
+        GraphError, or it reads to an orientation of the problem's graph that
+        round-trips."""
+        p, data = case
+        try:
+            o = read_witness(data, p)
+        except (FormatError, GraphError):
+            return
+        assert extends(p.graph, o)
+        assert read_witness(write_witness(o), p) == o
+
+
+# tokens a mutation puts into a formula line, and generator sizes that always
+# find a layout
+_TOKENS = ["0", "-1", "1", "7", "-0", "x", "1.5", "p", "r", "c", "cnf", "99999999999999999999"]
+_SIZES = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 5)]
+_TEXT_MUTATIONS = ["drop", "duplicate", "swap", "token", "byte", "truncate"]
+
+
+@st.composite
+def _mutated_formula_texts(draw):
+    """A written formula, with or without rotation lines, with exactly one
+    line or byte mutation applied."""
+    n, m = draw(st.sampled_from(_SIZES))
+    pf = generate(draw(st.integers(0, 50)), n, m)
+    lines = write_formula(pf if draw(st.booleans()) else pf.formula).split(b"\n")
+    kind = draw(st.sampled_from(_TEXT_MUTATIONS))
+    i = draw(st.integers(0, len(lines) - 1))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "token":
+        tokens = lines[i].split()
+        at = draw(st.integers(0, len(tokens)))
+        token = draw(st.sampled_from(_TOKENS)).encode()
+        if at < len(tokens) and draw(st.booleans()):
+            tokens[at] = token
+        else:
+            tokens.insert(at, token)
+        lines[i] = b" ".join(tokens)
+    data = b"\n".join(lines)
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
+    elif kind == "truncate":
+        data = data[:draw(st.integers(min_value=0, max_value=len(data) - 1))]
+    return data
+
+
+class TestReadFormulaFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_mutated_formula_texts())
+    def test_rejects_or_round_trips(self, data):
+        """A mutated formula text is either rejected with a FormatError or a
+        GraphError, or it reads to a formula that round-trips."""
+        try:
+            f = read_formula(data)
+        except (FormatError, GraphError):
+            return
+        assert read_formula(write_formula(f)) == f

@@ -300,3 +300,24 @@ def test_topo_order_respects_every_arc(inst):
         cyc = rep.cycle
         for i, v in enumerate(cyc):
             assert (v, cyc[(i + 1) % len(cyc)]) in o.arcs
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_is_acyclic_matches_networkx(arcs):
+    """networkx as an independent oracle: the same verdict, the
+    lexicographically least topological order, and a real cycle that starts
+    at its lowest vertex (arc sets may repeat arcs and hold loops)."""
+    nx = pytest.importorskip("networkx")
+    digraph = nx.DiGraph(arcs)
+    rep = is_acyclic(arcs)
+    assert rep.acyclic == nx.is_directed_acyclic_graph(digraph)
+    if rep.acyclic:
+        assert list(rep.order) == list(nx.lexicographical_topological_sort(digraph))
+        assert rep.cycle is None
+    else:
+        cyc = rep.cycle
+        assert rep.order is None
+        assert cyc[0] == min(cyc)
+        assert len(set(cyc)) == len(cyc)
+        assert set(zip(cyc, cyc[1:] + cyc[:1])) <= set(arcs)

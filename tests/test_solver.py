@@ -569,3 +569,82 @@ def test_decide_matches_oracle(prob):
     if res.feasible:
         assert is_acyclic(res.witness.arcs).acyclic
         assert is_T_odd_on(prob, res.witness)
+
+
+@st.composite
+def sparse_problems(draw):
+    """A forest, or a union of paths and cycles, on scattered and partly
+    negative labels, with some links fixed as arcs and a random odd set."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    labels = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
+    links = []
+    if draw(st.booleans()):
+        # a forest: each vertex joins an earlier one or starts a new tree
+        for i in range(1, n):
+            if draw(st.integers(0, 4)):
+                links.append((labels[draw(st.integers(0, i - 1))], labels[i]))
+    else:
+        i = 0
+        while i < n:
+            seg = labels[i:i + draw(st.integers(1, 6))]
+            i += len(seg)
+            links += zip(seg, seg[1:])
+            if len(seg) >= 3 and draw(st.booleans()):
+                links.append((seg[-1], seg[0]))
+    edges, arcs = [], []
+    for u, v in links:
+        kind = draw(st.integers(0, 3))
+        if kind < 2:
+            edges.append((u, v))
+        else:
+            arcs.append((u, v) if kind == 2 else (v, u))
+    odd = draw(st.sets(st.sampled_from(labels))) if labels else set()
+    return problem(labels, edges, arcs, odd)
+
+
+# a four-cycle on scattered labels whose two parity solutions are
+# {4->-2, 4->10, 10->7, -2->7} and its flip
+_RING = ([7, -2, 4, 10], [(-2, 4), (4, 10), (10, 7), (7, -2)])
+
+
+@given(sparse_problems())
+@example(problem([-7, 0, 5], [(0, 5)], odd=[-7, 0, 5]))   # isolated odd vertex
+@example(problem([-4, 2, 9], arcs=[(-4, 2), (2, 9), (9, -4)], odd=[-4, 2, 9]))
+@example(problem(   # both parity solutions each cross a fixed arc
+    [-5, 3, 11, 40], [(-5, 3), (-5, 40)], [(3, 11), (40, 11)], odd=[-5, 11]))
+@example(problem(   # a feasible ring next to a path its fixed arc blocks
+    [-5, 3, 11, 40, 100, 101], [(-5, 3), (3, 11), (11, 40), (-5, 40)],
+    [(101, 100)], odd=[-5, 11, 101]))
+@example(problem([]))
+@example(problem(*_RING, odd=[-2, 10]))
+@settings(max_examples=300, deadline=None)
+def test_sparse_pass_matches_enumerate(prob):
+    """``decide`` and the special-case solvers that accept the graph agree
+    with the exhaustive oracle, and each witness is one of its witnesses."""
+    rep = enum(prob, witness_cap=None)
+    witnesses = {w.arcs for w in rep.witnesses}
+    solvers = [decide]
+    if underlying_is_forest(prob.graph):
+        solvers.append(solve_tree)
+    if max_degree(prob.graph) <= 2:
+        solvers.append(solve_degree_two)
+    for solve in solvers:
+        res = solve(prob)
+        assert res.feasible == (rep.total_valid > 0)
+        assert res.decisions == 0
+        if res.feasible:
+            assert res.enumerated == 1
+            assert is_acyclic(res.witness.arcs).acyclic
+            assert is_T_odd_on(prob, res.witness)
+            assert res.witness.arcs in witnesses
+
+
+def test_ring_seed_points_at_the_lowest_vertex_first():
+    # the walk starts at -2 on its link to 4, its lower neighbour, and tries
+    # 4->-2 before -2->4; both seeds extend to a witness
+    prob = problem(*_RING, odd=[-2, 10])
+    assert enum(prob).total_valid == 2
+    res = solve_degree_two(prob)
+    assert res.witness.arcs == frozenset({(4, -2), (4, 10), (10, 7), (-2, 7)})
+    assert res.propagations == 3
+    assert decide(prob).witness == res.witness
