@@ -87,8 +87,8 @@ def write_instance(
         "format": INSTANCE_FORMAT,
         "version": FORMAT_VERSION,
         "vertices": vertices,
-        "edges": [list(e) for e in sorted(g.edges)],
-        "arcs": [list(a) for a in sorted(g.arcs)],
+        "edges": sorted(g.edges),
+        "arcs": sorted(g.arcs),
     }
     if rotation is not None:
         doc["rotation"] = [
@@ -109,6 +109,14 @@ def _canonical_bytes(doc: dict) -> bytes:
     """The one canonical layout: sorted keys, no whitespace, one trailing
     newline.  ``json`` takes its C encoder only when ``indent`` is None."""
     return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _check_version(doc: dict) -> None:
+    """Turn away a document whose ``version`` is missing or not this one
+    (``type(...) is int`` also turns away ``true`` and ``1.0``)."""
+    version = doc.get("version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise FormatError(f"unrecognized format version {version!r}")
 
 
 def _vertex_pairs(raw, section: str) -> list[tuple[Vertex, Vertex]]:
@@ -191,8 +199,7 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
         raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise FormatError("not an instance document")
-    if doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"unrecognized format version {doc.get('version')!r}")
+    _check_version(doc)
 
     try:
         records = list(doc["vertices"])
@@ -312,7 +319,7 @@ def write_witness(orientation: Orientation) -> bytes:
     doc = {
         "format": WITNESS_FORMAT,
         "version": FORMAT_VERSION,
-        "arcs": [list(a) for a in sorted(orientation.arcs)],
+        "arcs": sorted(orientation.arcs),
     }
     return _canonical_bytes(doc)
 
@@ -326,6 +333,7 @@ def read_witness(data: Union[bytes, str], problem: OrientationProblem) -> Orient
         raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise FormatError("not a witness document")
+    _check_version(doc)
     arcs = set(_vertex_pairs(doc.get("arcs", []), "arcs"))
     directed = [a for a in arcs if a not in problem.graph.arcs]
     fixed = arcs - set(directed)

@@ -195,17 +195,16 @@ class Orientation:
 
 
 def extends(graph: PartiallyDirectedGraph, orientation: Orientation) -> bool:
-    """True when the orientation covers each edge once and keeps every arc."""
+    """True when the orientation covers each edge once and keeps every arc.
+
+    The arcs beyond the fixed ones must fall on the edges' endpoint pairs
+    one to one: as many pairs as arcs, and those pairs are the edge set.
+    """
     if not graph.arcs <= orientation.arcs:
         return False
     free = orientation.arcs - graph.arcs
-    covered: set[Edge] = set()
-    for u, v in free:
-        pair = canonical_edge(u, v)
-        if pair not in graph.edges or pair in covered:
-            return False
-        covered.add(pair)
-    return covered == set(graph.edges)
+    pairs = {(u, v) if u <= v else (v, u) for u, v in free}
+    return len(pairs) == len(free) and pairs == graph.edges
 
 
 # -- boundaries ---------------------------------------------------------------
@@ -364,14 +363,17 @@ def is_T_odd_on(
     """Check the parity constraint on ``scope`` (default: every vertex).
 
     A vertex passes when its in-degree is odd exactly if it belongs to the
-    problem's odd set.
+    problem's odd set, so the check compares the set of odd-in-degree heads
+    with the odd set, both cut to the scope.
     """
-    scoped = set(problem.graph.vertices if scope is None else scope)
-    degs = orientation.in_degrees(scoped)
-    for v in scoped:
-        if (degs[v] % 2 == 1) != (v in problem.odd_set):
-            return False
-    return True
+    odd: set[Vertex] = set()
+    for _, h in orientation.arcs:
+        if h in odd:
+            odd.remove(h)
+        else:
+            odd.add(h)
+    scoped = problem.graph.vertices if scope is None else set(scope)
+    return odd & scoped == problem.odd_set & scoped
 
 
 def parity_feasible(problem: OrientationProblem) -> bool:

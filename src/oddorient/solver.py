@@ -18,15 +18,22 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
 
 plus ``decide`` (dispatcher) and the two instance transforms
 (``apex_transform``, ``normalize_empty_T``).
+
+``decide`` builds one integer index of the problem per call (``_Index``:
+vertices in ascending label order, link end pairs, link counts).  Its class
+tests, the linear pass, the exact search's components and the witness
+check all read that index, and the index lives only for the call.  Every
+feasible answer, scoped or not, passes ``_check_witness`` on the index
+before it is returned.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, Optional
+from itertools import chain, islice
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -39,7 +46,6 @@ from oddorient.pdgraph import (
     PartiallyDirectedGraph,
     Vertex,
     canonical_edge,
-    is_T_odd_on,
     is_acyclic,
     parity_feasible,
     reverse_graph,
@@ -67,7 +73,8 @@ class SolveResult:
     """Outcome of a decision procedure.
 
     ``status`` is one of feasible / infeasible / aborted.  A feasible result
-    carries a witness that passes both is_acyclic and full-scope is_T_odd_on.
+    carries a witness that passes is_acyclic and is_T_odd_on on the solve's
+    scope (every vertex unless ``solve_exact`` was given one).
     ``enumerated`` counts complete solutions encountered (at most 1 unless the
     solver ran in counting mode).  ``propagations`` counts forced steps.  In
     the exact search these are the arcs a rule forced and applied, decisions
@@ -362,50 +369,163 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-# -- structure helpers ----------------------------------------------------------
+# -- the integer index ------------------------------------------------------------
+
+
+class _Index:
+    """One integer view of a graph, built once per solve and read by every
+    branch of ``decide`` and by its witness check.
+
+    ``labels`` lists the vertices in ascending order; a vertex is known by
+    its position there, so positions compare as labels do.  ``ends`` holds
+    the position pair of every link, the ``k`` edges first in the graph's
+    set order and then the fixed arcs as (tail, head).  ``deg`` counts the
+    links at each vertex.
+    """
+
+    __slots__ = ("labels", "ends", "k", "deg")
+
+    def __init__(self, graph: PartiallyDirectedGraph):
+        self.labels = labels = sorted(graph.vertices)
+        at = dict(zip(labels, range(len(labels))))
+        self.ends = ends = [(at[u], at[v]) for u, v in graph.edges]
+        self.k = len(ends)
+        ends += [(at[t], at[h]) for t, h in graph.arcs]
+        self.deg = deg = [0] * len(labels)
+        for a, b in ends:
+            deg[a] += 1
+            deg[b] += 1
+
+
+def _roots(ix: _Index) -> tuple[list[int], bool]:
+    """The lowest vertex of each vertex's connected component (links taken
+    undirected), and whether some link joins two vertices already connected
+    through others.  Union-find with path halving; a merge keeps the lower
+    root, so a root is the lowest vertex of its set."""
+    root = list(range(len(ix.labels)))
+    cyclic = False
+    for u, v in ix.ends:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u < v:
+            root[v] = u
+        elif v < u:
+            root[u] = v
+        else:
+            cyclic = True
+    for v in range(len(root)):
+        # root[v] <= v, so root[root[v]] is already final
+        root[v] = root[root[v]]
+    return root, cyclic
+
+
+def _is_forest(ix: _Index) -> bool:
+    """True when the links together (direction ignored) contain no cycle."""
+    if len(ix.ends) >= len(ix.labels) > 0:
+        return False   # a forest has fewer links than vertices
+    return not _roots(ix)[1]
 
 
 def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     """True when edges and arcs together (direction ignored) contain no cycle."""
-    if len(graph.edges) + len(graph.arcs) >= len(graph.vertices) > 0:
-        return False   # a forest has fewer links than vertices
-    parent = dict(zip(graph.vertices, graph.vertices))
-    for u, v in chain(graph.edges, graph.arcs):
-        # union-find with path halving
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u == v:
-            return False
-        parent[u] = v
-    return True
-
-
-def _components(adj: dict[Vertex, list[Vertex]]) -> list[set[Vertex]]:
-    """Vertex sets of the connected components of an adjacency map, in
-    ascending order of their lowest vertex."""
-    seen: set[Vertex] = set()
-    comps: list[set[Vertex]] = []
-    for v0 in sorted(adj):
-        if v0 in seen:
-            continue
-        comp = {v0}
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return _is_forest(_Index(graph))
 
 
 def max_degree(graph: PartiallyDirectedGraph) -> int:
-    ends = Counter(chain.from_iterable(chain(graph.edges, graph.arcs)))
-    return max(ends.values(), default=0)
+    return max(_Index(graph).deg, default=0)
+
+
+class _Part(NamedTuple):
+    """One connected component of an index: its vertices as index positions,
+    ascending; the link ids of its edges in ascending order of their ends;
+    and its edges and fixed arcs as position pairs within ``verts``."""
+
+    verts: list[int]
+    edge_ids: list[int]
+    ends: list[tuple[int, int]]
+    arcs: list[tuple[int, int]]
+
+
+def _split(ix: _Index) -> list[_Part]:
+    """The connected components of the links (direction ignored), in
+    ascending order of their lowest vertex."""
+    root = _roots(ix)[0]
+    ends, k = ix.ends, ix.k
+    pos = [0] * len(root)       # a vertex's position in its part
+    part_at = [0] * len(root)   # a lowest vertex's part
+    parts: list[_Part] = []
+    for v, r in zip(range(len(root)), root):
+        if r == v:
+            part_at[v] = len(parts)
+            parts.append(_Part([v], [], [], []))
+        else:
+            verts = parts[part_at[r]].verts
+            pos[v] = len(verts)
+            verts.append(v)
+    for i in sorted(range(k), key=ends.__getitem__):
+        a, b = ends[i]
+        part = parts[part_at[root[a]]]
+        part.edge_ids.append(i)
+        part.ends.append((pos[a], pos[b]))
+    for t, h in islice(ends, k, None):
+        parts[part_at[root[t]]].arcs.append((pos[t], pos[h]))
+    return parts
+
+
+def _check_witness(
+    ix: _Index,
+    arcs: list[tuple[int, int]],
+    odd_set: frozenset[Vertex],
+    scope: Optional[set[Vertex]] = None,
+) -> None:
+    """Raise RuntimeError unless ``arcs``, one (tail, head) position pair per
+    edge of ``ix`` in link order, orient each edge along its own two ends,
+    leave no directed cycle together with the fixed arcs, and meet the
+    parity constraint on ``scope`` (default: every vertex).
+
+    Linear time: one pass over the links counts in-degrees, and Kahn's
+    count (CACM 1962) peels every vertex exactly when the arcs are acyclic.
+    Solvers never hand back a witness that has not passed it.
+    """
+    labels, ends, k = ix.labels, ix.ends, ix.k
+    n = len(labels)
+    if len(arcs) != k:
+        raise RuntimeError("solver produced a witness that misses an edge")
+    for (t, h), (a, b) in zip(arcs, ends):
+        if t + h != a + b or (t != a and t != b):
+            raise RuntimeError(
+                f"solver produced an arc {labels[t]}->{labels[h]} on no edge"
+            )
+    indeg = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for t, h in chain(arcs, islice(ends, k, None)):
+        out[t].append(h)
+        indeg[h] += 1
+    left = indeg[:]
+    stack = [v for v in range(n) if not left[v]]
+    peeled = 0
+    while stack:
+        peeled += 1
+        for w in out[stack.pop()]:
+            left[w] -= 1
+            if not left[w]:
+                stack.append(w)
+    if peeled < n:
+        raise RuntimeError("solver produced a cyclic witness")
+    for d, label in zip(indeg, labels):
+        if (d & 1) != (label in odd_set) and (scope is None or label in scope):
+            raise RuntimeError("solver produced a parity-violating witness")
+
+
+def _orientation(
+    ix: _Index, arcs: list[tuple[int, int]], graph: PartiallyDirectedGraph
+) -> Orientation:
+    """The checked edge directions ``arcs`` plus the fixed arcs, by label."""
+    labels = ix.labels
+    chosen = frozenset([(labels[t], labels[h]) for t, h in arcs])
+    return Orientation(arcs=chosen | graph.arcs)
 
 
 # -- forests and max-degree-2 graphs ---------------------------------------------
@@ -418,9 +538,10 @@ def solve_tree(problem: OrientationProblem) -> SolveResult:
     On a forest the T-odd orientation is unique when it exists, and any
     orientation of a forest is acyclic, so leaf peeling alone decides it.
     """
-    if not underlying_is_forest(problem.graph):
+    ix = _Index(problem.graph)
+    if not _is_forest(ix):
         raise GraphError("solve_tree requires a forest (underlying links acyclic)")
-    return _solve_sparse(problem)
+    return _solve_sparse(problem, ix)
 
 
 def solve_degree_two(problem: OrientationProblem) -> SolveResult:
@@ -428,16 +549,15 @@ def solve_degree_two(problem: OrientationProblem) -> SolveResult:
     pass ``decide`` also uses; any other graph raises ``GraphError``.  The
     paths peel as in a forest, and each cycle is walked from both directions
     of one link."""
-    if max_degree(problem.graph) > 2:
+    ix = _Index(problem.graph)
+    if max(ix.deg, default=0) > 2:
         raise GraphError("solve_degree_two requires maximum degree 2")
-    return _solve_sparse(problem)
+    return _solve_sparse(problem, ix)
 
 
-def _solve_sparse(problem: OrientationProblem) -> SolveResult:
-    """One linear pass for a forest or a graph of maximum degree 2.
-
-    The index numbers the vertices in ascending label order and the links by
-    position, the edges first and then the fixed arcs.  Leaves are peeled
+def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
+    """One linear pass for a forest or a graph of maximum degree 2, over the
+    problem's index, whose ``ends`` number the links.  Leaves are peeled
     lowest first, and each leaf's parity demand forces its only link.  What
     is left of a max-degree-2 graph is a union of rings.  Each is walked from
     its lowest vertex, whose link toward its lower neighbour is seeded
@@ -447,21 +567,13 @@ def _solve_sparse(problem: OrientationProblem) -> SolveResult:
     out.  ``propagations`` counts each peeled link and each ring link forced
     from a seed.
     """
-    g = problem.graph
-    labels = sorted(g.vertices)
+    labels, ends, k = ix.labels, ix.ends, ix.k   # links k.. are the fixed arcs
     n = len(labels)
-    index = dict(zip(labels, range(n)))
-    edges = list(g.edges)
-    k = len(edges)   # links k.. are the fixed arcs
-    ends = [(index[u], index[v]) for u, v in edges]
-    ends += [(index[t], index[h]) for t, h in g.arcs]
     # The links at a vertex are kept as their count, the XOR of their ids and
     # one of them: with one link left the XOR is its id, and on a ring the
     # XOR with the link walked in is the link to walk out on.
-    deg, xor, one = [0] * n, [0] * n, [0] * n
+    deg, xor, one = ix.deg[:], [0] * n, [0] * n
     for li, (a, b) in zip(range(len(ends)), ends):
-        deg[a] += 1
-        deg[b] += 1
         xor[a] ^= li
         xor[b] ^= li
         one[a] = one[b] = li
@@ -555,9 +667,13 @@ def _solve_sparse(problem: OrientationProblem) -> SolveResult:
                 pair = (ring[i], ring[i + 1])
                 arcs[links[i]] = pair if fwd[i] else pair[::-1]
 
-    witness = Orientation.of(g, [(labels[t], labels[h]) for t, h in arcs])
-    _check_witness(problem, witness)
-    return SolveResult(FEASIBLE, witness=witness, propagations=steps, enumerated=1)
+    _check_witness(ix, arcs, problem.odd_set)
+    return SolveResult(
+        FEASIBLE,
+        witness=_orientation(ix, arcs, problem.graph),
+        propagations=steps,
+        enumerated=1,
+    )
 
 
 # -- complete backtracking solver ----------------------------------------------------
@@ -690,30 +806,30 @@ class _ExactSearch:
 
     def __init__(
         self,
-        problem: OrientationProblem,
+        labels: list[Vertex],
+        part: _Part,
+        target: list[bool],
+        scoped: Optional[list[bool]],
         budget: int,
-        scope: Optional[set[Vertex]],
         count_all: bool,
     ):
-        g = problem.graph
-        self.graph = g
-        self.problem = problem
+        """Search ``part`` of an index whose vertices are ``labels``;
+        ``target`` and ``scoped`` flag each index position odd and under the
+        parity constraint (None: every vertex is)."""
         self.budget = budget
         self.count_all = count_all
 
-        self.verts = sorted(g.vertices)
-        self.n = len(self.verts)
-        index = dict(zip(self.verts, range(self.n)))
-        edge_list = sorted(g.edges)
-        self.edge_list = edge_list
-        self.m = len(edge_list)
-        self.ends = [(index[u], index[v]) for u, v in edge_list]
+        verts = part.verts
+        self.labels, self.verts = labels, verts
+        self.n = len(verts)
+        self.ends = part.ends
+        self.m = len(part.ends)
 
-        if scope is None:
+        if scoped is None:
             self.scoped = [True] * self.n
         else:
-            self.scoped = [v in scope for v in self.verts]
-        self.target = [v in problem.odd_set for v in self.verts]
+            self.scoped = [scoped[x] for x in verts]
+        self.target = [target[x] for x in verts]
 
         self.und = [0] * self.n
         self.edge_at: list[list[int]] = [[] for _ in range(self.n)]
@@ -754,11 +870,9 @@ class _ExactSearch:
         self.pending: set[int] = set()
         self.dirtied: list[int] = []
         self.ring_log: list[tuple] = []
-        for t, h in g.arcs:
-            self.in_par[index[h]] ^= 1
-        self.fixed_acyclic = all(
-            self.extend_closure(index[t], index[h]) for t, h in g.arcs
-        )
+        for _, h in part.arcs:
+            self.in_par[h] ^= 1
+        self.fixed_acyclic = all(self.extend_closure(t, h) for t, h in part.arcs)
 
         self.undecided_total = self.m
         # (edge, tail, head, ring_log length before the arc)
@@ -773,7 +887,9 @@ class _ExactSearch:
         self.decisions = 0
         self.propagations = 0
         self.enumerated = 0
-        self.first_witness: Optional[Orientation] = None
+        # the (tail, head) of each edge in the first solution found, as
+        # positions in the part
+        self.first_witness: Optional[list[Arc]] = None
 
     # -- state updates ------------------------------------------------------
 
@@ -1234,14 +1350,11 @@ class _ExactSearch:
                 best, best_key = e, key
         return best
 
-    def build_witness(self) -> Orientation:
-        directed = [(self.verts[t], self.verts[h]) for t, h in self.decided]
-        return Orientation.of(self.graph, directed)
-
     def result(self, status: str, detail: str = "") -> SolveResult:
+        """The outcome without a witness; a feasible search leaves its first
+        solution in ``first_witness``."""
         return SolveResult(
             status,
-            witness=self.first_witness if status == FEASIBLE else None,
             decisions=self.decisions,
             propagations=self.propagations,
             enumerated=self.enumerated,
@@ -1292,9 +1405,8 @@ class _ExactSearch:
             if not self.scoped[x]:
                 continue
             if self.und[x] == 0 and self.in_par[x] != self.target[x]:
-                return self.result(
-                    INFEASIBLE, f"parity cannot be met at vertex {self.verts[x]}"
-                )
+                label = self.labels[self.verts[x]]
+                return self.result(INFEASIBLE, f"parity cannot be met at vertex {label}")
             if self.und[x] == 1:
                 self.force_q.append(x)
         ok = self.quiesce()
@@ -1307,7 +1419,7 @@ class _ExactSearch:
             if ok and self.undecided_total == 0:
                 self.enumerated += 1
                 if self.first_witness is None:
-                    self.first_witness = self.build_witness()
+                    self.first_witness = self.decided[:]
                 if not self.count_all:
                     return self.result(FEASIBLE)
                 # keep exhausting, through every frame's alternative
@@ -1369,8 +1481,7 @@ def solve_exact(
     A directed cycle and an in-degree both stay inside one connected
     component of the links (direction ignored), so the components are
     searched one at a time, in ascending order of their lowest vertex, and
-    the first infeasible or aborted one ends the solve.  A connected instance
-    is searched as given.
+    the first infeasible or aborted one ends the solve.
 
     ``budget`` caps branch decisions over all components together: each gets
     what the earlier ones left.  Overruns return status "aborted", never a
@@ -1378,7 +1489,8 @@ def solve_exact(
     set by default).  ``decisions`` and ``propagations`` are summed over the
     components searched.  With ``count_all`` each component's search
     exhausts its space, and ``enumerated`` is the product of their solution
-    counts.  The witness is the union of the component witnesses.
+    counts.  The witness is the union of the component witnesses, checked
+    for acyclicity and for parity on the scope.
     """
     g = problem.graph
     if scope is not None:
@@ -1386,14 +1498,28 @@ def solve_exact(
         stray = scope - g.vertices
         if stray:
             raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
-    comps = _components(g.adjacency())
-    parts = [problem] if len(comps) == 1 else _split(problem, comps)
+    return _solve_exact(problem, _Index(g), budget, scope, count_all)
+
+
+def _solve_exact(
+    problem: OrientationProblem,
+    ix: _Index,
+    budget: int,
+    scope: Optional[set[Vertex]] = None,
+    count_all: bool = False,
+) -> SolveResult:
+    """``solve_exact`` over the problem's index, ``scope`` already checked."""
+    labels = ix.labels
+    target = [v in problem.odd_set for v in labels]
+    scoped = None if scope is None else [v in scope for v in labels]
     decisions = propagations = 0
     enumerated = 1
-    arcs: set[Arc] = set()
-    for part in parts:
-        part_scope = None if scope is None else scope & part.graph.vertices
-        outcome = _ExactSearch(part, budget - decisions, part_scope, count_all).run()
+    arcs = ix.ends[: ix.k]   # each edge's (tail, head), filled in per part
+    for part in _split(ix):
+        search = _ExactSearch(
+            labels, part, target, scoped, budget - decisions, count_all
+        )
+        outcome = search.run()
         decisions += outcome.decisions
         propagations += outcome.propagations
         enumerated *= outcome.enumerated
@@ -1405,63 +1531,31 @@ def solve_exact(
                 enumerated=enumerated,
                 detail=outcome.detail,
             )
-        arcs |= outcome.witness.arcs
-    witness = Orientation(arcs=frozenset(arcs))
-    if scope is None:
-        _check_witness(problem, witness)
+        verts = part.verts
+        for i, (t, h) in zip(part.edge_ids, search.first_witness):
+            arcs[i] = (verts[t], verts[h])
+    _check_witness(ix, arcs, problem.odd_set, scope)
     return SolveResult(
         FEASIBLE,
-        witness=witness,
+        witness=_orientation(ix, arcs, problem.graph),
         decisions=decisions,
         propagations=propagations,
         enumerated=enumerated,
     )
 
 
-def _split(
-    problem: OrientationProblem, comps: list[set[Vertex]]
-) -> list[OrientationProblem]:
-    """The sub-problem induced by each vertex set of a partition into
-    connected components, in the order given."""
-    owner: dict[Vertex, int] = {}
-    for i in range(len(comps)):
-        owner.update(dict.fromkeys(comps[i], i))
-    edges: list[list[Edge]] = [[] for _ in comps]
-    arcs: list[list[Arc]] = [[] for _ in comps]
-    for e in problem.graph.edges:
-        edges[owner[e[0]]].append(e)
-    for a in problem.graph.arcs:
-        arcs[owner[a[0]]].append(a)
-    return [
-        OrientationProblem(
-            graph=PartiallyDirectedGraph(
-                vertices=frozenset(comp),
-                edges=frozenset(comp_edges),
-                arcs=frozenset(comp_arcs),
-            ),
-            odd_set=problem.odd_set & comp,
-        )
-        for comp, comp_edges, comp_arcs in zip(comps, edges, arcs)
-    ]
-
-
 def decide(problem: OrientationProblem, *, budget: int = 10_000_000) -> SolveResult:
-    """Dispatcher: the parity gate, then the linear pass behind
-    ``solve_tree`` and ``solve_degree_two`` on a forest or a graph of
-    maximum degree 2, else ``solve_exact`` within ``budget`` decisions."""
+    """Dispatcher: the parity gate, then one integer index of the problem
+    that the rest reads.  On a graph of maximum degree 2 or a forest it
+    runs the linear pass behind ``solve_tree`` and ``solve_degree_two``,
+    else ``solve_exact`` within ``budget`` decisions; either witness is
+    checked on the same index."""
     if not parity_feasible(problem):
         return SolveResult(INFEASIBLE, detail="parity: |E|+|A|+|T| is odd")
-    if underlying_is_forest(problem.graph) or max_degree(problem.graph) <= 2:
-        return _solve_sparse(problem)
-    return solve_exact(problem, budget=budget)
-
-
-def _check_witness(problem: OrientationProblem, witness: Orientation) -> None:
-    # solvers never hand back an unverified witness
-    if not is_acyclic(witness.arcs).acyclic:
-        raise RuntimeError("solver produced a cyclic witness")
-    if not is_T_odd_on(problem, witness):
-        raise RuntimeError("solver produced a parity-violating witness")
+    ix = _Index(problem.graph)
+    if max(ix.deg, default=0) <= 2 or _is_forest(ix):
+        return _solve_sparse(problem, ix)
+    return _solve_exact(problem, ix, budget)
 
 
 # -- apex transform -----------------------------------------------------------------

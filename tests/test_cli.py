@@ -66,7 +66,7 @@ class TestSolve:
     def test_malformed_witness_is_an_error(self, tmp_path, capsys):
         inst = _instance_file(tmp_path, "t.json", [0, 1], [(0, 1)], odd=[1])
         wit = tmp_path / "w.json"
-        wit.write_text('{"format": "oddorient-witness", "arcs": [5]}')
+        wit.write_text('{"format": "oddorient-witness", "version": 1, "arcs": [5]}')
         assert run("solve", inst, "--check-witness", wit) == 2
         assert "error" in capsys.readouterr().err
 

@@ -179,7 +179,26 @@ class TestMalformedLinks:
     def test_witness_arc_not_a_pair(self):
         p = _problem([0, 1], [(0, 1)])
         with pytest.raises(FormatError, match="arcs"):
-            read_witness('{"format": "oddorient-witness", "arcs": [5]}', p)
+            read_witness(
+                '{"format": "oddorient-witness", "version": 1, "arcs": [5]}', p
+            )
+
+    @pytest.mark.parametrize("version", [None, "x", 99, True, 1.0])
+    def test_version_must_be_known(self, version):
+        p = _problem([0, 1], [(0, 1)])
+        docs = [
+            json.loads(write_instance(p)),
+            json.loads(write_witness(Orientation.of(p.graph, [(0, 1)]))),
+        ]
+        for doc in docs:
+            if version is None:
+                del doc["version"]
+            else:
+                doc["version"] = version
+        with pytest.raises(FormatError, match="version"):
+            read_instance(json.dumps(docs[0]))
+        with pytest.raises(FormatError, match="version"):
+            read_witness(json.dumps(docs[1]), p)
 
 
 class TestMalformedSections:

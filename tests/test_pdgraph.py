@@ -1,7 +1,7 @@
 """Graph type invariants, boundaries, acyclicity, and parity checks."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oddorient.pdgraph import (
@@ -321,3 +321,68 @@ def test_is_acyclic_matches_networkx(arcs):
         assert cyc[0] == min(cyc)
         assert len(set(cyc)) == len(cyc)
         assert set(zip(cyc, cyc[1:] + cyc[:1])) <= set(arcs)
+
+
+def extends_by_loop(graph, orientation) -> bool:
+    """Reference: every fixed arc kept, and each other arc on its own edge."""
+    if any(a not in orientation.arcs for a in graph.arcs):
+        return False
+    covered = set()
+    for u, v in orientation.arcs - graph.arcs:
+        pair = canonical_edge(u, v)
+        if pair not in graph.edges or pair in covered:
+            return False
+        covered.add(pair)
+    return covered == set(graph.edges)
+
+
+def odd_on_by_loop(problem, orientation, scope) -> bool:
+    """Reference: each scoped vertex's in-degree counted arc by arc."""
+    for v in problem.graph.vertices if scope is None else set(scope):
+        in_degree = sum(1 for _, h in orientation.arcs if h == v)
+        if (in_degree % 2 == 1) != (v in problem.odd_set):
+            return False
+    return True
+
+
+# the ways a drawn orientation is spoiled before both checks read it
+_SPOILS = ("none", "drop-fixed-arc", "both-directions", "stray-arc", "drop-edge-arc")
+
+
+@given(oriented_instances(), st.data())
+@example((small_graph(), Orientation(arcs=frozenset({(1, 2), (2, 3), (4, 1)}))), None)
+@settings(max_examples=200, deadline=None)
+def test_set_based_checks_match_loops(inst, data):
+    """``extends`` and ``is_T_odd_on`` agree with plain loops on drawn
+    orientations, whole or spoiled, with odd sets and scopes that may hold
+    non-vertices."""
+    g, o = inst
+    verts = sorted(g.vertices)
+    labels = st.integers(min(verts) - 2, max(verts) + 2)
+    # the odd set the drawn orientation meets, changed at a few labels
+    odd = frozenset(v for v, d in o.in_degrees(g.vertices).items() if d % 2)
+    spoil, scope = "none", None
+    if data is not None:
+        spoil = data.draw(st.sampled_from(_SPOILS))
+        odd ^= data.draw(st.frozensets(labels, max_size=2))
+        scope = data.draw(st.none() | st.sets(labels))
+    arcs = set(o.arcs)
+    if spoil == "drop-fixed-arc" and g.arcs:
+        arcs.discard(data.draw(st.sampled_from(sorted(g.arcs))))
+    elif spoil == "both-directions" and g.edges:
+        u, v = data.draw(st.sampled_from(sorted(g.edges)))
+        arcs |= {(u, v), (v, u)}
+    elif spoil == "stray-arc":
+        arcs.add((data.draw(labels), data.draw(labels)))
+    elif spoil == "drop-edge-arc" and g.edges:
+        u, v = data.draw(st.sampled_from(sorted(g.edges)))
+        arcs -= {(u, v), (v, u)}
+    spoilt = Orientation(arcs=frozenset(arcs))
+    # the raw constructor keeps odd labels that are not vertices
+    prob = OrientationProblem(graph=g, odd_set=odd)
+    assert extends(g, spoilt) == extends_by_loop(g, spoilt)
+    assert is_T_odd_on(prob, spoilt, scope) == odd_on_by_loop(prob, spoilt, scope)
+    if spoil == "none":
+        assert extends(g, spoilt)
+        if data is None:
+            assert is_T_odd_on(prob, spoilt)

@@ -22,6 +22,8 @@ from oddorient.pdgraph import (
 from oddorient.solver import (
     BudgetError,
     NormalizeError,
+    _check_witness,
+    _Index,
     apex_feasible_variant,
     apex_transform,
     decide,
@@ -363,6 +365,60 @@ class TestDecide:
             odd = [v for v in range(n) if rng.random() < 0.5]
             prob = problem(range(n), edges, odd=odd)
             assert decide(prob).feasible == (enum(prob).total_valid > 0)
+
+
+def indexed(prob, witness):
+    """The index of ``prob`` and the witness's (tail, head) position pair for
+    each of its edges, in link order: the form ``_check_witness`` reads."""
+    ix = _Index(prob.graph)
+    labels = ix.labels
+    arcs = [
+        (a, b) if (labels[a], labels[b]) in witness.arcs else (b, a)
+        for a, b in ix.ends[: ix.k]
+    ]
+    return ix, arcs
+
+
+class TestWitnessCheck:
+    def test_flipped_edge_breaks_parity(self):
+        # a forest stays acyclic under any flip, so only parity can catch it;
+        # a flip moves one in-arc between the edge's two ends
+        prob = problem(
+            range(6), [(0, 1), (1, 2), (1, 3), (3, 4)], [(5, 4)], odd=[1, 2, 3]
+        )
+        res = decide(prob)
+        assert res.feasible
+        ix, arcs = indexed(prob, res.witness)
+        _check_witness(ix, arcs, prob.odd_set)
+        for i in range(len(arcs)):
+            flipped = arcs[:]
+            flipped[i] = arcs[i][::-1]
+            with pytest.raises(RuntimeError, match="parity"):
+                _check_witness(ix, flipped, prob.odd_set)
+            # outside the scope the flip goes unseen
+            ends = {ix.labels[x] for x in arcs[i]}
+            _check_witness(ix, flipped, prob.odd_set, set(range(6)) - ends)
+
+    def test_directed_cycle_that_keeps_parity_is_caught(self):
+        # a 4-cycle with the chord 0-2 and only 1 odd: two of the four parity
+        # solutions are acyclic, and the other two hold a directed cycle
+        prob = problem(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], odd=[1])
+        res = decide(prob)
+        assert res.feasible
+        _check_witness(*indexed(prob, res.witness), prob.odd_set)
+        parity_only = enum(prob, witness_cap=None, require_acyclic=False).witnesses
+        cyclic = [w for w in parity_only if not is_acyclic(w.arcs).acyclic]
+        assert len(cyclic) == 2
+        for w in cyclic:
+            with pytest.raises(RuntimeError, match="cyclic"):
+                _check_witness(*indexed(prob, w), prob.odd_set)
+
+    def test_arc_off_its_edge_is_caught(self):
+        prob = path3(odd=[0, 2])
+        ix, arcs = indexed(prob, decide(prob).witness)
+        arcs[0] = (0, 2)
+        with pytest.raises(RuntimeError, match="no edge"):
+            _check_witness(ix, arcs, prob.odd_set)
 
 
 class TestApexTransform:

@@ -27,6 +27,8 @@ from oddorient.solver import (
     ABORTED,
     INFEASIBLE,
     _ExactSearch,
+    _Index,
+    _Part,
     decide,
     enumerate as enum,
     solve_exact,
@@ -83,6 +85,10 @@ def test_counting_search_matches_oracle(prob, data):
         rep = enum(prob, scope=scope)
         assert res.enumerated == rep.total_valid
         assert res.feasible == (rep.total_valid > 0)
+        if res.feasible:
+            w = res.witness
+            assert extends(prob.graph, w) and is_acyclic(w.arcs).acyclic
+            assert is_T_odd_on(prob, w, scope)
 
 
 def test_examples_are_parity_feasible_but_infeasible():
@@ -92,11 +98,24 @@ def test_examples_are_parity_feasible_but_infeasible():
         assert enum(prob).total_valid == 0
 
 
-def reach_by_bfs(search: _ExactSearch) -> list[int]:
+def search_on(prob, budget=0, scope=None, count_all=False) -> _ExactSearch:
+    """An exact search over the whole of ``prob`` as one part, connected or
+    not; ``solve_exact`` runs one per connected component."""
+    ix = _Index(prob.graph)
+    ids = sorted(range(ix.k), key=ix.ends.__getitem__)
+    whole = _Part(
+        list(range(len(ix.labels))), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
+    )
+    target = [v in prob.odd_set for v in ix.labels]
+    scoped = None if scope is None else [v in scope for v in ix.labels]
+    return _ExactSearch(ix.labels, whole, target, scoped, budget, count_all)
+
+
+def reach_by_bfs(search: _ExactSearch, prob: OrientationProblem) -> list[int]:
     """desc recomputed from scratch over the fixed and decided arcs."""
-    index = {v: i for i, v in zip(range(search.n), search.verts)}
+    index = {v: i for i, v in enumerate(sorted(prob.graph.vertices))}
     out = [[] for _ in range(search.n)]
-    for t, h in search.graph.arcs:
+    for t, h in prob.graph.arcs:
         out[index[t]].append(index[h])
     for arc in search.decided:
         if arc is not None:
@@ -115,10 +134,10 @@ def reach_by_bfs(search: _ExactSearch) -> list[int]:
 @settings(max_examples=150, deadline=None)
 def test_closure_tracks_apply_and_undo(prob, seed):
     rng = random.Random(seed)
-    search = _ExactSearch(prob, budget=0, scope=None, count_all=False)
+    search = search_on(prob)
     if not search.fixed_acyclic:
         return
-    assert search.desc == reach_by_bfs(search)
+    assert search.desc == reach_by_bfs(search, prob)
     checkpoints = []
     for _ in range(40):
         undecided = [e for e in range(search.m) if search.decided[e] is None]
@@ -140,7 +159,7 @@ def test_closure_tracks_apply_and_undo(prob, seed):
             # breaks parity stays applied until the search backtracks
             if search.decided[e] is None:
                 assert not ok and search.desc == before
-        assert search.desc == reach_by_bfs(search)
+        assert search.desc == reach_by_bfs(search, prob)
 
 
 def pure_cycle_reps_by_bfs(search: _ExactSearch) -> list[int]:
@@ -233,7 +252,7 @@ def assert_rings_match_references(search: _ExactSearch) -> None:
 @settings(max_examples=150, deadline=None)
 def test_pure_cycle_walk_matches_bfs(prob, seed):
     rng = random.Random(seed)
-    search = _ExactSearch(prob, budget=0, scope=None, count_all=False)
+    search = search_on(prob)
     for _ in range(search.m + 1):
         assert_rings_match_references(search)
         undecided = [e for e in range(search.m) if search.decided[e] is None]
@@ -258,7 +277,7 @@ def random_search_state(prob: OrientationProblem, rng: random.Random):
             edges.append((u, v))
     odd = [v for v in verts if rng.random() < 0.5]
     scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
-    search = _ExactSearch(problem(verts, edges, arcs, odd), 0, scope, False)
+    search = search_on(problem(verts, edges, arcs, odd), 0, scope)
     if not search.fixed_acyclic:
         return None
     for _ in range(rng.randrange(len(edges) // 2 + 1)):
@@ -290,9 +309,9 @@ def probe_by_trial(search: _ExactSearch, e: int) -> tuple[bool, bool]:
 def test_probe_walks_both_ways_to_the_unscoped_vertex():
     # the 5-cycle 0-1-2-3-4 with 2 unscoped and the rest odd: parity forces
     # 1->0->4->3->2 and 2->1 from the arc 1->0, once round the ring
-    search = _ExactSearch(
+    search = search_on(
         problem(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], odd=[0, 1, 3, 4]),
-        0, {0, 1, 3, 4}, False,
+        0, {0, 1, 3, 4},
     )
     [(e, ring)] = search._pure_cycle_reps()
     assert ring == [0, 1, 2, 3, 4]
@@ -396,7 +415,7 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
     # unscoped vertices keep one undecided link after propagation
     scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
     g = prob.graph
-    search = _ExactSearch(problem(verts, g.edges, g.arcs, odd), 0, scope, False)
+    search = search_on(problem(verts, g.edges, g.arcs, odd), 0, scope)
     if not search.fixed_acyclic:
         return
     checkpoints = []
@@ -451,7 +470,7 @@ def replay(prob, scope, decisions, mask) -> tuple[bool, _ExactSearch]:
     """A fresh search that takes only the decisions at the levels in
     ``mask`` (``decisions[i]`` is level i + 1), each followed by quiesce,
     and whether it stayed free of conflict."""
-    search = _ExactSearch(prob, 0, scope, False)
+    search = search_on(prob, 0, scope)
     ok = start(search)
     for level, (e, t, h) in zip(range(1, len(decisions) + 1), decisions):
         if not ok:
@@ -494,7 +513,7 @@ def test_dependency_masks_are_sound(prob, seed):
     odd = [v for v in verts if rng.random() < 0.5]
     scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
     prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
-    search = _ExactSearch(prob, 0, scope, False)
+    search = search_on(prob, 0, scope)
     if not search.fixed_acyclic:
         return
     ok = start(search)
@@ -516,7 +535,7 @@ def test_probe_reason_holds_the_path_between_ring_vertices():
     # rejects the ring direction whose arcs lead from 2 back to 0
     prob = problem(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], [(0, 4), (5, 2)], [1])
     scope = {0, 1, 2, 3}
-    search = _ExactSearch(prob, 0, scope, False)
+    search = search_on(prob, 0, scope)
     assert start(search) and search.undecided_total == 5
     decisions = [(4, 4, 5)]
     assert search.apply_arc(4, 4, 5, 1 << 1, decision=True) and search.quiesce()
@@ -536,7 +555,7 @@ def replay_nogood(prob, scope, earlier, lits) -> bool:
     """Whether a fresh search holding the nogoods ``earlier`` reaches a
     conflict when it takes the literals ``lits`` as decisions, each followed
     by quiesce."""
-    search = _ExactSearch(prob, 0, scope, False)
+    search = search_on(prob, 0, scope)
     for old in earlier:
         search.add_nogood(old)
     ok = start(search)
@@ -571,7 +590,7 @@ def test_learned_nogoods_are_sound(prob, seed):
         scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
         count_all = rng.random() < 0.5
         prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
-    search = _ExactSearch(prob, 10**6, scope, count_all)
+    search = search_on(prob, 10**6, scope, count_all)
     search.run()
     if seed is None:
         assert search.nogoods
@@ -592,7 +611,7 @@ def test_decide_matches_oracle_and_learns():
         prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
         feasible = enum(prob).total_valid > 0
         assert decide(prob).feasible == feasible
-        search = _ExactSearch(prob, 10**6, None, False)
+        search = search_on(prob, 10**6)
         assert search.run().feasible == feasible
         learned.append(bool(search.nogoods))
 
