@@ -389,15 +389,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=False):
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable report on stdout")
-        p.add_argument("--budget", type=int, default=10_000_000,
-                       help="search node budget (default 10^7)")
-        p.add_argument("--enum-cap", type=int, default=26,
-                       help="exhaustive sweep cap: the largest dimension d of "
-                            "the parity solution space, which the sweep walks "
-                            "in 2^d steps (default 26)")
+    def common(p, instance=False, budget=False, json_flag=True):
+        if json_flag:
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable report on stdout")
+        if budget:
+            p.add_argument("--budget", type=int, default=10_000_000,
+                           help="search node budget (default 10^7)")
         if instance:
             p.add_argument("--normalize-multi", action="store_true",
                            help="collapse parallel links while reading")
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="write a witness document here")
     p.add_argument("--check-witness", metavar="PATH",
                    help="validate an existing witness instead of solving")
-    common(p, instance=True)
+    common(p, instance=True, budget=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("reduce", help="assemble the artifact for a formula")
@@ -423,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="generator seed for --batch")
     p.add_argument("-n", "--variables", type=int, default=6)
     p.add_argument("-m", "--clauses", type=int, default=7)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("gadget", help="build a gadget and enumerate it")
@@ -434,6 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clause slot signs, e.g. ++-")
     p.add_argument("--boundary-class", type=int, choices=range(4),
                    help="fix this many inward port pairs (clause only)")
+    p.add_argument("--enum-cap", type=int, default=26,
+                   help="exhaustive sweep cap: the largest dimension d of "
+                        "the parity solution space, which the sweep walks "
+                        "in 2^d steps (default 26)")
     p.add_argument("-o", "--out", help="write the gadget instance here")
     common(p)
     p.set_defaults(func=cmd_gadget)
@@ -450,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--witness", help="orient all links per this witness")
     p.add_argument("-o", "--out", help="DOT path (default stdout)")
-    common(p, instance=True)
+    common(p, instance=True, json_flag=False)
     p.set_defaults(func=cmd_export_dot)
 
     p = sub.add_parser("normalize", help="rewrite to an empty odd set")
@@ -464,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", action="store_true",
                    help="per-vertex reading of the transform")
     p.add_argument("-o", "--out", help="write the transformed instance here")
-    common(p, instance=True)
+    common(p, instance=True, budget=True)
     p.set_defaults(func=cmd_apex)
 
     return parser

@@ -12,6 +12,7 @@ tables outside this module.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional
 
@@ -49,12 +50,18 @@ class PartiallyDirectedGraph:
         edges: Iterable[tuple[Vertex, Vertex]] = (),
         arcs: Iterable[tuple[Vertex, Vertex]] = (),
     ) -> "PartiallyDirectedGraph":
+        edges = [canonical_edge(u, v) for u, v in edges]
+        arcs = [(u, v) for u, v in arcs]
         graph = cls(
             vertices=frozenset(vertices),
-            edges=frozenset(canonical_edge(u, v) for u, v in edges),
-            arcs=frozenset((u, v) for u, v in arcs),
+            edges=frozenset(edges),
+            arcs=frozenset(arcs),
         )
         problems = validate(graph)
+        for listed, kept in ((edges, graph.edges), (arcs, graph.arcs)):
+            if len(kept) < len(listed):
+                u, v = next(p for p, c in Counter(listed).items() if c > 1)
+                problems.append(f"parallel links between {u} and {v}, listed twice")
         if problems:
             raise GraphError("; ".join(problems))
         return graph

@@ -10,9 +10,11 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
                      by peeling sinks with word-wide AND/OR,
 * ``solve_tree`` and ``solve_degree_two``
                      one linear pass over an integer index for forests and
-                     max-degree-2 graphs: leaf peeling, then a walk round
-                     each remaining cycle; the two names differ only in the
-                     graph class they accept,
+                     max-degree-2 graphs: fixed arcs only shift the parity
+                     their heads owe, undirected edges are peeled from the
+                     leaves, and each cycle of edges is cut at its lowest
+                     vertex first; the two names differ only in the graph
+                     class they accept,
 * ``solve_exact``    complete search with parity and cycle propagation,
                      conflict-directed backjumping and learned nogoods,
 
@@ -30,7 +32,7 @@ before it is returned.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -77,10 +79,11 @@ class SolveResult:
     scope (every vertex unless ``solve_exact`` was given one).
     ``enumerated`` counts complete solutions encountered (at most 1 unless the
     solver ran in counting mode).  ``propagations`` counts forced steps.  In
-    the exact search these are the arcs a rule forced and applied, decisions
-    excluded, including those a backtrack later undid and those a learned
-    nogood forced; its probe applies no arc, so a direction it only tests
-    counts nothing.
+    the linear pass these are the edges oriented by a parity demand: every
+    edge but the one cut from each cycle of edges.  In the exact search they
+    are the arcs a rule forced and applied, decisions excluded, including
+    those a backtrack later undid and those a learned nogood forced; its
+    probe applies no arc, so a direction it only tests counts nothing.
     """
 
     status: str
@@ -430,11 +433,15 @@ def _is_forest(ix: _Index) -> bool:
 
 def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     """True when edges and arcs together (direction ignored) contain no cycle."""
-    return _is_forest(_Index(graph))
+    if len(graph.edges) + len(graph.arcs) >= len(graph.vertices) > 0:
+        return False   # as in _is_forest, before any index is built
+    return not _roots(_Index(graph))[1]
 
 
 def max_degree(graph: PartiallyDirectedGraph) -> int:
-    return max(_Index(graph).deg, default=0)
+    """The most links (edges and arcs) at one vertex; 0 without links."""
+    deg = Counter(chain.from_iterable(chain(graph.edges, graph.arcs)))
+    return max(deg.values(), default=0)
 
 
 class _Part(NamedTuple):
@@ -479,15 +486,17 @@ def _check_witness(
     arcs: list[tuple[int, int]],
     odd_set: frozenset[Vertex],
     scope: Optional[set[Vertex]] = None,
-) -> None:
-    """Raise RuntimeError unless ``arcs``, one (tail, head) position pair per
-    edge of ``ix`` in link order, orient each edge along its own two ends,
-    leave no directed cycle together with the fixed arcs, and meet the
-    parity constraint on ``scope`` (default: every vertex).
+) -> bool:
+    """Whether ``arcs``, one (tail, head) position pair per edge of ``ix``
+    in link order, leave no directed cycle together with the fixed arcs.
+    Raise RuntimeError unless they orient each edge along its own two ends
+    and meet the parity constraint on ``scope`` (default: every vertex).
 
     Linear time: one pass over the links counts in-degrees, and Kahn's
     count (CACM 1962) peels every vertex exactly when the arcs are acyclic.
-    Solvers never hand back a witness that has not passed it.
+    Solvers hand back a witness only when the verdict is True: the exact
+    search raises on False, and the linear pass answers infeasible, since
+    its witness is acyclic when any parity orientation is.
     """
     labels, ends, k = ix.labels, ix.ends, ix.k
     n = len(labels)
@@ -512,11 +521,10 @@ def _check_witness(
             left[w] -= 1
             if not left[w]:
                 stack.append(w)
-    if peeled < n:
-        raise RuntimeError("solver produced a cyclic witness")
     for d, label in zip(indeg, labels):
         if (d & 1) != (label in odd_set) and (scope is None or label in scope):
             raise RuntimeError("solver produced a parity-violating witness")
+    return peeled == n
 
 
 def _orientation(
@@ -536,7 +544,8 @@ def solve_tree(problem: OrientationProblem) -> SolveResult:
     ``decide`` also uses; any other graph raises ``GraphError``.
 
     On a forest the T-odd orientation is unique when it exists, and any
-    orientation of a forest is acyclic, so leaf peeling alone decides it.
+    orientation of a forest is acyclic, so peeling the edges from the leaves
+    alone decides it.
     """
     ix = _Index(problem.graph)
     if not _is_forest(ix):
@@ -547,8 +556,10 @@ def solve_tree(problem: OrientationProblem) -> SolveResult:
 def solve_degree_two(problem: OrientationProblem) -> SolveResult:
     """Solve a graph of maximum degree 2 (paths and cycles) by the linear
     pass ``decide`` also uses; any other graph raises ``GraphError``.  The
-    paths peel as in a forest, and each cycle is walked from both directions
-    of one link."""
+    edges form paths, which peel as in a forest, and cycles; each cycle of
+    edges is cut at its lowest vertex and then peels like a path.  The
+    reverse of its parity orientation is the only other one, and is cyclic
+    exactly when it is, so the pass is exact."""
     ix = _Index(problem.graph)
     if max(ix.deg, default=0) > 2:
         raise GraphError("solve_degree_two requires maximum degree 2")
@@ -557,117 +568,87 @@ def solve_degree_two(problem: OrientationProblem) -> SolveResult:
 
 def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
     """One linear pass for a forest or a graph of maximum degree 2, over the
-    problem's index, whose ``ends`` number the links.  Leaves are peeled
-    lowest first, and each leaf's parity demand forces its only link.  What
-    is left of a max-degree-2 graph is a union of rings.  Each is walked from
-    its lowest vertex, whose link toward its lower neighbour is seeded
-    pointing at the lowest vertex first, then the other way; the parity
-    demands force the rest of the ring, and a seed is dropped when a fixed
-    arc, the parity at the lowest vertex or a circular direction rules it
-    out.  ``propagations`` counts each peeled link and each ring link forced
-    from a seed.
+    problem's index, whose ``ends`` number the links.
+
+    A fixed arc only flips the parity its head still owes; the pass peels
+    undirected edges alone.  A vertex with one edge left takes it in when it
+    owes odd in-degree and sends it out otherwise.  A cycle of edges, which
+    has no such vertex, is cut at its lowest vertex c: the edge toward c's
+    lower neighbour points at c, and the rest peels like a path.  Each edge
+    component thus ends at one vertex with no edge left, which still owes
+    exactly when the component's edges, fixed arcs into it and odd vertices
+    add up odd.  A connected edge set meets every parity demand whose sum
+    matches its edge count (Chevalier, Jaeger, Payan and Xuong 1983), so a
+    vertex left owing is the one parity exit, exact per edge component.
+
+    The parity orientation found is unique, except that a cycle of edges
+    has a second one, its reverse; the reverse of a directed cycle is one
+    too.  So the witness check's acyclicity verdict is the answer.
+    ``propagations`` counts the edges oriented by a parity demand: every
+    edge but the one cut from each cycle.
     """
     labels, ends, k = ix.labels, ix.ends, ix.k   # links k.. are the fixed arcs
     n = len(labels)
-    # The links at a vertex are kept as their count, the XOR of their ids and
-    # one of them: with one link left the XOR is its id, and on a ring the
-    # XOR with the link walked in is the link to walk out on.
-    deg, xor, one = ix.deg[:], [0] * n, [0] * n
-    for li, (a, b) in zip(range(len(ends)), ends):
+    owe = [v in problem.odd_set for v in labels]   # odd in-degree still owed
+    for _, h in islice(ends, k, None):
+        owe[h] = not owe[h]
+    # The edges at a vertex are kept as their count, the XOR of their ids and
+    # one of them: with one edge left the XOR is its id.
+    deg, xor, one = [0] * n, [0] * n, [0] * n
+    for li, (a, b) in zip(range(k), ends):
+        deg[a] += 1
+        deg[b] += 1
         xor[a] ^= li
         xor[b] ^= li
         one[a] = one[b] = li
-    owe = [v in problem.odd_set for v in labels]   # odd in-degree still owed
     arcs = ends[:k]   # the (tail, head) chosen for each edge
 
-    for v in range(n):
-        if not deg[v] and owe[v]:
-            return SolveResult(
-                INFEASIBLE,
-                detail=f"isolated vertex {labels[v]} cannot have odd in-degree",
-            )
-
     steps = 0
-    ready = [v for v in range(n) if deg[v] == 1]   # ascending, so a heap
-    while ready:
-        v = heapq.heappop(ready)
-        if deg[v] != 1:
-            continue
-        li = xor[v]
-        a, b = ends[li]
-        u = b if a == v else a
-        if li < k:
-            arcs[li] = (u, v) if owe[v] else (v, u)
-        elif (b == v) != owe[v]:
-            return SolveResult(
-                INFEASIBLE,
-                propagations=steps,
-                detail=f"fixed arc {labels[a]}->{labels[b]} contradicts "
-                f"parity at {labels[v]}",
-            )
-        steps += 1
-        head = arcs[li][1] if li < k else b
-        owe[head] = not owe[head]
-        deg[v] = 0
-        deg[u] -= 1
-        xor[u] ^= li
-        if deg[u] == 1:
-            heapq.heappush(ready, u)
-        elif not deg[u] and owe[u]:
-            return SolveResult(
-                INFEASIBLE,
-                propagations=steps,
-                detail=f"parity cannot be met at vertex {labels[u]}",
-            )
-
-    for c in range(n):
-        if deg[c] != 2:
-            continue   # peeled, isolated, or on a ring already walked
-        # ring[i] -- links[i] -- ring[i + 1], from c toward its lower neighbour
-        li = one[c]
-        if sum(ends[xor[c] ^ li]) < sum(ends[li]):   # c is an end of both
-            li ^= xor[c]
-        ring, links = [c], []
-        x = c
-        while True:
-            links.append(li)
+    ready = [v for v in range(n) if deg[v] == 1]
+    for c in range(n + 1):
+        while ready:
+            v = ready.pop()
+            if deg[v] != 1:
+                continue
+            li = xor[v]
             a, b = ends[li]
-            x = b if a == x else a
-            ring.append(x)
-            if x == c:
-                break
-            li ^= xor[x]
-        r = len(links)
-        # fwd[i]: links[i] points from ring[i] to ring[i + 1]
-        seeds = (False, True) if links[0] < k else (ends[links[0]][0] == c,)
-        for fwd0 in seeds:
-            fwd = [fwd0]
-            for i in range(1, r):
-                steps += 1
-                # links[i] leaves ring[i] when links[i - 1] alone meets its parity
-                f = owe[ring[i]] == fwd[-1]
-                if links[i] >= k and f != (ends[links[i]][0] == ring[i]):
-                    break
-                fwd.append(f)
-            else:
-                # c has odd in-degree when fwd0 == fwd[-1]; a ring pointing
-                # one way round is cyclic
-                if (fwd0 == fwd[-1]) == owe[c] and fwd.count(fwd0) < r:
-                    break
-        else:
-            return SolveResult(
-                INFEASIBLE,
-                propagations=steps,
-                detail=f"cycle component at {labels[c]} admits no acyclic "
-                "T-odd orientation",
-            )
-        for i in range(r):
-            deg[ring[i]] = 0
-            if links[i] < k:
-                pair = (ring[i], ring[i + 1])
-                arcs[links[i]] = pair if fwd[i] else pair[::-1]
+            u = a + b - v
+            head = v if owe[v] else u
+            arcs[li] = (a + b - head, head)
+            owe[head] = not owe[head]
+            steps += 1
+            deg[v] = 0
+            deg[u] -= 1
+            xor[u] ^= li
+            if deg[u] == 1:
+                ready.append(u)
+        if c < n and deg[c] == 2:
+            # the trees and every lower cycle are peeled, so c is the lowest
+            # vertex of a cycle of edges; c is an end of both its edges
+            li = one[c]
+            if sum(ends[xor[c] ^ li]) < sum(ends[li]):
+                li ^= xor[c]
+            u = sum(ends[li]) - c
+            arcs[li] = (u, c)
+            owe[c] = not owe[c]
+            deg[c] = deg[u] = 1
+            xor[c] ^= li
+            xor[u] ^= li
+            ready = [c, u]
 
-    _check_witness(ix, arcs, problem.odd_set)
+    if True in owe:
+        return SolveResult(
+            INFEASIBLE,
+            propagations=steps,
+            detail="parity cannot be met in the edge component of vertex "
+            f"{labels[owe.index(True)]}",
+        )
+    if not _check_witness(ix, arcs, problem.odd_set):
+        return SolveResult(
+            INFEASIBLE,
+            propagations=steps,
+            detail="every T-odd orientation holds a directed cycle",
+        )
     return SolveResult(
         FEASIBLE,
         witness=_orientation(ix, arcs, problem.graph),
@@ -1534,7 +1515,8 @@ def _solve_exact(
         verts = part.verts
         for i, (t, h) in zip(part.edge_ids, search.first_witness):
             arcs[i] = (verts[t], verts[h])
-    _check_witness(ix, arcs, problem.odd_set, scope)
+    if not _check_witness(ix, arcs, problem.odd_set, scope):
+        raise RuntimeError("solver produced a cyclic witness")
     return SolveResult(
         FEASIBLE,
         witness=_orientation(ix, arcs, problem.graph),

@@ -237,6 +237,35 @@ class TestTransforms:
         assert run("apex", inst) == 2
 
 
+# the flags a subcommand never read, each dropped from its parser
+_UNREAD_FLAGS = [
+    (("solve", "i.json"), "--enum-cap"),
+    (("reduce", "f.cnf"), "--budget"),
+    (("reduce", "f.cnf"), "--enum-cap"),
+    (("verify",), "--enum-cap"),
+    (("gadget", "base"), "--budget"),
+    (("gen", "--seed", "1", "-n", "3", "-m", "1"), "--budget"),
+    (("gen", "--seed", "1", "-n", "3", "-m", "1"), "--enum-cap"),
+    (("export-dot", "i.json"), "--budget"),
+    (("export-dot", "i.json"), "--enum-cap"),
+    (("export-dot", "i.json"), "--json"),
+    (("normalize", "i.json"), "--budget"),
+    (("normalize", "i.json"), "--enum-cap"),
+    (("apex", "i.json"), "--enum-cap"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", _UNREAD_FLAGS, ids=[f"{c[0]} {f}" for c, f in _UNREAD_FLAGS]
+)
+def test_unread_flag_exits_2(command, flag, capsys):
+    argv = [*command, flag] if flag == "--json" else [*command, flag, "5"]
+    with pytest.raises(SystemExit) as exit_:
+        run(*argv)
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = subprocess.run(

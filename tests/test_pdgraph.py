@@ -44,8 +44,14 @@ class TestConstruction:
             PartiallyDirectedGraph.build([1], arcs=[(1, 1)])
 
     def test_parallel_links_rejected(self):
-        # two copies of the same edge collapse in a frozenset, so the
-        # interesting parallels are edge+arc and arc+reversed-arc
+        # a repeated pair would collapse in a frozenset, so build counts
+        # what it was given; validate sees edge+arc and arc+reversed-arc
+        with pytest.raises(GraphError, match="parallel"):
+            PartiallyDirectedGraph.build([0, 1], edges=[(0, 1), (0, 1)])
+        with pytest.raises(GraphError, match="parallel"):
+            PartiallyDirectedGraph.build([0, 1], edges=[(0, 1), (1, 0)])
+        with pytest.raises(GraphError, match="parallel"):
+            PartiallyDirectedGraph.build([0, 1], arcs=[(0, 1), (0, 1)])
         with pytest.raises(GraphError, match="parallel"):
             PartiallyDirectedGraph.build([1, 2], edges=[(1, 2)], arcs=[(1, 2)])
         with pytest.raises(GraphError, match="parallel"):

@@ -405,13 +405,12 @@ class TestWitnessCheck:
         prob = problem(range(4), [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)], odd=[1])
         res = decide(prob)
         assert res.feasible
-        _check_witness(*indexed(prob, res.witness), prob.odd_set)
+        assert _check_witness(*indexed(prob, res.witness), prob.odd_set) is True
         parity_only = enum(prob, witness_cap=None, require_acyclic=False).witnesses
         cyclic = [w for w in parity_only if not is_acyclic(w.arcs).acyclic]
         assert len(cyclic) == 2
         for w in cyclic:
-            with pytest.raises(RuntimeError, match="cyclic"):
-                _check_witness(*indexed(prob, w), prob.odd_set)
+            assert _check_witness(*indexed(prob, w), prob.odd_set) is False
 
     def test_arc_off_its_edge_is_caught(self):
         prob = path3(odd=[0, 2])
@@ -673,6 +672,13 @@ _RING = ([7, -2, 4, 10], [(-2, 4), (4, 10), (10, 7), (7, -2)])
     [(101, 100)], odd=[-5, 11, 101]))
 @example(problem([]))
 @example(problem(*_RING, odd=[-2, 10]))
+@example(problem(   # the path of edges a fixed arc closes can only run round
+    [-3, 5, 8, 20], [(-3, 5), (5, 8), (8, 20)], [(20, -3)], odd=[-3, 5, 8, 20]))
+@example(problem(*_RING, odd=_RING[0]))   # the cut runs round, so does its reverse
+@example(problem(   # -6 has only fixed arcs into it, two of them, and is odd
+    [-6, 1, 9, 30], [(9, 30)], [(1, -6), (9, -6)], odd=[-6]))
+@example(problem(   # the edge tree -9 - -1 is odd, though |E|+|A|+|T| is even
+    [-9, -1, 4, 12, 33], [(-9, -1), (4, 12), (12, 33)], [(-1, 4)], odd=[4, 33]))
 @settings(max_examples=300, deadline=None)
 def test_sparse_pass_matches_enumerate(prob):
     """``decide`` and the special-case solvers that accept the graph agree
@@ -695,9 +701,53 @@ def test_sparse_pass_matches_enumerate(prob):
             assert res.witness.arcs in witnesses
 
 
+def edge_component_counts(prob):
+    """The edge components (fixed arcs ignored), each mapped to its count of
+    edges, fixed arcs into it and odd vertices; by a plain search."""
+    g = prob.graph
+    counts = {}
+    for start in sorted(g.vertices):
+        if any(start in comp for comp in counts):
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            x = todo.pop()
+            for a, b in g.edges:
+                for y, z in ((a, b), (b, a)):
+                    if y == x and z not in comp:
+                        comp.add(z)
+                        todo.append(z)
+        comp = frozenset(comp)
+        counts[comp] = (
+            sum(1 for a, _ in g.edges if a in comp)
+            + sum(1 for _, h in g.arcs if h in comp)
+            + sum(1 for v in comp if v in prob.odd_set)
+        )
+    return counts
+
+
+@given(sparse_problems())
+@example(problem(*_RING, odd=[-2, 10]))   # an even cycle of edges, cut at -2
+@example(problem(*_RING, odd=[-2]))
+@settings(max_examples=300, deadline=None)
+def test_parity_refusal_names_an_odd_edge_component(prob):
+    """The pass refuses on parity exactly when some edge component has an
+    odd count, and the vertex it names lies in such a component."""
+    solve = solve_tree if underlying_is_forest(prob.graph) else solve_degree_two
+    res = solve(prob)
+    counts = edge_component_counts(prob)
+    odd_comps = [comp for comp, c in counts.items() if c % 2]
+    refused = res.detail.startswith("parity cannot be met")
+    assert refused == bool(odd_comps)
+    if refused:
+        named = int(res.detail.rsplit(" ", 1)[1])
+        assert any(named in comp for comp in odd_comps)
+
+
 def test_ring_seed_points_at_the_lowest_vertex_first():
-    # the walk starts at -2 on its link to 4, its lower neighbour, and tries
-    # 4->-2 before -2->4; both seeds extend to a witness
+    # the cycle is cut at -2 on its edge to 4, its lower neighbour, pointing
+    # 4->-2; the reverse, seeded -2->4, is the other witness.  The three
+    # edges peeled after the cut are the propagations
     prob = problem(*_RING, odd=[-2, 10])
     assert enum(prob).total_valid == 2
     res = solve_degree_two(prob)
