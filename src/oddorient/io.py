@@ -21,7 +21,6 @@ from .p3sat import (
     FormulaError,
     PlanarFormula,
     RotationSystem,
-    clause_vertex,
 )
 from .pdgraph import (
     GraphError,
@@ -430,8 +429,9 @@ def read_formula(data: Union[bytes, str]) -> Union[Formula, PlanarFormula]:
     formula = _checked_formula(n, clauses)
     if not orders:
         return formula
-    expected = set(range(n)) | {clause_vertex(formula, j) for j in range(m)}
-    if set(orders) != expected:
+    # the incidence vertices are 0..n+m-1; a header count is not spelled out
+    # as a set, since it may be far larger than the document
+    if len(orders) != n + m or not all(0 <= v < n + m for v in orders):
         raise FormatError("rotation lines do not cover the incidence vertices")
     try:
         return PlanarFormula.build(formula, RotationSystem.build(orders))

@@ -10,8 +10,10 @@ validated against Euler's formula by face tracing (no coordinates anywhere).
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -145,8 +147,9 @@ class RotationSystem:
             if len(set(cycle)) != len(cycle):
                 raise FormulaError(f"rotation at {v} repeats a neighbor")
             if cycle:
-                shift = cycle.index(min(cycle))
-                if shift:
+                low = min(cycle)
+                if cycle[0] != low:
+                    shift = cycle.index(low)
                     cycle = cycle[shift:] + cycle[:shift]
             orders[v] = cycle
         return cls(orders=orders)
@@ -192,23 +195,14 @@ def next_dart(
     return (v, rotation.succ(v, u))
 
 
-def validate_embedding(
-    graph: PartiallyDirectedGraph, rotation: RotationSystem
-) -> EmbeddingReport:
-    """Trace all faces and test Euler's formula on every component.
-
-    The rotation must cover every vertex with exactly its neighbor set
-    (direction of arcs is irrelevant here); genus-0 means each connected
-    component satisfies V - E + F = 2, counting one face for an isolated
-    vertex.  The trace follows ``next_dart`` through a table that maps each
-    dart u->v to its successor, so every dart costs one dict lookup.
-    """
+def _explain_rotation(graph: PartiallyDirectedGraph, rotation: RotationSystem) -> None:
+    """Raise the error that names the first vertex, in ascending order,
+    whose rotation does not list exactly its neighbors, else the vertices
+    the rotation names outside the graph."""
     neighbors: dict[Vertex, set[Vertex]] = {v: set() for v in sorted(graph.vertices)}
     for u, v in graph.undirected_pairs():
         neighbors[u].add(v)
         neighbors[v].add(u)
-
-    nxt: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
     for v, nbrs in neighbors.items():
         order = rotation.orders.get(v)
         if order is None:
@@ -217,17 +211,56 @@ def validate_embedding(
             raise FormulaError(
                 f"rotation at {v} is not a permutation of its neighbors"
             )
+    stray = rotation.orders.keys() - graph.vertices
+    if stray:
+        raise FormulaError(f"rotation names non-vertices: {sorted(stray)}")
+
+
+def validate_embedding(
+    graph: PartiallyDirectedGraph, rotation: RotationSystem
+) -> EmbeddingReport:
+    """Trace all faces and test Euler's formula on every component.
+
+    The rotation must cover every vertex with exactly its neighbor set
+    (direction of arcs is irrelevant here) and name no other vertex;
+    genus-0 means each connected component satisfies V - E + F = 2, counting
+    one face for an isolated vertex.  The trace follows ``next_dart``
+    through a table that maps each dart u->v to its successor, so every dart
+    costs one dict lookup.  The rotation is checked against the links in one
+    pass: the table's darts must be the links' darts, compared as sets.  A
+    neighbor-set table is built only to name a vertex whose rotation is
+    wrong.
+    """
+    orders = rotation.orders
+    nxt: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
+    listed = 0
+    for v, order in orders.items():
         if order:
+            listed += len(order)
             prev = order[-1]
             for w in order:
                 nxt[(prev, v)] = (v, w)
                 prev = w
+    # no order repeats a neighbor, the orders cover exactly the vertices, and
+    # their darts are the two darts of every link
+    darts = set(chain(graph.edges, graph.arcs))
+    for links in (graph.edges, graph.arcs):
+        if links:
+            tails, heads = zip(*links)
+            darts.update(zip(heads, tails))
+    if not (
+        listed == len(nxt)
+        and nxt.keys() == darts
+        and orders.keys() == graph.vertices
+    ):
+        _explain_rotation(graph, rotation)
 
     # component labels (the smallest vertex) over the underlying graph, with
-    # vertex and edge counts per component
+    # vertex and edge counts per component; each order is its vertex's
+    # neighbor set now
     comp: dict[Vertex, Vertex] = {}
     counts: dict[Vertex, list[int]] = {}
-    for v in neighbors:
+    for v in sorted(graph.vertices):
         if v in comp:
             continue
         comp[v] = v
@@ -236,8 +269,8 @@ def validate_embedding(
         while stack:
             x = stack.pop()
             n_c += 1
-            degrees += len(neighbors[x])
-            for y in neighbors[x]:
+            degrees += len(orders[x])
+            for y in orders[x]:
                 if y not in comp:
                     comp[y] = v
                     stack.append(y)
@@ -296,8 +329,9 @@ _RIGHT = -2
 class _FaceSide:
     """One side (upper or lower) of one face of the working map.
 
-    ``corners`` maps each spine position exposed on this side of the face to
-    (index of its arrival dart in ``walk``, arrival neighbor).
+    ``walk`` is the face's dart cycle from its minimum dart, and ``corners``
+    maps each spine position exposed on this side of the face to (index of
+    its arrival dart in ``walk``, arrival neighbor).
     """
 
     up: bool
@@ -311,9 +345,14 @@ class _SpineMap:
     path (with sentinel ends), clause vertices are inserted one face at a
     time, and the scaffolding is removed at the end.
 
-    Face records are rebuilt from scratch after every insertion, so they are
-    never stale; each clause attaches at three corners of a single traced
-    face, which keeps the map planar by construction.
+    The map keeps one entry per face that exposes a spine position, keyed by
+    the face's minimum dart, with its walk starting at that dart.  Inserting
+    a clause changes sigma only at the three arrival darts of the face it
+    splits, and keeps the order of sigma between each position's west and
+    east neighbours, so every other face keeps its walk and its corners:
+    only the split face is traced again, into its three new faces.  Each
+    clause attaches at three corners of a single face, which keeps the map
+    planar by construction.
     """
 
     def __init__(self, n: int):
@@ -323,20 +362,23 @@ class _SpineMap:
             west = p - 1 if p > 0 else _LEFT
             east = p + 1 if p + 1 < n else _RIGHT
             self.sigma[p] = [west, east]
+        self.darts = 2 * (n + 1)
+        # face records by minimum dart, and those darts in ascending order
+        self.faces: dict[tuple[Vertex, Vertex], list[_FaceSide]] = {}
+        self.keys: list[tuple[Vertex, Vertex]] = []
+        # the spine is a path, so the initial map has a single face
+        self._add_faces([(_LEFT, 0)])
 
-    def _succ(self, v: Vertex, u: Vertex) -> Vertex:
-        cycle = self.sigma[v]
-        return cycle[(cycle.index(u) + 1) % len(cycle)]
-
-    def _trace(
-        self, start: tuple[Vertex, Vertex], guard: int
-    ) -> list[tuple[Vertex, Vertex]]:
-        """The face walk from dart ``start``; more than ``guard`` darts
-        means the map is broken."""
+    def _trace(self, start: tuple[Vertex, Vertex]) -> list[tuple[Vertex, Vertex]]:
+        """The face walk from dart ``start``, each dart followed by the one
+        leaving its head after it in sigma; a walk longer than the map has
+        darts means the map is broken."""
+        sigma, guard = self.sigma, self.darts
         walk = [start]
         u, v = start
         while True:
-            u, v = v, self._succ(v, u)
+            cycle = sigma[v]
+            u, v = v, cycle[(cycle.index(u) + 1) % len(cycle)]
             if (u, v) == start:
                 return walk
             walk.append((u, v))
@@ -345,47 +387,54 @@ class _SpineMap:
 
     def _corner_is_up(self, p: int, arrival: Vertex) -> bool:
         # the corner entered via `arrival` lies above the spine iff `arrival`
-        # sits in the stretch of sigma_p from the west neighbor to the east one
-        west = p - 1 if p > 0 else _LEFT
-        east = p + 1 if p + 1 < self.n else _RIGHT
+        # sits in the stretch of sigma_p from the west neighbor to the east
+        # one, the west one included
         cycle = self.sigma[p]
-        i = cycle.index(west)
-        while True:
-            if cycle[i] == arrival:
-                return True
-            i = (i + 1) % len(cycle)
-            if cycle[i] == east:
-                return False
+        west = cycle.index(p - 1 if p > 0 else _LEFT)
+        east = cycle.index(p + 1 if p + 1 < self.n else _RIGHT)
+        size = len(cycle)
+        return (cycle.index(arrival) - west) % size < (east - west) % size
+
+    def _add_faces(self, starts: Iterable[tuple[Vertex, Vertex]]) -> None:
+        """Trace the faces through the given darts and record their sides."""
+        seen: set[tuple[Vertex, Vertex]] = set()
+        for start in starts:
+            if start in seen:
+                continue
+            walk = self._trace(start)
+            seen.update(walk)
+            k = walk.index(min(walk))
+            if k:
+                walk = walk[k:] + walk[:k]
+            sides: dict[bool, dict[int, tuple[int, Vertex]]] = {True: {}, False: {}}
+            clean = {True: True, False: True}
+            for idx, (a, b) in enumerate(walk):
+                if 0 <= b < self.n:
+                    up = self._corner_is_up(b, a)
+                    if b in sides[up]:
+                        clean[up] = False   # defensive: skip odd faces
+                    sides[up][b] = (idx, a)
+            records = [
+                _FaceSide(up, tuple(sorted(sides[up])), sides[up], walk)
+                for up in (True, False)
+                if clean[up] and sides[up]
+            ]
+            if records:
+                # a face without an exposed position is never split again
+                self.faces[walk[0]] = records
+                bisect.insort(self.keys, walk[0])
 
     def face_sides(self) -> list[_FaceSide]:
-        """All (face, side) records with at least one exposed position."""
-        darts = sorted((u, v) for u in self.sigma for v in self.sigma[u])
-        # sigma does not change here, so neither does the bound on a walk
-        guard = 2 * len(darts) + 4
-        seen: set[tuple[Vertex, Vertex]] = set()
-        records = []
-        for d0 in darts:
-            if d0 in seen:
-                continue
-            walk = self._trace(d0, guard)
-            seen.update(walk)
-            for up in (True, False):
-                corners: dict[int, tuple[int, Vertex]] = {}
-                clean = True
-                for idx, (a, b) in enumerate(walk):
-                    if 0 <= b < self.n and self._corner_is_up(b, a) == up:
-                        if b in corners:
-                            clean = False   # defensive: skip odd faces
-                            break
-                        corners[b] = (idx, a)
-                if clean and corners:
-                    records.append(
-                        _FaceSide(up, tuple(sorted(corners)), corners, walk)
-                    )
-        return records
+        """All (face, side) records with at least one exposed position, by
+        the face's minimum dart, the upper side first."""
+        return [r for key in self.keys for r in self.faces[key]]
 
     def insert_clause(self, c: Vertex, record: _FaceSide, triple: tuple[int, ...]):
-        """Attach a fresh clause vertex at three corners of one face."""
+        """Attach a fresh clause vertex at three corners of one face, and
+        trace the three faces it splits that face into."""
+        key = record.walk[0]
+        del self.faces[key]
+        del self.keys[bisect.bisect_left(self.keys, key)]
         by_walk = sorted(triple, key=lambda p: record.corners[p][0])
         # the new vertex sees its neighbors in reverse walk order
         self.sigma[c] = [by_walk[2], by_walk[1], by_walk[0]]
@@ -393,6 +442,9 @@ class _SpineMap:
             _, arrival = record.corners[p]
             cycle = self.sigma[p]
             cycle.insert(cycle.index(arrival) + 1, c)
+        self.darts += 6
+        # each new face passes through one corner of c, so leaves c once
+        self._add_faces([(c, p) for p in by_walk])
 
     def finish(self) -> dict[Vertex, list[Vertex]]:
         """Drop the spine scaffolding; only variable-clause edges remain."""
@@ -413,9 +465,12 @@ def generate(seed: int, n: int, m: int, *, max_attempts: int = 400) -> PlanarFor
 
     Each clause claims three exposed spine positions on one side of a single
     face, so planarity holds by construction; the emitted rotation system is
-    still pushed through validate_embedding before returning.  Raises
-    GenerationError when no layout covering every variable is found within
-    the attempt budget.
+    still pushed through validate_embedding before returning.  The face is
+    drawn from the working map's records, which are kept per face and
+    traced again only where a clause splits a face, so an attempt costs the
+    faces it splits rather than a full trace per clause; no record outlives
+    the attempt.  Raises GenerationError when no layout covering every
+    variable is found within the attempt budget.
     """
     if n < 3:
         raise GenerationError("need at least 3 variables")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
 Vertex = int
@@ -34,9 +35,10 @@ class PartiallyDirectedGraph:
     """Simple graph with undirected edges and pre-directed arcs.
 
     ``build`` is the checked constructor: it canonicalizes edge tuples and
-    rejects loops, parallel links, and dangling endpoints.  The raw dataclass
-    constructor performs no checks so that ``validate`` can be pointed at
-    malformed data (for example while importing documents).
+    rejects loops, parallel links, and dangling endpoints.  It checks with
+    set operations and calls ``validate`` only to word an error.  The raw
+    dataclass constructor performs no checks so that ``validate`` can be
+    pointed at malformed data (for example while importing documents).
     """
 
     vertices: frozenset[Vertex]
@@ -50,13 +52,22 @@ class PartiallyDirectedGraph:
         edges: Iterable[tuple[Vertex, Vertex]] = (),
         arcs: Iterable[tuple[Vertex, Vertex]] = (),
     ) -> "PartiallyDirectedGraph":
-        edges = [canonical_edge(u, v) for u, v in edges]
+        edges = [(u, v) if u <= v else (v, u) for u, v in edges]
         arcs = [(u, v) for u, v in arcs]
         graph = cls(
             vertices=frozenset(vertices),
             edges=frozenset(edges),
             arcs=frozenset(arcs),
         )
+        arc_pairs = {(u, v) if u <= v else (v, u) for u, v in arcs}
+        if (
+            len(graph.edges) == len(edges)
+            and len(graph.arcs) == len(arc_pairs) == len(arcs)
+            and graph.edges.isdisjoint(arc_pairs)
+            and not any(u == v for u, v in chain(edges, arcs))
+            and graph.vertices.issuperset(chain.from_iterable(chain(edges, arcs)))
+        ):
+            return graph
         problems = validate(graph)
         for listed, kept in ((edges, graph.edges), (arcs, graph.arcs)):
             if len(kept) < len(listed):

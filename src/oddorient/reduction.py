@@ -12,7 +12,9 @@ exactly on its marked set.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from oddorient.p3sat import (
@@ -305,6 +307,9 @@ def assemble(planar: PlanarFormula) -> Reduction:
     edges: list[tuple[Vertex, Vertex]] = []
     arcs: list[tuple[Vertex, Vertex]] = []
     odd: list[Vertex] = []
+    # the neighbors of the degree <= 2 vertices: outward copy vertices and
+    # ports, each with one link inside its gadget plus its connectors
+    ends: dict[Vertex, list[Vertex]] = {}
     for i in range(n):
         copies = variable_ids[i]
         d = len(copies)
@@ -313,6 +318,8 @@ def assemble(planar: PlanarFormula) -> Reduction:
             edges.extend((ids[x], ids[y]) for x, y in CORE_EDGES)
             arcs.extend((ids[x], ids[y]) for x, y in CORE_ARCS)
             odd.extend(ids[x] for x in CORE_ODD)
+            ends[ids["u"]] = [ids["a"]]
+            ends[ids["uh"]] = [ids["d"]]
         edges.extend(
             (copies[k]["t"], copies[(k + 1) % d]["s"]) for k in range(d)
         )
@@ -320,6 +327,8 @@ def assemble(planar: PlanarFormula) -> Reduction:
         ids = clause_ids[j]
         edges.extend((ids[x], ids[y]) for x, y in HEX_EDGES + MATCH_EDGES)
         odd.extend(ids[x] for x in HEX_NAMES)
+        for x, y in MATCH_EDGES:
+            ends[ids[x]] = [ids[y]]
 
     # connectors and port marks, one slot per literal
     polarity: list[dict[int, bool]] = [dict(cl) for cl in formula.clauses]
@@ -332,8 +341,10 @@ def assemble(planar: PlanarFormula) -> Reduction:
             k = rot.position(variable_vertex(formula, i), cv)
             copy = variable_ids[i][k]
             ports = clause_ids[j]
-            edges.append((copy["u"], ports[f"vh{p}"]))
-            edges.append((copy["uh"], ports[f"v{p}"]))
+            for a, b in ((copy["u"], ports[f"vh{p}"]), (copy["uh"], ports[f"v{p}"])):
+                edges.append((a, b))
+                ends[a].append(b)
+                ends[b].append(a)
             positive = polarity[j][i]
             if positive:
                 odd.extend([ports[f"v{p}"], ports[f"vh{p}"]])
@@ -371,10 +382,8 @@ def assemble(planar: PlanarFormula) -> Reduction:
             orders[ids[f"wh{p}"]] = (
                 ids[f"w{p % 3 + 1}"], ids[f"vh{p}"], ids[f"w{p}"],
             )
-    adjacency = graph.adjacency()
-    for v in range(nxt):
-        if v not in orders:
-            orders[v] = tuple(adjacency[v])   # degree <= 2: order is immaterial
+    for v, nbrs in ends.items():
+        orders[v] = sorted(nbrs)   # degree <= 2: order is immaterial
     rotation = RotationSystem.build(orders)
 
     return Reduction(
@@ -422,17 +431,20 @@ def structural_check(red: Reduction) -> StructuralReport:
     if (len(g.edges) + len(g.arcs) + len(red.problem.odd_set)) % 2 != 0:
         problems.append("parity gate violated")
 
-    adjacency = g.adjacency()
-    for v in sorted(g.vertices):
-        deg = len(adjacency[v])
+    degree = Counter(chain.from_iterable(chain(g.edges, g.arcs)))
+    odd = red.problem.odd_set
+    for v in sorted(
+        v for v in g.vertices if degree[v] > 3 or (degree[v] != 2 and v not in odd)
+    ):
+        deg = degree[v]
         if deg > 3:
             problems.append(f"degree {deg} at {red.registry.label(v)}")
-        if v not in red.problem.odd_set and deg != 2:
+        if v not in odd and deg != 2:
             problems.append(f"unmarked vertex {red.registry.label(v)} has degree {deg}")
 
     if not red.registry.bijective():
         problems.append("registry is not bijective")
-    if sorted(red.registry.to_label) != sorted(g.vertices):
+    if red.registry.to_label.keys() != g.vertices:
         problems.append("registry does not cover the vertex set")
 
     report = validate_embedding(g, red.rotation)
@@ -443,16 +455,15 @@ def structural_check(red: Reduction) -> StructuralReport:
     owner: dict[Vertex, tuple[str, int]] = {}
     for i, copies in enumerate(red.variable_ids):
         for ids in copies:
-            for v in ids.values():
-                owner[v] = ("x", i)
+            owner.update(dict.fromkeys(ids.values(), ("x", i)))
     for j, ids in enumerate(red.clause_ids):
-        for v in ids.values():
-            owner[v] = ("c", j)
-    for u, v in sorted(g.edges):
+        owner.update(dict.fromkeys(ids.values(), ("c", j)))
+    # an edge inside one gadget is never a problem
+    for u, v in sorted(e for e in g.edges if owner[e[0]] != owner[e[1]]):
         ku, kv = owner[u][0], owner[v][0]
-        if ku == kv == "c" and owner[u][1] != owner[v][1]:
+        if ku == kv == "c":
             problems.append(f"edge joins two clauses: {u}-{v}")
-        if ku == kv == "x" and owner[u][1] != owner[v][1]:
+        if ku == kv == "x":
             problems.append(f"edge joins two variables: {u}-{v}")
         if ku != kv:
             lu, lv = red.registry.label(u), red.registry.label(v)
@@ -615,18 +626,25 @@ def assignment_from_orientation(
     Raises GadgetError when any copy's stubs disagree, i.e. the orientation
     is not in gadget normal form.
     """
-    directs = set(orientation.arcs)
-    adjacency = red.problem.graph.adjacency()
+    directs = orientation.arcs
+    g = red.problem.graph
+    # the clause-side neighbors of every outward copy vertex
+    ports_of: dict[Vertex, list[Vertex]] = {
+        ids[name]: [] for copies in red.variable_ids for ids in copies
+        for name in ("u", "uh")
+    }
+    for a, b in chain(g.edges, g.arcs):
+        if a in ports_of and red.registry.label(b).startswith("c"):
+            ports_of[a].append(b)
+        if b in ports_of and red.registry.label(a).startswith("c"):
+            ports_of[b].append(a)
     out: list[bool] = []
     for i in range(red.formula.variable_count):
         votes: set[bool] = set()
         for ids in red.variable_ids[i]:
             for name in ("u", "uh"):
                 v = ids[name]
-                ports = [
-                    x for x in adjacency[v]
-                    if red.registry.label(x).startswith("c")
-                ]
+                ports = ports_of[v]
                 if len(ports) != 1:
                     raise GadgetError(
                         f"outward vertex {red.registry.label(v)} has no port link"

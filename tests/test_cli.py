@@ -1,13 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oddorient.cli import main
-from oddorient.io import write_instance
+from oddorient.io import write_formula, write_instance
+from oddorient.p3sat import generate
 from oddorient.pdgraph import OrientationProblem, PartiallyDirectedGraph
 
 
@@ -264,6 +269,56 @@ def test_unread_flag_exits_2(command, flag, capsys):
         run(*argv)
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# tokens an edit puts into a formula line, and generator sizes that always
+# find a layout
+_FUZZ_TOKENS = ["0", "1", "-1", "2", "-3", "7", "-0", "x", "1.5", "p", "r", "c",
+                "cnf", "99999999999999999999"]
+_FUZZ_SIZES = [(3, 1), (3, 2), (4, 2), (4, 3), (5, 3), (5, 4), (6, 5)]
+
+
+@st.composite
+def _mutated_formula_files(draw):
+    """A written planar formula with one to three line or token mutations:
+    a line dropped or duplicated, or a token replaced, inserted or dropped."""
+    n, m = draw(st.sampled_from(_FUZZ_SIZES))
+    lines = write_formula(generate(draw(st.integers(0, 50)), n, m)).decode().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "replace", "insert", "delete"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        else:
+            tokens = lines[i].split()
+            at = draw(st.integers(0, len(tokens)))
+            if kind == "insert":
+                tokens.insert(at, draw(st.sampled_from(_FUZZ_TOKENS)))
+            elif at < len(tokens):
+                if kind == "replace":
+                    tokens[at] = draw(st.sampled_from(_FUZZ_TOKENS))
+                else:
+                    del tokens[at]
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestMainFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated_formula_files())
+    def test_reduce_and_verify_exit_with_a_code(self, text):
+        """On a mutated formula document, ``reduce`` and ``verify`` end with
+        exit code 0, 1 or 2; an exception escaping ``main`` fails."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "f.cnf")
+            with open(path, "w") as fh:
+                fh.write(text)
+            assert run("reduce", path, "-o", os.path.join(tmp, "f.json")) in (0, 1, 2)
+            assert run("verify", path) in (0, 1, 2)
 
 
 class TestEntryPoint:

@@ -314,6 +314,12 @@ class TestFormulaText:
         with pytest.raises(FormatError, match="cover"):
             read_formula("\n".join(lines).encode())
 
+    def test_huge_header_count_with_rotation_lines(self):
+        # the count is compared, never spelled out as a set of vertices
+        text = b"p cnf 99999999999999999999 1\n1 -2 3 0\nr 0 3\nr 1 3\nr 2 3\nr 3 0 1 2\n"
+        with pytest.raises(FormatError, match="cover"):
+            read_formula(text)
+
     def test_malformed_rotation_line(self):
         with pytest.raises(FormatError):
             read_formula(b"p cnf 3 1\n1 2 3 0\nr zero 1 2\n")

@@ -1,7 +1,9 @@
 """Tests for formulas, rotation systems, embedding validation, and the
 planar instance generator."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,9 @@ from oddorient.p3sat import (
     GenerationError,
     PlanarFormula,
     RotationSystem,
+    _LEFT,
+    _RIGHT,
+    _SpineMap,
     clause_vertex,
     eval_formula,
     generate,
@@ -24,6 +29,7 @@ from oddorient.p3sat import (
     validate_embedding,
     variable_vertex,
 )
+from oddorient.io import write_formula
 from oddorient.pdgraph import PartiallyDirectedGraph
 from oddorient.reduction import assemble
 from oddorient.samples import (
@@ -177,10 +183,29 @@ class TestValidateEmbedding:
         with pytest.raises(FormulaError):
             validate_embedding(k4(), rot)
 
+    def test_stray_vertex_rejected(self):
+        rot = RotationSystem.build(
+            {0: (1, 3, 2), 1: (2, 3, 0), 2: (0, 3, 1), 3: (2, 0, 1), 7: ()}
+        )
+        with pytest.raises(FormulaError, match=r"rotation names non-vertices: \[7\]"):
+            validate_embedding(k4(), rot)
+
+    def test_stray_vertex_rejected_by_planar_formula(self):
+        # its written form would fail to read back: the rotation lines would
+        # not cover exactly the incidence vertices
+        pf = generate(1, 4, 3)
+        rot = RotationSystem.build({**pf.rotation.orders, 99: (0,)})
+        with pytest.raises(FormulaError, match=r"non-vertices: \[99\]"):
+            PlanarFormula.build(pf.formula, rot)
+
 
 def reference_report(graph, rotation):
     """The face trace dart by dart through ``next_dart``: the reference that
-    ``validate_embedding`` must agree with on every field."""
+    ``validate_embedding`` must agree with on every field.  A rotation
+    entry for a vertex outside the graph is an error."""
+    stray = set(rotation.orders) - graph.vertices
+    if stray:
+        raise FormulaError(f"rotation names non-vertices: {sorted(stray)}")
     adjacency = graph.adjacency()
     comp = {}
     for v in sorted(graph.vertices):
@@ -266,6 +291,19 @@ class TestFaceTraceReference:
         assert planar or not report.valid
         assert report.valid or not from_networkx
 
+    @settings(max_examples=100, deadline=None)
+    @given(embedded_graphs(), st.lists(st.integers(41, 60), min_size=1, max_size=3))
+    def test_stray_entries_rejected_like_reference(self, case, extra):
+        graph, rotation = case
+        rotation = RotationSystem.build(
+            {**rotation.orders, **{v: () for v in extra}}
+        )
+        with pytest.raises(FormulaError) as got:
+            validate_embedding(graph, rotation)
+        with pytest.raises(FormulaError) as want:
+            reference_report(graph, rotation)
+        assert str(got.value) == str(want.value)
+
     def test_generated_formulas_and_frozen_samples(self):
         cases = [(incidence_graph(pf.formula), pf.rotation)
                  for pf in (generate(seed, 6, 7) for seed in range(5))]
@@ -309,6 +347,128 @@ class TestGenerate:
         # three variables expose at most two clause slots (one per side)
         with pytest.raises(GenerationError):
             generate(7, 3, 3, max_attempts=40)
+
+
+def _digest(cases):
+    """The first 16 hex digits of a SHA-256 over the written formulas."""
+    h = hashlib.sha256()
+    for seed, n, m in cases:
+        try:
+            h.update(write_formula(generate(seed, n, m)))
+        except GenerationError:
+            h.update(b"no layout\n")
+    return h.hexdigest()[:16]
+
+
+def _large_seeds():
+    """Twenty seeds drawn as the benchmark draws its own, below 2**30."""
+    rng = random.Random(15)
+    return [rng.randrange(1 << 30) for _ in range(20)]
+
+
+# digests of the generator's output before its face records were kept
+# incrementally: seeds 0-199 plus the twenty large seeds, per size
+_SWEEP_PINS = {
+    (3, 1): "16397bbd752b7f15",
+    (6, 7): "e56274f54b4c0a8c",
+    (12, 17): "feeb43594a6cfd87",
+    (4, 3): "68403af25fe08740",
+    (5, 5): "4ae737cecb1eb837",
+    (7, 9): "609967d57a3a22db",
+    (8, 11): "35165ba5ea92edcf",
+}
+# and one digest per seed 0, 1, 2 on the size ladder
+_LADDER_PINS = {
+    (24, 34): ("df7f424003e63d4d", "39afe8c997d65edf", "2d81dff8ad1770c3"),
+    (32, 46): ("b4b42c8ced3465b4", "caa3b42c55c9ab86", "558b43d2fda75d33"),
+    (40, 57): ("643c7babd9b45e54", "d38a07fe3e47f069", "b1372c95baa13700"),
+    (48, 69): ("76fa4a225d4f1307", "1420ee3a8aef57c6", "74c7e64b69616325"),
+    (64, 92): ("df26daeeb902254c", "9593799bc3d7d7f2", "98dd926b82dd527e"),
+}
+
+
+class TestGeneratorPins:
+    @pytest.mark.parametrize("size", list(_SWEEP_PINS), ids=str)
+    def test_seed_sweep(self, size):
+        n, m = size
+        seeds = [*range(200), *_large_seeds()]
+        assert _digest([(s, n, m) for s in seeds]) == _SWEEP_PINS[size]
+
+    @pytest.mark.parametrize("size", list(_LADDER_PINS), ids=str)
+    def test_ladder(self, size):
+        n, m = size
+        got = tuple(_digest([(s, n, m)]) for s in range(3))
+        assert got == _LADDER_PINS[size]
+
+
+def _records(smap):
+    return [(r.up, r.positions, r.corners, r.walk) for r in smap.face_sides()]
+
+
+def scratch_face_sides(smap):
+    """Every (face, side) record of the working map, traced from scratch:
+    faces in order of their minimum dart, each walk starting there, the
+    upper side first.  The reference the kept records must equal."""
+    sigma, n = smap.sigma, smap.n
+
+    def succ(v, u):
+        cycle = sigma[v]
+        return cycle[(cycle.index(u) + 1) % len(cycle)]
+
+    def is_up(p, arrival):
+        # above the spine: met before the east neighbour, going round
+        # sigma_p from the west neighbour
+        west = p - 1 if p > 0 else _LEFT
+        east = p + 1 if p + 1 < n else _RIGHT
+        cycle = sigma[p]
+        i = cycle.index(west)
+        turned = cycle[i:] + cycle[:i]
+        return turned.index(arrival) < turned.index(east)
+
+    seen = set()
+    records = []
+    for start in sorted((u, v) for u in sigma for v in sigma[u]):
+        if start in seen:
+            continue
+        walk = [start]
+        while True:
+            u, v = walk[-1]
+            d = (v, succ(v, u))
+            if d == start:
+                break
+            walk.append(d)
+        seen.update(walk)
+        for up in (True, False):
+            corners = {}
+            for idx, (a, b) in enumerate(walk):
+                if 0 <= b < n and is_up(b, a) == up:
+                    assert b not in corners
+                    corners[b] = (idx, a)
+            if corners:
+                records.append((up, tuple(sorted(corners)), corners, walk))
+    return records
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, (1 << 30) - 1),
+    st.sampled_from([(3, 2), (4, 3), (6, 7), (9, 12), (12, 17), (20, 28)]),
+)
+def test_kept_face_records_equal_a_trace_from_scratch(seed, size):
+    """Clause by clause, as ``generate`` draws them, the records the map
+    keeps equal the records of a full trace."""
+    n, m = size
+    rng = random.Random(seed)
+    smap = _SpineMap(n)
+    for j in range(m):
+        records = smap.face_sides()
+        assert _records(smap) == scratch_face_sides(smap)
+        eligible = [r for r in records if len(r.positions) >= 3]
+        if not eligible:
+            break
+        record = rng.choice(eligible)
+        smap.insert_clause(n + j, record, tuple(sorted(rng.sample(record.positions, 3))))
+    assert _records(smap) == scratch_face_sides(smap)
 
 
 class TestSample:

@@ -1,11 +1,18 @@
 """Tests for the gadget builders, the assembly, and the semantic bridge."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from oddorient import solver
-from oddorient.p3sat import generate, sat_oracle, validate_embedding
+from oddorient.p3sat import (
+    FormulaError,
+    RotationSystem,
+    generate,
+    sat_oracle,
+    validate_embedding,
+)
 from oddorient.pdgraph import (
     GraphError,
     Orientation,
@@ -156,6 +163,15 @@ class TestAssemble:
         for pf in unsat_samples():
             rep = structural_check(assemble(pf))
             assert rep.ok, rep.problems
+
+    def test_stray_rotation_entry_rejected(self):
+        # the canonical bytes of such a reduction would not read back: the
+        # reader refuses rotation entries for non-vertices
+        red = assemble(generate(3, 6, 7))
+        rotation = RotationSystem.build({**red.rotation.orders, 10**6: ()})
+        stray = dataclasses.replace(red, rotation=rotation)
+        with pytest.raises(FormulaError, match=r"non-vertices: \[1000000\]"):
+            structural_check(stray)
 
 
 def _satisfying_assignments(formula):

@@ -629,7 +629,9 @@ def test_decide_matches_oracle(prob):
 @st.composite
 def sparse_problems(draw):
     """A forest, or a union of paths and cycles, on scattered and partly
-    negative labels, with some links fixed as arcs and a random odd set."""
+    negative labels, with some links fixed as arcs (or, in one draw of
+    four, none, so that cycles made only of edges are common) and a random
+    odd set."""
     n = draw(st.integers(min_value=0, max_value=10))
     labels = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=True))
     links = []
@@ -647,8 +649,9 @@ def sparse_problems(draw):
             if len(seg) >= 3 and draw(st.booleans()):
                 links.append((seg[-1], seg[0]))
     edges, arcs = [], []
+    all_edges = draw(st.integers(0, 3)) == 0
     for u, v in links:
-        kind = draw(st.integers(0, 3))
+        kind = 0 if all_edges else draw(st.integers(0, 3))
         if kind < 2:
             edges.append((u, v))
         else:
