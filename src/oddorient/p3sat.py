@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from oddorient.pdgraph import PartiallyDirectedGraph, Vertex
+from oddorient.pdgraph import GraphError, PartiallyDirectedGraph, Vertex, validate
 from oddorient.solver import BudgetError
 
 Literal = tuple[int, bool]
@@ -229,7 +229,9 @@ def validate_embedding(
     costs one dict lookup.  The rotation is checked against the links in one
     pass: the table's darts must be the links' darts, compared as sets.  A
     neighbor-set table is built only to name a vertex whose rotation is
-    wrong.
+    wrong.  On that path a graph from the raw constructor that breaks its
+    own invariants (a link endpoint outside its vertices, say) raises
+    ``GraphError``.
     """
     orders = rotation.orders
     nxt: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
@@ -253,6 +255,9 @@ def validate_embedding(
         and nxt.keys() == darts
         and orders.keys() == graph.vertices
     ):
+        problems = validate(graph)
+        if problems:
+            raise GraphError("; ".join(problems))
         _explain_rotation(graph, rotation)
 
     # component labels (the smallest vertex) over the underlying graph, with

@@ -35,7 +35,7 @@ import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -446,10 +446,11 @@ def max_degree(graph: PartiallyDirectedGraph) -> int:
 
 class _Part(NamedTuple):
     """One connected component of an index: its vertices as index positions,
-    ascending; the link ids of its edges in ascending order of their ends;
-    and its edges and fixed arcs as position pairs within ``verts``."""
+    ascending (a range over all of them for a connected index); the link ids
+    of its edges in ascending order of their ends; and its edges and fixed
+    arcs as position pairs within ``verts``."""
 
-    verts: list[int]
+    verts: Sequence[int]
     edge_ids: list[int]
     ends: list[tuple[int, int]]
     arcs: list[tuple[int, int]]
@@ -457,11 +458,16 @@ class _Part(NamedTuple):
 
 def _split(ix: _Index) -> list[_Part]:
     """The connected components of the links (direction ignored), in
-    ascending order of their lowest vertex."""
+    ascending order of their lowest vertex.  A connected index is its one
+    part, in place: its positions stay, and only its edges are sorted."""
     root = _roots(ix)[0]
-    ends, k = ix.ends, ix.k
-    pos = [0] * len(root)       # a vertex's position in its part
-    part_at = [0] * len(root)   # a lowest vertex's part
+    ends, k, n = ix.ends, ix.k, len(root)
+    # ascending order of the edges' ends, (a, b) keyed as the int a * n + b
+    ids = sorted(range(k), key=[a * n + b for a, b in ends[:k]].__getitem__)
+    if not any(root):
+        return [_Part(range(n), ids, [ends[i] for i in ids], ends[k:])]
+    pos = [0] * n       # a vertex's position in its part
+    part_at = [0] * n   # a lowest vertex's part
     parts: list[_Part] = []
     for v, r in zip(range(len(root)), root):
         if r == v:
@@ -471,7 +477,7 @@ def _split(ix: _Index) -> list[_Part]:
             verts = parts[part_at[r]].verts
             pos[v] = len(verts)
             verts.append(v)
-    for i in sorted(range(k), key=ends.__getitem__):
+    for i in ids:
         a, b = ends[i]
         part = parts[part_at[root[a]]]
         part.edge_ids.append(i)
@@ -708,22 +714,28 @@ class _ExactSearch:
     also monotone (a rule that fires keeps firing as arcs are added), so the
     state ``quiesce`` reaches does not depend on the order in which they fire.
 
+    State is indexed by part position, the index's own when the part spans
+    a connected index; ``m - len(trail)`` edges are undecided.
+
     Reachability is kept exact at all times: ``desc[x]`` is the bitmask of
     vertices reachable from x (x included) over the fixed and decided arcs,
     so an arc t->h closes a cycle iff bit t of ``desc[h]`` is set.  Adding
     t->h walks the in-arcs backwards from t and ORs ``desc[h]`` into every
     vertex that does not reach h yet; the walk stops at vertices that already
-    do, so only changed entries are touched.  Undo restores the ``desc``
-    snapshot of the search frame and pops the newest in-arc of each head on
-    the trail, which is exactly the arc the trail entry added.
+    do, so only changed entries are touched.  ``apply_arc`` holds the one
+    copy of the walk, and the fixed arcs go through it too, as edge -1.
+    Undo makes one pass over the trail entries it drops, newest first: each
+    pops the newest in-arc of its head, which is exactly the arc it added.
+    Then it restores the ``desc`` snapshot of the search frame.
 
     Cycle forcing is driven by closure growth.  An edge u-v becomes forced
     exactly when bit v enters ``desc[u]`` or bit u enters ``desc[v]``, so
-    ``extend_closure`` queues every edge at a vertex whose closure gains the
-    edge's other endpoint, and ``cycle_force_pass`` drains that queue
-    against the live closure.  Building the fixed arcs' closure queues the
-    edges they force.  An undo clears the queue, because every backtrack
-    point is a state that ``quiesce`` left with the queue drained.
+    the walk queues the edges at a vertex whose closure gains the edge's
+    other endpoint (the arc's own edge, being decided, may be left out), and
+    ``cycle_force_pass`` drains that queue against the live closure.
+    Building the fixed arcs' closure queues the edges they force.  An undo
+    clears the queue, because every backtrack point is a state that
+    ``quiesce`` left with the queue drained.
 
     The probe makes no trial moves.  In a pure cycle, parity at a scoped
     vertex fixes whether its two ring links point the same way around the
@@ -745,7 +757,7 @@ class _ExactSearch:
     link at a ring vertex is a ring edge).  A ring's ``in_par`` cannot change
     while it stays a ring, so a probe that lets both directions through stays
     valid until the closure of a ring vertex gains another ring vertex, which
-    ``extend_closure`` sees.  ``pending`` holds the rings not probed since
+    the closure walk sees.  ``pending`` holds the rings not probed since
     they appeared or since that happened, and a pass probes only those, in
     ascending rep order, as a pass over every ring would find them.  Every
     change to this state goes on ``ring_log``, and each trail entry records
@@ -796,46 +808,40 @@ class _ExactSearch:
     ):
         """Search ``part`` of an index whose vertices are ``labels``;
         ``target`` and ``scoped`` flag each index position odd and under the
-        parity constraint (None: every vertex is)."""
-        self.budget = budget
-        self.count_all = count_all
+        parity constraint (None: every vertex is).  A part that spans the
+        index is searched in place and reads both lists as they are."""
+        self.budget, self.count_all = budget, count_all
+        self.labels, self.verts = labels, part.verts
+        self.n = n = len(part.verts)
+        self.ends = ends = part.ends
+        self.m = m = len(ends)
+        if n < len(target):
+            target = [target[x] for x in part.verts]
+            if scoped is not None:
+                scoped = [scoped[x] for x in part.verts]
+        self.target = target
+        self.scoped = [True] * n if scoped is None else scoped
 
-        verts = part.verts
-        self.labels, self.verts = labels, verts
-        self.n = len(verts)
-        self.ends = part.ends
-        self.m = len(part.ends)
-
-        if scoped is None:
-            self.scoped = [True] * self.n
-        else:
-            self.scoped = [scoped[x] for x in verts]
-        self.target = [target[x] for x in verts]
-
-        self.und = [0] * self.n
-        self.edge_at: list[list[int]] = [[] for _ in range(self.n)]
+        self.edge_at = edge_at = [[] for _ in range(n)]
         # bitmask of the vertices joined to x by an edge
-        self.nbr_bits = [0] * self.n
-        for i in range(self.m):
-            u, v = self.ends[i]
-            self.und[u] += 1
-            self.und[v] += 1
-            self.edge_at[u].append(i)
-            self.edge_at[v].append(i)
-            self.nbr_bits[u] |= 1 << v
-            self.nbr_bits[v] |= 1 << u
-
+        self.nbr_bits = nbr_bits = [0] * n
+        for i, (u, v) in zip(range(m), ends):
+            edge_at[u].append(i)
+            edge_at[v].append(i)
+            nbr_bits[u] |= 1 << v
+            nbr_bits[v] |= 1 << u
+        self.und = list(map(len, edge_at))   # undecided links at x
         # vertices with exactly one undecided link, for pick_edge's floor
         self.ones = self.und.count(1)
 
-        self.decided: list[Optional[Arc]] = [None] * self.m
+        self.decided: list[Optional[Arc]] = [None] * m
         self.cycle_q: list[int] = []
-        self.desc = [1 << x for x in range(self.n)]
-        self.in_adj: list[list[int]] = [[] for _ in range(self.n)]
+        self.desc = [1 << x for x in range(n)]
+        self.in_adj: list[list[int]] = [[] for _ in range(n)]
         # the edge id of each in_adj entry, -1 for a fixed arc
-        self.in_edge: list[list[int]] = [[] for _ in range(self.n)]
+        self.in_edge: list[list[int]] = [[] for _ in range(n)]
         # decision levels each decided arc rests on (0 while undecided)
-        self.dep = [0] * self.m
+        self.dep = [0] * m
         # decision levels the last conflict rests on
         self.conflict = 0
         # learned nogoods, each a list of literals 2e + (t < h) for the arc
@@ -844,24 +850,21 @@ class _ExactSearch:
         self.nogoods: list[list[int]] = []
         self.occ: dict[int, list[list[int]]] = {}
         self.lit_q: list[int] = []
-        self.in_par = [0] * self.n
+        self.in_par = [0] * n
         self.rings: dict[int, list[int]] = {}
-        self.ring_of = [-1] * self.n
-        self.ring_mask = [0] * self.n
+        self.ring_of = [-1] * n
+        self.ring_mask = [0] * n
         self.pending: set[int] = set()
         self.dirtied: list[int] = []
         self.ring_log: list[tuple] = []
-        for _, h in part.arcs:
-            self.in_par[h] ^= 1
-        self.fixed_acyclic = all(self.extend_closure(t, h) for t, h in part.arcs)
+        self.fixed_acyclic = all(self.apply_arc(-1, t, h) for t, h in part.arcs)
 
-        self.undecided_total = self.m
         # (edge, tail, head, ring_log length before the arc)
         self.trail: list[tuple[int, int, int, int]] = []
-        self.seen = [0] * self.n   # the stamp of the last walk to reach x
+        self.seen = [0] * n   # the stamp of the last walk to reach x
         self.stamp = 0
         # the root's rings are never rewound, so they are not logged
-        self._find_rings(range(self.n))
+        self._find_rings(range(n))
         self.ring_log.clear()
         self.scanned = 0   # trail entries whose endpoints have been walked
         self.force_q: deque[int] = deque()
@@ -874,105 +877,118 @@ class _ExactSearch:
 
     # -- state updates ------------------------------------------------------
 
-    def extend_closure(self, t: int, h: int, e: int = -1) -> bool:
-        """Add arc t->h (edge e, or -1 for a fixed arc) to the closure;
-        False, with nothing changed, when it closes a directed cycle.  Queues
-        the edges whose direction the new reachability may force."""
-        desc, in_adj, nbr_bits = self.desc, self.in_adj, self.nbr_bits
-        ring_mask, pending = self.ring_mask, self.pending
-        if (desc[h] >> t) & 1:
+    def apply_arc(
+        self, e: int, t: int, h: int, mask: int = 0, decision: bool = False
+    ) -> bool:
+        """Decide edge e as t->h, resting on the decision levels ``mask``,
+        or add a fixed arc t->h when e is -1; False on a conflict, whose
+        levels go to ``conflict``.  An arc that closes a directed cycle
+        changes nothing."""
+        desc = self.desc
+        below = desc[h]
+        if (below >> t) & 1:
+            self.conflict = mask | self.path_dep(h, t)
             return False
+        in_adj, nbr_bits, ring_mask = self.in_adj, self.nbr_bits, self.ring_mask
+        log_at = len(self.ring_log)
         in_adj[h].append(t)
         self.in_edge[h].append(e)
-        below = desc[h]
         stack = [t]
         while stack:
             y = stack.pop()
             old = desc[y]
-            if (old >> h) & 1:
-                continue
-            desc[y] = old | below
-            new = below & ~old
+            grown = old | below
+            if grown == old:
+                continue   # y reaches h already
+            desc[y] = grown
+            new = grown ^ old
             gained = new & nbr_bits[y]
-            if gained:
+            # at t a lone gained bit is h, across e itself; a fixed arc is on no edge
+            if gained and (y != t or e < 0 or gained & (gained - 1)):
+                ends, cycle_q = self.ends, self.cycle_q
                 for i in self.edge_at[y]:
-                    u, v = self.ends[i]
-                    if (gained >> (v if u == y else u)) & 1:
-                        self.cycle_q.append(i)
-            if new & ring_mask[y] and self.ring_of[y] not in pending:
+                    u, v = ends[i]
+                    if (gained >> (u + v - y)) & 1:
+                        cycle_q.append(i)
+            if ring_mask[y] and new & ring_mask[y] and self.ring_of[y] not in self.pending:
                 # y now reaches another vertex of its ring: probe it again
                 r = self.ring_of[y]
-                pending.add(r)
+                self.pending.add(r)
                 self.dirtied.append(r)
                 self.ring_log.append((_RING_DIRTY, r))
             stack.extend(in_adj[y])
-        return True
+        self.in_par[h] ^= 1
+        if e < 0:
+            return True
 
-    def apply_arc(
-        self, e: int, t: int, h: int, mask: int = 0, decision: bool = False
-    ) -> bool:
-        """Decide edge e as t->h, resting on the decision levels ``mask``;
-        False on a conflict, whose levels go to ``conflict``."""
-        log_at = len(self.ring_log)
-        if not self.extend_closure(t, h, e):
-            self.conflict = mask | self.path_dep(h, t)
-            return False
         if not decision:
             self.propagations += 1
         self.decided[e] = (t, h)
         self.dep[e] = mask
-        self.in_par[h] ^= 1
-        self.undecided_total -= 1
         self.trail.append((e, t, h, log_at))
-        lit = 2 * e + (t < h)
-        if lit in self.occ:
-            self.lit_q.append(lit)
+        if self.occ:
+            lit = 2 * e + (t < h)
+            if lit in self.occ:
+                self.lit_q.append(lit)
         r = self.ring_of[t]
         if r >= 0:
             # e is an edge of t's ring, so h is on it too
             was_pending = r in self.pending
             self.pending.discard(r)
-            bits = self.ring_mask[t]
+            bits = ring_mask[t]
             self.ring_log.append((_RING_DROP, r, self._unlink_ring(r), bits, was_pending))
-        und, ok = self.und, True
-        for x in (t, h):
-            left = und[x] - 1
-            und[x] = left
-            if left < 2:
-                self.ones += 1 if left else -1
-                if ok and self.scoped[x]:
-                    if left:
-                        self.force_q.append(x)
-                    elif self.in_par[x] != self.target[x]:
-                        self.conflict = self.links_dep(x)
-                        ok = False
-        return ok
+        und = self.und
+        left = und[t] = und[t] - 1
+        right = und[h] = und[h] - 1
+        if left > 1 and right > 1:
+            return True
+        # a count that falls to 1 joins ``ones``, one that falls to 0 leaves
+        self.ones += (left == 1) - (left == 0) + (right == 1) - (right == 0)
+        in_par, scoped, target = self.in_par, self.scoped, self.target
+        if left < 2 and scoped[t]:
+            if left:
+                self.force_q.append(t)
+            elif in_par[t] != target[t]:
+                self.conflict = self.links_dep(t)
+                return False
+        if right < 2 and scoped[h]:
+            if right:
+                self.force_q.append(h)
+            elif in_par[h] != target[h]:
+                self.conflict = self.links_dep(h)
+                return False
+        return True
 
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
         taken when the trail had that length.  The rings are rewound with the
         trail, and the queues are emptied, except that both literals of each
-        edge made undecided are queued: a nogood learned since ``mark`` can
-        be unit there, with its undecided literal the only one that moved."""
-        trail, und, occ, lit_q = self.trail, self.und, self.occ, self.lit_q
+        edge made undecided are queued, newest edge first: a nogood learned
+        since ``mark`` can be unit there, with its undecided literal the only
+        one that moved."""
+        trail = self.trail
         if len(trail) > mark:
             self._rewind_rings(trail[mark][3])
-        while len(trail) > mark:
-            e, t, h, _ = trail.pop()
-            for lit in (2 * e, 2 * e + 1):
-                if lit in occ:
-                    lit_q.append(lit)
-            self.decided[e] = None
-            self.dep[e] = 0
-            self.in_adj[h].pop()
-            self.in_edge[h].pop()
-            self.in_par[h] ^= 1
-            self.undecided_total += 1
-            for x in (t, h):
-                left = und[x] + 1
-                und[x] = left
-                if left < 3:
-                    self.ones += 1 if left == 1 else -1
+            und, decided, dep, in_par = self.und, self.decided, self.dep, self.in_par
+            in_adj, in_edge, occ, lit_q = self.in_adj, self.in_edge, self.occ, self.lit_q
+            ones = 0
+            for e, t, h, _ in reversed(trail[mark:]):
+                if occ:
+                    lit = 2 * e
+                    if lit in occ:
+                        lit_q.append(lit)
+                    if lit + 1 in occ:
+                        lit_q.append(lit + 1)
+                decided[e] = None
+                dep[e] = 0
+                in_adj[h].pop()
+                in_edge[h].pop()
+                in_par[h] ^= 1
+                left = und[t] = und[t] + 1
+                right = und[h] = und[h] + 1
+                ones += (left == 1) - (left == 2) + (right == 1) - (right == 2)
+            self.ones += ones
+            del trail[mark:]
         self.desc[:] = desc
         self.force_q.clear()
         self.cycle_q.clear()
@@ -1031,12 +1047,16 @@ class _ExactSearch:
             seen[x] = stamp
             # cyc[i] - cyc[i + 1] is edge es[i], and es[-1] closes the ring
             cyc, es, bits = [x], [], 1 << x
-            f = next(i for i in edge_at[x] if decided[i] is None)
-            y = x
+            f, y = -1, x
             while True:
+                # leave y by its undecided link other than the one walked in
+                for g in edge_at[y]:
+                    if g != f and decided[g] is None:
+                        break
+                f = g
                 es.append(f)
                 a, b = ends[f]
-                y = b if a == y else a
+                y = a + b - y
                 if y == x:
                     break
                 if und[y] != 2 or seen[y] == stamp:
@@ -1045,7 +1065,6 @@ class _ExactSearch:
                 seen[y] = stamp
                 cyc.append(y)
                 bits |= 1 << y
-                f = next(i for i in edge_at[y] if i != f and decided[i] is None)
             if not cyc:
                 continue
             # start from the low end of the lowest edge, across that edge
@@ -1126,20 +1145,20 @@ class _ExactSearch:
         force_q, und, decided, ends, dep = (
             self.force_q, self.und, self.decided, self.ends, self.dep
         )
+        edge_at, in_par, target = self.edge_at, self.in_par, self.target
         while force_q:
             x = force_q.popleft()
             if und[x] != 1:
                 continue
             mask = 0
-            for f in self.edge_at[x]:
+            for f in edge_at[x]:
                 if decided[f] is None:
                     e = f
                 else:
                     mask |= dep[f]
             u, v = ends[e]
-            other = v if u == x else u
-            need_in = self.in_par[x] != self.target[x]
-            t, h = (other, x) if need_in else (x, other)
+            other = u + v - x
+            t, h = (other, x) if in_par[x] != target[x] else (x, other)
             if not self.apply_arc(e, t, h, mask):
                 return False
         return True
@@ -1397,7 +1416,7 @@ class _ExactSearch:
         frames: list[list] = []
         while True:
             solved = False
-            if ok and self.undecided_total == 0:
+            if ok and len(self.trail) == self.m:
                 self.enumerated += 1
                 if self.first_witness is None:
                     self.first_witness = self.decided[:]
@@ -1462,7 +1481,8 @@ def solve_exact(
     A directed cycle and an in-degree both stay inside one connected
     component of the links (direction ignored), so the components are
     searched one at a time, in ascending order of their lowest vertex, and
-    the first infeasible or aborted one ends the solve.
+    the first infeasible or aborted one ends the solve.  A connected
+    instance, such as a reduction, is searched in place on its index.
 
     ``budget`` caps branch decisions over all components together: each gets
     what the earlier ones left.  Overruns return status "aborted", never a

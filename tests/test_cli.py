@@ -307,6 +307,65 @@ def _mutated_formula_files(draw):
     return "\n".join(lines) + "\n"
 
 
+# values an edit puts into an instance document; tuples write as JSON lists
+# and cannot be edited in place by a later mutation
+_FUZZ_VALUES = [0, 1, -1, 7, 10**20, 1.5, "x", None, True, (), {}, (0,), (0, 0),
+                (1, 0), (0, 1, 2)]
+
+
+@st.composite
+def _mutated_instance_files(draw):
+    """A written instance of up to six vertices with up to three mutations
+    of its JSON: a section dropped or replaced, a list entry dropped,
+    duplicated or replaced, or one field of a pair or vertex record
+    replaced or dropped; sometimes the text is cut short as well.  An
+    unmutated draw keeps the solvers' own paths in the mix."""
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    links = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9)) if pairs else []
+    arcs = [p[::-1] for p in links if draw(st.booleans())]
+    edges = [p for p in links if p[::-1] not in arcs]
+    odd = draw(st.sets(st.integers(0, n - 1)))
+    prob = OrientationProblem.build(PartiallyDirectedGraph.build(range(n), edges, arcs), odd)
+    doc = json.loads(write_instance(prob))
+    for _ in range(draw(st.integers(0, 3))):
+        if not doc:
+            break
+        key = draw(st.sampled_from(sorted(doc)))
+        kind = draw(st.sampled_from(["drop", "replace", "entry"]))
+        entries = doc[key]
+        if kind == "drop":
+            del doc[key]
+        elif kind == "replace" or not isinstance(entries, list) or not entries:
+            doc[key] = draw(st.sampled_from(_FUZZ_VALUES))
+        else:
+            i = draw(st.integers(0, len(entries) - 1))
+            op = draw(st.sampled_from(["drop", "duplicate", "replace", "field"]))
+            if op == "drop":
+                del entries[i]
+            elif op == "duplicate":
+                entries.insert(draw(st.integers(0, len(entries))), entries[i])
+            elif op == "replace" or not entries[i]:
+                entries[i] = draw(st.sampled_from(_FUZZ_VALUES))
+            elif isinstance(entries[i], list):
+                entries[i] = list(entries[i])
+                entries[i][draw(st.integers(0, len(entries[i]) - 1))] = draw(
+                    st.sampled_from(_FUZZ_VALUES)
+                )
+            elif isinstance(entries[i], dict):
+                record = dict(entries[i])
+                field = draw(st.sampled_from(["id", "in_T", "label"]))
+                if draw(st.booleans()):
+                    record.pop(field, None)
+                else:
+                    record[field] = draw(st.sampled_from(_FUZZ_VALUES))
+                entries[i] = record
+    text = json.dumps(doc)
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
 class TestMainFuzz:
     @settings(max_examples=150, deadline=None)
     @given(_mutated_formula_files())
@@ -319,6 +378,23 @@ class TestMainFuzz:
                 fh.write(text)
             assert run("reduce", path, "-o", os.path.join(tmp, "f.json")) in (0, 1, 2)
             assert run("verify", path) in (0, 1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_mutated_instance_files(), st.booleans())
+    def test_solve_normalize_and_apex_exit_with_a_code(self, text, multi):
+        """On a mutated instance document, ``solve``, ``normalize`` and
+        ``apex`` (both readings) end with exit code 0, 1 or 2; an exception
+        escaping ``main`` fails."""
+        flags = ["--normalize-multi"] if multi else []
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "i.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "o.json")
+            assert run("solve", path, *flags) in (0, 1, 2)
+            assert run("normalize", path, "-o", out, *flags) in (0, 1, 2)
+            assert run("apex", path, "-o", out, *flags) in (0, 1, 2)
+            assert run("apex", path, "--variant", *flags) in (0, 1, 2)
 
 
 class TestEntryPoint:

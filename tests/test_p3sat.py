@@ -30,7 +30,7 @@ from oddorient.p3sat import (
     variable_vertex,
 )
 from oddorient.io import write_formula
-from oddorient.pdgraph import PartiallyDirectedGraph
+from oddorient.pdgraph import GraphError, PartiallyDirectedGraph
 from oddorient.reduction import assemble
 from oddorient.samples import (
     sample_formula,
@@ -189,6 +189,16 @@ class TestValidateEmbedding:
         )
         with pytest.raises(FormulaError, match=r"rotation names non-vertices: \[7\]"):
             validate_embedding(k4(), rot)
+
+    def test_dangling_endpoint_of_a_raw_graph_rejected(self):
+        # the raw constructor checks nothing; the neighbour table of the
+        # error path is keyed by the vertices, so this raised a KeyError
+        graph = PartiallyDirectedGraph(
+            vertices=frozenset({0, 1}), edges=frozenset({(0, 5)}), arcs=frozenset()
+        )
+        rot = RotationSystem.build({0: [5], 1: []})
+        with pytest.raises(GraphError, match="dangling endpoint 5"):
+            validate_embedding(graph, rot)
 
     def test_stray_vertex_rejected_by_planar_formula(self):
         # its written form would fail to read back: the rotation lines would

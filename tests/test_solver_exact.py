@@ -4,9 +4,11 @@ scratch, its ring probe against trial propagation, the completeness of its
 cycle forcing, the soundness of the decision levels each forced arc and
 conflict rests on and of the nogoods it learns, its verdicts against the
 oracle and on renamed UNSAT cores, its component-by-component search of
-disconnected instances, and its decision counts on the frozen UNSAT samples
-and on generated reductions."""
+disconnected instances, and its decision and propagation counts on the
+frozen UNSAT samples and on generated reductions, with the witnesses of
+the latter."""
 
+import hashlib
 import random
 
 import pytest
@@ -100,11 +102,13 @@ def test_examples_are_parity_feasible_but_infeasible():
 
 def search_on(prob, budget=0, scope=None, count_all=False) -> _ExactSearch:
     """An exact search over the whole of ``prob`` as one part, connected or
-    not; ``solve_exact`` runs one per connected component."""
+    not, built as ``_split`` builds the part of a connected index: in place,
+    with only the edges sorted by their ends.  ``solve_exact`` runs one
+    search per connected component."""
     ix = _Index(prob.graph)
     ids = sorted(range(ix.k), key=ix.ends.__getitem__)
     whole = _Part(
-        list(range(len(ix.labels))), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
+        range(len(ix.labels)), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
     )
     target = [v in prob.odd_set for v in ix.labels]
     scoped = None if scope is None else [v in scope for v in ix.labels]
@@ -449,7 +453,7 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
             seen_clean[e, tuple(ring)] = reach
         clean_reach = seen_clean
         assert search.ones == search.und.count(1)
-        if search.undecided_total:
+        if len(search.trail) < search.m:
             assert search.pick_edge() == pick_edge_by_scan(search)
 
 
@@ -518,7 +522,7 @@ def test_dependency_masks_are_sound(prob, seed):
         return
     ok = start(search)
     decisions = []
-    while ok and search.undecided_total:
+    while ok and len(search.trail) < search.m:
         undecided = [f for f in range(search.m) if search.decided[f] is None]
         off = [f for f in undecided if search.ring_of[search.ends[f][0]] < 0]
         e = rng.choice(off if off and rng.random() < 0.8 else undecided)
@@ -536,7 +540,7 @@ def test_probe_reason_holds_the_path_between_ring_vertices():
     prob = problem(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], [(0, 4), (5, 2)], [1])
     scope = {0, 1, 2, 3}
     search = search_on(prob, 0, scope)
-    assert start(search) and search.undecided_total == 5
+    assert start(search) and search.m - len(search.trail) == 5
     decisions = [(4, 4, 5)]
     assert search.apply_arc(4, 4, 5, 1 << 1, decision=True) and search.quiesce()
     assert search.decided[:4] == [(0, 1), (0, 3), (1, 2), (2, 3)]
@@ -674,26 +678,40 @@ def test_components_share_the_decision_budget():
     assert solve_exact(union, budget=need).status == INFEASIBLE
 
 
-# The decision counts the search needs on the frozen UNSAT samples.  The
-# propagation rules only prune, a backjump only skips, and a learned nogood
-# only forces, so a change that loses a forcing, widens a dependency mask or
-# drops a nogood shows up here as more decisions.  The counts are not in the
-# test ids, so a pin can move.  Without nogoods they were 84/180/84.
-FROZEN_UNSAT_DECISIONS = {0: 14, 1: 18, 2: 14}
+# The decision and propagation counts the search needs on the frozen UNSAT
+# samples.  The propagation rules only prune, a backjump only skips, and a
+# learned nogood only forces, so a change that loses a forcing, widens a
+# dependency mask or drops a nogood shows up here as more decisions.  The
+# propagations pin the forcing itself: a change to which arcs are forced, or
+# in which order, can move them even where the decisions stay.  The counts
+# are not in the test ids, so a pin can move.  Without nogoods the
+# decisions were 84/180/84.
+FROZEN_UNSAT_DECISIONS = {0: (14, 1026), 1: (18, 1490), 2: (14, 1026)}
 
 
 @pytest.mark.parametrize("index", sorted(FROZEN_UNSAT_DECISIONS))
 def test_frozen_unsat_decision_counts(index):
     res = decide(assemble(unsat_samples()[index]).problem)
     assert res.status == INFEASIBLE
-    assert res.decisions == FROZEN_UNSAT_DECISIONS[index]
+    assert (res.decisions, res.propagations) == FROZEN_UNSAT_DECISIONS[index]
+
+
+def witness_digest(witness) -> str:
+    """The first 16 hex digits of the sha256 of the sorted arcs."""
+    return hashlib.sha256(repr(sorted(witness.arcs)).encode()).hexdigest()[:16]
 
 
 # The same on generated reductions, where the pure-cycle state changes most
-# between decisions.  Under chronological backtracking 24/34 seed 0 took 716
-# decisions, and 40/57 seed 0 and 64/92 seed 0 aborted at 20,000; with
-# backjumping alone the four took 72, 176, 119 and 677.
-GENERATED_DECISIONS = {(0, 24, 34): 69, (1, 64, 92): 172, (0, 40, 57): 116, (0, 64, 92): 297}
+# between decisions, with a digest of the witness found: (decisions,
+# propagations, witness digest).  Under chronological backtracking 24/34
+# seed 0 took 716 decisions, and 40/57 seed 0 and 64/92 seed 0 aborted at
+# 20,000; with backjumping alone the four took 72, 176, 119 and 677.
+GENERATED_DECISIONS = {
+    (0, 24, 34): (69, 2215, "947594a2f8a5bac5"),
+    (1, 64, 92): (172, 5021, "51a20271fda0a97c"),
+    (0, 40, 57): (116, 3593, "ebd47ecde631d823"),
+    (0, 64, 92): (297, 15023, "ec8cbda887a86037"),
+}
 
 
 @pytest.mark.parametrize("seed, n, m", list(GENERATED_DECISIONS))
@@ -702,8 +720,10 @@ def test_generated_decision_counts(seed, n, m):
     red = assemble(pf)
     res = decide(red.problem, budget=20000)
     assert res.feasible
-    assert res.decisions == GENERATED_DECISIONS[seed, n, m]
     w = res.witness
+    assert (res.decisions, res.propagations, witness_digest(w)) == GENERATED_DECISIONS[
+        seed, n, m
+    ]
     assert extends(red.problem.graph, w) and is_acyclic(w.arcs).acyclic
     assert is_T_odd_on(red.problem, w)
     assert eval_formula(pf.formula, assignment_from_orientation(red, w))
