@@ -278,7 +278,9 @@ def boundary(
 
 def is_uniform(view: BoundaryView) -> bool:
     """A boundary is uniform when it has no undirected crossers and all arcs
-    run the same way (all outward or all inward)."""
+    run the same way (all outward or all inward).  This is the boundary of
+    a variable ring in the reduction: every orientation leaves it uniform,
+    and its two directions store the variable's one bit."""
     if view.edge_boundary:
         return False
     return not view.out_arcs or not view.in_arcs
@@ -289,8 +291,11 @@ def gamma_subgraph(
 ) -> PartiallyDirectedGraph:
     """Subgraph induced by the links inside ``core`` plus its boundary links.
 
-    The vertex set is ``core`` plus the external endpoints of boundary links;
-    isolated core vertices are kept.
+    This is the Γ of a gadget's vertex set in an assembled instance, the
+    graph the gadget claims are made on; ``attach_stubs`` builds the same
+    shape for a gadget on its own, one fresh outside vertex per boundary
+    link.  The vertex set is ``core`` plus the external endpoints of
+    boundary links; isolated core vertices are kept.
     """
     inner = set(core)
     stray = inner - graph.vertices
@@ -407,7 +412,9 @@ def parity_feasible(problem: OrientationProblem) -> bool:
 def flip_all(orientation: Orientation) -> Orientation:
     """Reverse every arc.  Acyclicity is preserved and each in-degree becomes
     degree minus the old in-degree; the result extends the reversed fixed
-    arcs, so it is an orientation of the reversed graph."""
+    arcs, so it is an orientation of the reversed graph.  This is the final
+    flip of the T=∅ normalization, which ``NormalizeBackMap.restore`` undoes
+    first."""
     return Orientation(arcs=frozenset((h, t) for t, h in orientation.arcs))
 
 
@@ -417,22 +424,3 @@ def reverse_graph(graph: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
         edges=graph.edges,
         arcs=frozenset((h, t) for t, h in graph.arcs),
     )
-
-
-def restrict(
-    orientation: Orientation, links: Iterable[tuple[Vertex, Vertex]]
-) -> frozenset[Arc]:
-    """Arcs of the orientation covering the requested links.
-
-    A link given as an (unordered) edge matches whichever direction the
-    orientation chose; a link given as an arc must be present verbatim.
-    """
-    picked: set[Arc] = set()
-    for u, v in links:
-        if (u, v) in orientation.arcs:
-            picked.add((u, v))
-        elif (v, u) in orientation.arcs:
-            picked.add((v, u))
-        else:
-            raise GraphError(f"link ({u}, {v}) is not covered by the orientation")
-    return frozenset(picked)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -48,6 +48,7 @@ from oddorient.pdgraph import (
     PartiallyDirectedGraph,
     Vertex,
     canonical_edge,
+    flip_all,
     is_acyclic,
     parity_feasible,
     reverse_graph,
@@ -76,21 +77,20 @@ class SolveResult:
 
     ``status`` is one of feasible / infeasible / aborted.  A feasible result
     carries a witness that passes is_acyclic and is_T_odd_on on the solve's
-    scope (every vertex unless ``solve_exact`` was given one).
-    ``enumerated`` counts complete solutions encountered (at most 1 unless the
-    solver ran in counting mode).  ``propagations`` counts forced steps.  In
-    the linear pass these are the edges oriented by a parity demand: every
-    edge but the one cut from each cycle of edges.  In the exact search they
-    are the arcs a rule forced and applied, decisions excluded, including
-    those a backtrack later undid and those a learned nogood forced; its
-    probe applies no arc, so a direction it only tests counts nothing.
+    scope (every vertex unless ``solve_exact`` was given one).  A solver
+    stops at its first solution; ``enumerate`` is the one that counts them.
+    ``propagations`` counts forced steps.  In the linear pass these are the
+    edges oriented by a parity demand: every edge but the one cut from each
+    cycle of edges.  In the exact search they are the arcs a rule forced and
+    applied, decisions excluded, including those a backtrack later undid and
+    those a learned nogood forced; its probe applies no arc, so a direction
+    it only tests counts nothing.
     """
 
     status: str
     witness: Optional[Orientation] = None
     decisions: int = 0
     propagations: int = 0
-    enumerated: int = 0
     detail: str = ""
 
     @property
@@ -154,10 +154,12 @@ def enumerate(
 
     Raises BudgetError when d exceeds ``max_edges`` or k the 64-bit mask
     width; a partial count is never returned.  Raises ValueError on a
-    negative ``witness_cap``.
+    negative ``witness_cap`` or ``max_edges``.
     """
     if witness_cap is not None and witness_cap < 0:
         raise ValueError(f"witness_cap must be None or non-negative, got {witness_cap}")
+    if max_edges < 0:
+        raise ValueError(f"max_edges must be non-negative, got {max_edges}")
     g = problem.graph
     edge_list = sorted(g.edges)
     k = len(edge_list)
@@ -656,10 +658,7 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
             detail="every T-odd orientation holds a directed cycle",
         )
     return SolveResult(
-        FEASIBLE,
-        witness=_orientation(ix, arcs, problem.graph),
-        propagations=steps,
-        enumerated=1,
+        FEASIBLE, witness=_orientation(ix, arcs, problem.graph), propagations=steps
     )
 
 
@@ -804,13 +803,12 @@ class _ExactSearch:
         target: list[bool],
         scoped: Optional[list[bool]],
         budget: int,
-        count_all: bool,
     ):
         """Search ``part`` of an index whose vertices are ``labels``;
         ``target`` and ``scoped`` flag each index position odd and under the
         parity constraint (None: every vertex is).  A part that spans the
         index is searched in place and reads both lists as they are."""
-        self.budget, self.count_all = budget, count_all
+        self.budget = budget
         self.labels, self.verts = labels, part.verts
         self.n = n = len(part.verts)
         self.ends = ends = part.ends
@@ -870,10 +868,6 @@ class _ExactSearch:
         self.force_q: deque[int] = deque()
         self.decisions = 0
         self.propagations = 0
-        self.enumerated = 0
-        # the (tail, head) of each edge in the first solution found, as
-        # positions in the part
-        self.first_witness: Optional[list[Arc]] = None
 
     # -- state updates ------------------------------------------------------
 
@@ -1351,13 +1345,13 @@ class _ExactSearch:
         return best
 
     def result(self, status: str, detail: str = "") -> SolveResult:
-        """The outcome without a witness; a feasible search leaves its first
-        solution in ``first_witness``."""
+        """The outcome without a witness; a feasible search returns with its
+        solution in ``decided``, the (tail, head) of each edge as positions
+        in the part."""
         return SolveResult(
             status,
             decisions=self.decisions,
             propagations=self.propagations,
-            enumerated=self.enumerated,
             detail=detail,
         )
 
@@ -1385,19 +1379,15 @@ class _ExactSearch:
         with none left, its set is the next conflict.  A conflict resting on
         no level ends the search.  The branching rule is that of
         chronological backtracking, so the search visits a subset of its
-        nodes and meets the same first solution.  In counting mode a
-        solution counts as a conflict on every level, so no frame with a
-        solution below it is skipped and the count stays exact.
+        nodes and meets the same first solution, where it returns.
 
         Before the undo, each conflict, and each frame set that becomes one,
         is learned as a nogood over the decisions at its levels, and
         ``quiesce`` propagates the nogoods from then on.  A nogood follows
         from the constraints, so an arc it forces is one every solution
         under the current decisions has: an exhausted search is still a
-        proof and the count stays exact.  An arc forced earlier than without
-        learning can change the branch edge chosen below it.  In counting
-        mode a solution's conflict is no nogood, nor is a frame set that
-        holds it, so neither is learned.
+        proof.  An arc forced earlier than without learning can change the
+        branch edge chosen below it.
         """
         if not self.fixed_acyclic:
             return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
@@ -1411,28 +1401,18 @@ class _ExactSearch:
                 self.force_q.append(x)
         ok = self.quiesce()
         # one frame per decision level, from 1: [edge, alternatives left,
-        # trail mark, desc snapshot, levels its failed branches rest on,
-        # whether those include a solution]
+        # trail mark, desc snapshot, levels its failed branches rest on]
         frames: list[list] = []
         while True:
-            solved = False
-            if ok and len(self.trail) == self.m:
-                self.enumerated += 1
-                if self.first_witness is None:
-                    self.first_witness = self.decided[:]
-                if not self.count_all:
-                    return self.result(FEASIBLE)
-                # keep exhausting, through every frame's alternative
-                ok = False
-                solved = True
-                self.conflict = (2 << len(frames)) - 2
             if ok:
+                if len(self.trail) == self.m:
+                    return self.result(FEASIBLE)
                 if self.decisions >= self.budget:
                     return self.result(ABORTED, "decision budget exceeded")
                 e = self.pick_edge()
                 u, v = self.ends[e]
                 lo, hi = (u, v) if u < v else (v, u)
-                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0, False])
+                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0])
                 self.decisions += 1
                 ok = (
                     self.apply_arc(e, hi, lo, 1 << len(frames), decision=True)
@@ -1441,14 +1421,12 @@ class _ExactSearch:
                 continue
             conflict = self.conflict
             while conflict:
-                if not solved:
-                    self.learn(conflict, frames)
+                self.learn(conflict, frames)
                 level = conflict.bit_length() - 1
                 del frames[level:]
                 frame = frames[-1]
-                e, alts, mark, desc, _, _ = frame
+                e, alts, mark, desc, _ = frame
                 frame[4] |= conflict ^ (1 << level)
-                frame[5] |= solved
                 if alts:
                     self.undo_to(mark, desc)
                     t, h = alts.pop()
@@ -1461,11 +1439,9 @@ class _ExactSearch:
                     )
                     break
                 # both directions failed: their levels below are the conflict
-                conflict, solved = frame[4], frame[5]
+                conflict = frame[4]
                 frames.pop()
             else:
-                if self.count_all and self.enumerated:
-                    return self.result(FEASIBLE)
                 return self.result(INFEASIBLE, "search space exhausted")
 
 
@@ -1474,7 +1450,6 @@ def solve_exact(
     budget: int = 10_000_000,
     *,
     scope: Optional[Iterable[Vertex]] = None,
-    count_all: bool = False,
 ) -> SolveResult:
     """Complete backtracking search; infeasible answers are proofs.
 
@@ -1488,10 +1463,9 @@ def solve_exact(
     what the earlier ones left.  Overruns return status "aborted", never a
     wrong answer.  ``scope`` restricts the parity constraint (full vertex
     set by default).  ``decisions`` and ``propagations`` are summed over the
-    components searched.  With ``count_all`` each component's search
-    exhausts its space, and ``enumerated`` is the product of their solution
-    counts.  The witness is the union of the component witnesses, checked
-    for acyclicity and for parity on the scope.
+    components searched.  Each component's search returns at its first
+    solution, and the witness is the union of theirs, checked for
+    acyclicity and for parity on the scope.
     """
     g = problem.graph
     if scope is not None:
@@ -1499,7 +1473,7 @@ def solve_exact(
         stray = scope - g.vertices
         if stray:
             raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
-    return _solve_exact(problem, _Index(g), budget, scope, count_all)
+    return _solve_exact(problem, _Index(g), budget, scope)
 
 
 def _solve_exact(
@@ -1507,33 +1481,24 @@ def _solve_exact(
     ix: _Index,
     budget: int,
     scope: Optional[set[Vertex]] = None,
-    count_all: bool = False,
 ) -> SolveResult:
-    """``solve_exact`` over the problem's index, ``scope`` already checked."""
+    """``solve_exact`` over the problem's index, ``scope`` already checked.
+    A feasible ``run`` returns at its solution, so each part's witness is
+    read from its search's ``decided``."""
     labels = ix.labels
     target = [v in problem.odd_set for v in labels]
     scoped = None if scope is None else [v in scope for v in labels]
     decisions = propagations = 0
-    enumerated = 1
     arcs = ix.ends[: ix.k]   # each edge's (tail, head), filled in per part
     for part in _split(ix):
-        search = _ExactSearch(
-            labels, part, target, scoped, budget - decisions, count_all
-        )
+        search = _ExactSearch(labels, part, target, scoped, budget - decisions)
         outcome = search.run()
         decisions += outcome.decisions
         propagations += outcome.propagations
-        enumerated *= outcome.enumerated
         if not outcome.feasible:
-            return SolveResult(
-                outcome.status,
-                decisions=decisions,
-                propagations=propagations,
-                enumerated=enumerated,
-                detail=outcome.detail,
-            )
+            return replace(outcome, decisions=decisions, propagations=propagations)
         verts = part.verts
-        for i, (t, h) in zip(part.edge_ids, search.first_witness):
+        for i, (t, h) in zip(part.edge_ids, search.decided):
             arcs[i] = (verts[t], verts[h])
     if not _check_witness(ix, arcs, problem.odd_set, scope):
         raise RuntimeError("solver produced a cyclic witness")
@@ -1542,7 +1507,6 @@ def _solve_exact(
         witness=_orientation(ix, arcs, problem.graph),
         decisions=decisions,
         propagations=propagations,
-        enumerated=enumerated,
     )
 
 
@@ -1598,14 +1562,7 @@ def apex_feasible_variant(
             OrientationProblem(g2, g2.vertices - {w}), budget=budget
         )
         if outcome.feasible:
-            return SolveResult(
-                FEASIBLE,
-                witness=outcome.witness,
-                decisions=outcome.decisions,
-                propagations=outcome.propagations,
-                enumerated=outcome.enumerated,
-                detail=f"feasible with even vertex {w}",
-            )
+            return replace(outcome, detail=f"feasible with even vertex {w}")
         if outcome.status == ABORTED:
             return outcome
     return last
@@ -1635,7 +1592,7 @@ class NormalizeBackMap:
     steps: tuple[ContractionStep, ...]
 
     def restore(self, orientation: Orientation) -> Orientation:
-        arcs = {(h, t) for t, h in orientation.arcs}
+        arcs = set(flip_all(orientation).arcs)
         for step in self.steps[::-1]:
             a, b, v = step.left, step.right, step.vertex
             if (a, b) in arcs:

@@ -154,6 +154,12 @@ class TestGadget:
         assert "2**4 parity space" in capsys.readouterr().err
         assert run("gadget", "variable", "--copies", 3) == 0
 
+    def test_negative_cap_is_refused(self, capsys):
+        # a misuse of the flag, not a parity space over a 2**-1 budget
+        assert run("gadget", "clause", "--enum-cap", -1) == 2
+        err = capsys.readouterr().err
+        assert "must be non-negative" in err and "budget" not in err
+
     def test_variable_past_mask_width(self, capsys):
         # 66 edges: over the 64-bit mask width even with a cap of 100
         assert run("gadget", "variable", "--copies", 6, "--enum-cap", 100) == 2

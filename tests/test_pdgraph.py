@@ -18,7 +18,6 @@ from oddorient.pdgraph import (
     is_acyclic,
     is_uniform,
     parity_feasible,
-    restrict,
     reverse_graph,
     validate,
 )
@@ -206,14 +205,6 @@ class TestTransformsAndRestriction:
         r = reverse_graph(g)
         assert r.arcs == frozenset({(1, 4)})
         assert r.edges == g.edges
-
-    def test_restrict_matches_either_direction(self):
-        g = small_graph()
-        o = Orientation.of(g, [(2, 1), (2, 3)])
-        assert restrict(o, [(1, 2)]) == frozenset({(2, 1)})
-        assert restrict(o, [(4, 1)]) == frozenset({(4, 1)})
-        with pytest.raises(GraphError, match="not covered"):
-            restrict(o, [(1, 3)])
 
 
 # -- property tests ------------------------------------------------------------

@@ -116,6 +116,12 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="witness_cap"):
             enum(prob, scope=[], witness_cap=-1, require_acyclic=require_acyclic)
 
+    @pytest.mark.parametrize("require_acyclic", [True, False])
+    def test_negative_max_edges_is_refused(self, require_acyclic):
+        prob = problem([0, 1, 2, 3], [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="max_edges"):
+            enum(prob, scope=[], max_edges=-1, require_acyclic=require_acyclic)
+
     def test_budget_refuses_past_mask_width(self):
         edges = [(i, i + 1) for i in range(65)]
         with pytest.raises(BudgetError, match="64-bit"):
@@ -318,8 +324,6 @@ class TestSolveExact:
             rep = enum(prob)
             res = solve_exact(prob)
             assert res.feasible == (rep.total_valid > 0)
-            cnt = solve_exact(prob, count_all=True)
-            assert cnt.enumerated == rep.total_valid
 
     def test_cyclic_fixed_arcs_infeasible(self):
         prob = problem(
@@ -336,12 +340,6 @@ class TestSolveExact:
         prob = problem(range(n), edges, odd=odd)
         res = solve_exact(prob, budget=3)
         assert res.status == "aborted"
-
-    def test_counting_mode_with_scope(self):
-        # two disjoint edges, only vertex 1 constrained: edge (2,3) is free
-        prob = problem([0, 1, 2, 3], [(0, 1), (2, 3)], odd=[1])
-        res = solve_exact(prob, scope=[0, 1], count_all=True)
-        assert res.enumerated == 2
 
 
 class TestDecide:
@@ -698,7 +696,6 @@ def test_sparse_pass_matches_enumerate(prob):
         assert res.feasible == (rep.total_valid > 0)
         assert res.decisions == 0
         if res.feasible:
-            assert res.enumerated == 1
             assert is_acyclic(res.witness.arcs).acyclic
             assert is_T_odd_on(prob, res.witness)
             assert res.witness.arcs in witnesses
