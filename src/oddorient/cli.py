@@ -196,6 +196,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- gadget -----------------------------------------------------------------------
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: an int of at least 0, refused at its flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _parse_polarities(text: str) -> tuple[bool, bool, bool]:
     if len(text) != 3 or set(text) - set("+-"):
         raise ValueError(f"polarities must be three of +/-, got {text!r}")
@@ -432,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="clause slot signs, e.g. ++-")
     p.add_argument("--boundary-class", type=int, choices=range(4),
                    help="fix this many inward port pairs (clause only)")
-    p.add_argument("--enum-cap", type=int, default=26,
+    p.add_argument("--enum-cap", type=non_negative_int, default=26,
                    help="exhaustive sweep cap: the largest dimension d of "
                         "the parity solution space, which the sweep walks "
                         "in 2^d steps (default 26)")

@@ -35,6 +35,7 @@ from oddorient.pdgraph import (
     Vertex,
     is_acyclic,
     is_T_odd_on,
+    parity_feasible,
 )
 from oddorient.solver import SolveResult, decide, enumerate as sweep, solve_exact
 
@@ -428,7 +429,7 @@ def structural_check(red: Reduction) -> StructuralReport:
     if total_copies != 3 * m:
         problems.append("copy count is not three per clause")
 
-    if (len(g.edges) + len(g.arcs) + len(red.problem.odd_set)) % 2 != 0:
+    if not parity_feasible(red.problem):
         problems.append("parity gate violated")
 
     degree = Counter(chain.from_iterable(chain(g.edges, g.arcs)))
@@ -506,8 +507,8 @@ def _mode_template() -> dict[str, tuple[str, str]]:
         e for e in gamma.graph.edges
         if e not in {tuple(sorted(p)) for p in zip(stubs, outside)}
     ], fixed)
-    res = solve_exact(OrientationProblem.build(graph, gamma.odd_set),
-                      scope=set(gadget.problem.graph.vertices))
+    # each outside vertex's one link is the fixed arc into it, so it is odd
+    res = solve_exact(OrientationProblem.build(graph, gamma.odd_set | set(outside)))
     if not res.feasible:
         raise AssertionError("outward mode did not solve")
     directed = {}

@@ -25,8 +25,8 @@ plus ``decide`` (dispatcher) and the two instance transforms
 vertices in ascending label order, link end pairs, link counts).  Its class
 tests, the linear pass, the exact search's components and the witness
 check all read that index, and the index lives only for the call.  Every
-feasible answer, scoped or not, passes ``_check_witness`` on the index
-before it is returned.
+feasible answer passes ``_check_witness`` on the index before it is
+returned.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ class SolveResult:
     """Outcome of a decision procedure.
 
     ``status`` is one of feasible / infeasible / aborted.  A feasible result
-    carries a witness that passes is_acyclic and is_T_odd_on on the solve's
-    scope (every vertex unless ``solve_exact`` was given one).  A solver
+    carries a witness that passes is_acyclic and is_T_odd_on.  A solver
     stops at its first solution; ``enumerate`` is the one that counts them.
     ``propagations`` counts forced steps.  In the linear pass these are the
     edges oriented by a parity demand: every edge but the one cut from each
@@ -490,15 +489,12 @@ def _split(ix: _Index) -> list[_Part]:
 
 
 def _check_witness(
-    ix: _Index,
-    arcs: list[tuple[int, int]],
-    odd_set: frozenset[Vertex],
-    scope: Optional[set[Vertex]] = None,
+    ix: _Index, arcs: list[tuple[int, int]], odd_set: frozenset[Vertex]
 ) -> bool:
     """Whether ``arcs``, one (tail, head) position pair per edge of ``ix``
     in link order, leave no directed cycle together with the fixed arcs.
     Raise RuntimeError unless they orient each edge along its own two ends
-    and meet the parity constraint on ``scope`` (default: every vertex).
+    and give odd in-degree exactly at the vertices of ``odd_set``.
 
     Linear time: one pass over the links counts in-degrees, and Kahn's
     count (CACM 1962) peels every vertex exactly when the arcs are acyclic.
@@ -530,7 +526,7 @@ def _check_witness(
             if not left[w]:
                 stack.append(w)
     for d, label in zip(indeg, labels):
-        if (d & 1) != (label in odd_set) and (scope is None or label in scope):
+        if (d & 1) != (label in odd_set):
             raise RuntimeError("solver produced a parity-violating witness")
     return peeled == n
 
@@ -703,10 +699,10 @@ class _ExactSearch:
     """Backtracking over undirected edges with parity forcing, cycle forcing,
     and a cycle-component probe.
 
-    Parity forcing: a scoped vertex with exactly one undecided link and a
-    known residue forces that link.  Cycle forcing: an edge with one
-    direction closing a directed cycle among decided arcs is forced the other
-    way.  The probe tests both directions of one edge in each pure cycle
+    Parity forcing: a vertex with exactly one undecided link forces that
+    link by the parity its in-degree still owes.  Cycle forcing: an edge
+    with one direction closing a directed cycle among decided arcs is forced
+    the other way.  The probe tests both directions of one edge in each pure cycle
     component of the undecided subgraph; if both fail the state is
     conflicting, if one fails the other is forced.  All three rules are
     sound, so exhausted search remains a proof of infeasibility.  They are
@@ -736,12 +732,11 @@ class _ExactSearch:
     clears the queue, because every backtrack point is a state that
     ``quiesce`` left with the queue drained.
 
-    The probe makes no trial moves.  In a pure cycle, parity at a scoped
-    vertex fixes whether its two ring links point the same way around the
-    ring.  So the arc chosen on the probed edge forces the arcs around the
-    ring, up to the first unscoped vertex on each side, and the opposite arc
-    forces the reverse arcs.  When every ring vertex is scoped the walk
-    closes with a parity check, which is the same for both directions.  A
+    The probe makes no trial moves.  In a pure cycle, parity at a vertex
+    fixes whether its two ring links point the same way around the ring.
+    So the arc chosen on the probed edge forces every arc around the ring,
+    and the opposite arc forces the reverse arcs.  The walk closes with a
+    parity check at its start, which is the same for both directions.  A
     direction that passes it fails iff its arcs close a directed cycle with
     the closure restricted to the ring's vertices.  Nothing is applied or
     undone; a forced direction is then committed like any other arc.
@@ -766,8 +761,8 @@ class _ExactSearch:
     smaller.
 
     The branch edge has the fewest undecided links at its lower-count end,
-    lowest id first.  No undecided edge has fewer than one, and none fewer
-    than two while no vertex has exactly one (``ones`` counts them), so the
+    lowest id first.  ``quiesce`` forces the last undecided link at every
+    vertex, so no undecided edge has fewer than two at either end, and the
     scan from the first undecided edge stops at the first edge on that floor.
 
     Every decided arc carries a dependency mask ``dep[e]``, an int with one
@@ -801,13 +796,11 @@ class _ExactSearch:
         labels: list[Vertex],
         part: _Part,
         target: list[bool],
-        scoped: Optional[list[bool]],
         budget: int,
     ):
         """Search ``part`` of an index whose vertices are ``labels``;
-        ``target`` and ``scoped`` flag each index position odd and under the
-        parity constraint (None: every vertex is).  A part that spans the
-        index is searched in place and reads both lists as they are."""
+        ``target`` flags each index position odd.  A part that spans the
+        index is searched in place and reads ``target`` as it is."""
         self.budget = budget
         self.labels, self.verts = labels, part.verts
         self.n = n = len(part.verts)
@@ -815,10 +808,7 @@ class _ExactSearch:
         self.m = m = len(ends)
         if n < len(target):
             target = [target[x] for x in part.verts]
-            if scoped is not None:
-                scoped = [scoped[x] for x in part.verts]
         self.target = target
-        self.scoped = [True] * n if scoped is None else scoped
 
         self.edge_at = edge_at = [[] for _ in range(n)]
         # bitmask of the vertices joined to x by an edge
@@ -829,8 +819,6 @@ class _ExactSearch:
             nbr_bits[u] |= 1 << v
             nbr_bits[v] |= 1 << u
         self.und = list(map(len, edge_at))   # undecided links at x
-        # vertices with exactly one undecided link, for pick_edge's floor
-        self.ones = self.und.count(1)
 
         self.decided: list[Optional[Arc]] = [None] * m
         self.cycle_q: list[int] = []
@@ -936,16 +924,14 @@ class _ExactSearch:
         right = und[h] = und[h] - 1
         if left > 1 and right > 1:
             return True
-        # a count that falls to 1 joins ``ones``, one that falls to 0 leaves
-        self.ones += (left == 1) - (left == 0) + (right == 1) - (right == 0)
-        in_par, scoped, target = self.in_par, self.scoped, self.target
-        if left < 2 and scoped[t]:
+        in_par, target = self.in_par, self.target
+        if left < 2:
             if left:
                 self.force_q.append(t)
             elif in_par[t] != target[t]:
                 self.conflict = self.links_dep(t)
                 return False
-        if right < 2 and scoped[h]:
+        if right < 2:
             if right:
                 self.force_q.append(h)
             elif in_par[h] != target[h]:
@@ -965,7 +951,6 @@ class _ExactSearch:
             self._rewind_rings(trail[mark][3])
             und, decided, dep, in_par = self.und, self.decided, self.dep, self.in_par
             in_adj, in_edge, occ, lit_q = self.in_adj, self.in_edge, self.occ, self.lit_q
-            ones = 0
             for e, t, h, _ in reversed(trail[mark:]):
                 if occ:
                     lit = 2 * e
@@ -978,10 +963,8 @@ class _ExactSearch:
                 in_adj[h].pop()
                 in_edge[h].pop()
                 in_par[h] ^= 1
-                left = und[t] = und[t] + 1
-                right = und[h] = und[h] + 1
-                ones += (left == 1) - (left == 2) + (right == 1) - (right == 2)
-            self.ones += ones
+                und[t] += 1
+                und[h] += 1
             del trail[mark:]
         self.desc[:] = desc
         self.force_q.clear()
@@ -1134,7 +1117,7 @@ class _ExactSearch:
     # -- propagation rules ----------------------------------------------------
 
     def propagate(self) -> bool:
-        """Force the last undecided link at each queued scoped vertex by its
+        """Force the last undecided link at each queued vertex by its
         parity; the arc rests on the other links there."""
         force_q, und, decided, ends, dep = (
             self.force_q, self.und, self.decided, self.ends, self.dep
@@ -1181,33 +1164,24 @@ class _ExactSearch:
     def probe(self, ring: list[int]) -> tuple[bool, bool]:
         """Whether the arcs ring[1]->ring[0] and ring[0]->ring[1] each
         survive parity forcing around the pure cycle ``ring`` (an entry of
-        ``_pure_cycle_reps``) without a conflict."""
+        ``_pure_cycle_reps``) without a conflict.  Each forces every other
+        ring arc, the second the reverse of the first's, so both fail when
+        the ring's parities do not close."""
         r = len(ring)
-        scoped, target, in_par, desc = self.scoped, self.target, self.in_par, self.desc
+        target, in_par, desc = self.target, self.in_par, self.desc
         # fwd[i]: edge ring[i]-ring[i+1] points ring[i] -> ring[i+1] (1) or
-        # back (0) under the first direction, None where parity leaves it
-        # open.  A scoped x keeps the direction iff one of its two ring links
-        # must enter it, i.e. iff its decided in-parity misses its target.
-        fwd: list[Optional[int]] = [None] * r
-        fwd[0] = 0   # the first direction, ring[1] -> ring[0]
-        i = 1
-        while i < r and scoped[ring[i]]:
+        # back (0) under the first direction.  x keeps the direction iff one
+        # of its two ring links must enter it, i.e. iff its decided
+        # in-parity misses its target.
+        fwd = [0] * r   # the first direction, ring[1] -> ring[0]
+        for i in range(1, r):
             x = ring[i]
             fwd[i] = fwd[i - 1] ^ 1 ^ target[x] ^ in_par[x]
-            i += 1
-        if i == r:
-            # every edge is forced; parity at ring[0] closes the walk, and
-            # reversing every arc keeps each vertex's in-parity
-            x = ring[0]
-            if scoped[x] and fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ in_par[x]:
-                return False, False
-        else:
-            # walk backwards from ring[0]; ring[i] is unscoped, so this stops
-            j = 0
-            while scoped[ring[j]]:
-                x = ring[j]
-                fwd[j - 1] = fwd[j] ^ 1 ^ target[x] ^ in_par[x]
-                j -= 1
+        # parity at ring[0] closes the walk, and reversing every arc keeps
+        # each vertex's in-parity
+        x = ring[0]
+        if fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ in_par[x]:
+            return False, False
 
         ring_bits = 0
         for x in ring:
@@ -1217,7 +1191,7 @@ class _ExactSearch:
         if not any(reached):
             # the forced arcs alone close a cycle only by going all the way
             # round one way, and then so do the reverse arcs
-            circular = None not in fwd and len(set(fwd)) == 1
+            circular = len(set(fwd)) == 1
             return not circular, not circular
         # the same as bitmasks over ring positions
         pos = dict(zip(ring, range(r)))
@@ -1230,8 +1204,6 @@ class _ExactSearch:
                 rest ^= low
         first, second = reach[:], reach
         for i in range(r):
-            if fwd[i] is None:
-                continue
             k = (i + 1) % r
             t, h = (i, k) if fwd[i] else (k, i)
             first[t] |= 1 << h
@@ -1329,9 +1301,9 @@ class _ExactSearch:
 
     def pick_edge(self) -> int:
         """The undecided edge of least key, min(und[u], und[v]), lowest id
-        first; some edge must be undecided."""
+        first; some edge must be undecided, and no vertex may have exactly
+        one undecided link, as after ``quiesce``."""
         decided, ends, und = self.decided, self.ends, self.und
-        floor = 1 if self.ones else 2
         best, best_key = -1, self.m + 1
         for e in range(decided.index(None), self.m):
             if decided[e] is not None:
@@ -1339,7 +1311,7 @@ class _ExactSearch:
             u, v = ends[e]
             key = und[u] if und[u] < und[v] else und[v]
             if key < best_key:
-                if key == floor:
+                if key == 2:
                     return e
                 best, best_key = e, key
         return best
@@ -1392,8 +1364,6 @@ class _ExactSearch:
         if not self.fixed_acyclic:
             return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
         for x in range(self.n):
-            if not self.scoped[x]:
-                continue
             if self.und[x] == 0 and self.in_par[x] != self.target[x]:
                 label = self.labels[self.verts[x]]
                 return self.result(INFEASIBLE, f"parity cannot be met at vertex {label}")
@@ -1445,12 +1415,7 @@ class _ExactSearch:
                 return self.result(INFEASIBLE, "search space exhausted")
 
 
-def solve_exact(
-    problem: OrientationProblem,
-    budget: int = 10_000_000,
-    *,
-    scope: Optional[Iterable[Vertex]] = None,
-) -> SolveResult:
+def solve_exact(problem: OrientationProblem, budget: int = 10_000_000) -> SolveResult:
     """Complete backtracking search; infeasible answers are proofs.
 
     A directed cycle and an in-degree both stay inside one connected
@@ -1461,37 +1426,24 @@ def solve_exact(
 
     ``budget`` caps branch decisions over all components together: each gets
     what the earlier ones left.  Overruns return status "aborted", never a
-    wrong answer.  ``scope`` restricts the parity constraint (full vertex
-    set by default).  ``decisions`` and ``propagations`` are summed over the
+    wrong answer.  ``decisions`` and ``propagations`` are summed over the
     components searched.  Each component's search returns at its first
     solution, and the witness is the union of theirs, checked for
-    acyclicity and for parity on the scope.
+    acyclicity and parity.
     """
-    g = problem.graph
-    if scope is not None:
-        scope = set(scope)
-        stray = scope - g.vertices
-        if stray:
-            raise GraphError(f"scope contains non-vertices: {sorted(stray)}")
-    return _solve_exact(problem, _Index(g), budget, scope)
+    return _solve_exact(problem, _Index(problem.graph), budget)
 
 
-def _solve_exact(
-    problem: OrientationProblem,
-    ix: _Index,
-    budget: int,
-    scope: Optional[set[Vertex]] = None,
-) -> SolveResult:
-    """``solve_exact`` over the problem's index, ``scope`` already checked.
-    A feasible ``run`` returns at its solution, so each part's witness is
-    read from its search's ``decided``."""
+def _solve_exact(problem: OrientationProblem, ix: _Index, budget: int) -> SolveResult:
+    """``solve_exact`` over the problem's index.  A feasible ``run``
+    returns at its solution, so each part's witness is read from its
+    search's ``decided``."""
     labels = ix.labels
     target = [v in problem.odd_set for v in labels]
-    scoped = None if scope is None else [v in scope for v in labels]
     decisions = propagations = 0
     arcs = ix.ends[: ix.k]   # each edge's (tail, head), filled in per part
     for part in _split(ix):
-        search = _ExactSearch(labels, part, target, scoped, budget - decisions)
+        search = _ExactSearch(labels, part, target, budget - decisions)
         outcome = search.run()
         decisions += outcome.decisions
         propagations += outcome.propagations
@@ -1500,7 +1452,7 @@ def _solve_exact(
         verts = part.verts
         for i, (t, h) in zip(part.edge_ids, search.decided):
             arcs[i] = (verts[t], verts[h])
-    if not _check_witness(ix, arcs, problem.odd_set, scope):
+    if not _check_witness(ix, arcs, problem.odd_set):
         raise RuntimeError("solver produced a cyclic witness")
     return SolveResult(
         FEASIBLE,

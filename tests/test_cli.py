@@ -155,10 +155,15 @@ class TestGadget:
         assert run("gadget", "variable", "--copies", 3) == 0
 
     def test_negative_cap_is_refused(self, capsys):
-        # a misuse of the flag, not a parity space over a 2**-1 budget
-        assert run("gadget", "clause", "--enum-cap", -1) == 2
-        err = capsys.readouterr().err
-        assert "must be non-negative" in err and "budget" not in err
+        # a misuse of the flag, refused at the flag it was given, not a
+        # parity space over a 2**-1 budget
+        for kind in ("base", "variable", "clause"):
+            with pytest.raises(SystemExit) as exit_:
+                run("gadget", kind, "--enum-cap", -1)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --enum-cap: must be non-negative, got -1" in err
+            assert "max_edges" not in err and "budget" not in err
 
     def test_variable_past_mask_width(self, capsys):
         # 66 edges: over the 64-bit mask width even with a cap of 100

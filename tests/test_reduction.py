@@ -24,6 +24,7 @@ from oddorient.reduction import (
     CORE_NAMES,
     GadgetError,
     GadgetRegistry,
+    _mode_template,
     assemble,
     assignment_from_orientation,
     attach_stubs,
@@ -184,7 +185,26 @@ def _satisfying_assignments(formula):
             yield bits
 
 
+# The outward mode of one variable copy.  Marking the outside stub vertices
+# odd gives the template that leaving them out of the parity constraint
+# gave: each has one link, the fixed arc into it.
+OUTWARD_MODE = {
+    "a-b": ("b", "a"),
+    "b-c": ("b", "c"),
+    "c-d": ("d", "c"),
+    "d-uh": ("uh", "d"),
+    "e-f": ("f", "e"),
+    "f-t": ("t", "f"),
+    "link": ("t", "s"),
+    "s-e": ("e", "s"),
+    "u-a": ("a", "u"),
+}
+
+
 class TestOrientationBridge:
+    def test_mode_template_is_pinned(self):
+        assert _mode_template() == OUTWARD_MODE
+
     def test_round_trip_all_models(self):
         red = assemble(sample_planar_formula())
         models = list(_satisfying_assignments(red.formula))

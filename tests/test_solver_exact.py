@@ -50,6 +50,11 @@ TRIANGLE_ALL_ODD = problem([0, 1, 2], [(0, 1), (1, 2), (0, 2)], odd=[0, 1, 2])
 # the fixed path 0->1->2 plus the edge 0-2, all three odd: the gate passes
 # (1 + 2 + 3 is even), but parity at 0 needs 2->0, which closes the path
 PATH_CLOSED_BY_PARITY = problem([0, 1, 2], [(0, 2)], [(0, 1), (1, 2)], odd=[0, 1, 2])
+# three solutions, and the search reaches its first only by backtracking at
+# level 2: it decides 2->0, then 3->1, which fails, then 1->3 and 2->1
+BACKTRACKS_AT_LEVEL_TWO = problem(
+    range(5), [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)], odd=[4]
+)
 
 
 @st.composite
@@ -82,7 +87,7 @@ def test_examples_are_parity_feasible_but_infeasible():
         assert enum(prob).total_valid == 0
 
 
-def search_on(prob, budget=0, scope=None) -> _ExactSearch:
+def search_on(prob, budget=0) -> _ExactSearch:
     """An exact search over the whole of ``prob`` as one part, connected or
     not, built as ``_split`` builds the part of a connected index: in place,
     with only the edges sorted by their ends.  ``solve_exact`` runs one
@@ -93,8 +98,7 @@ def search_on(prob, budget=0, scope=None) -> _ExactSearch:
         range(len(ix.labels)), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
     )
     target = [v in prob.odd_set for v in ix.labels]
-    scoped = None if scope is None else [v in scope for v in ix.labels]
-    return _ExactSearch(ix.labels, whole, target, scoped, budget)
+    return _ExactSearch(ix.labels, whole, target, budget)
 
 
 def reach_by_bfs(search: _ExactSearch, prob: OrientationProblem) -> list[int]:
@@ -252,8 +256,8 @@ def test_pure_cycle_walk_matches_bfs(prob, seed):
 
 def random_search_state(prob: OrientationProblem, rng: random.Random):
     """A search on ``prob`` with about a fifth of its edges turned into fixed
-    arcs, a random odd set and scope, and a few arcs applied; None when the
-    fixed arcs close a cycle."""
+    arcs, a random odd set, and a few arcs applied; None when the fixed arcs
+    close a cycle."""
     verts = sorted(prob.graph.vertices)
     edges, arcs = [], []
     for u, v in sorted(prob.graph.edges):
@@ -262,8 +266,7 @@ def random_search_state(prob: OrientationProblem, rng: random.Random):
         else:
             edges.append((u, v))
     odd = [v for v in verts if rng.random() < 0.5]
-    scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
-    search = search_on(problem(verts, edges, arcs, odd), 0, scope)
+    search = search_on(problem(verts, edges, arcs, odd))
     if not search.fixed_acyclic:
         return None
     for _ in range(rng.randrange(len(edges) // 2 + 1)):
@@ -292,18 +295,6 @@ def probe_by_trial(search: _ExactSearch, e: int) -> tuple[bool, bool]:
     return outcomes[0], outcomes[1]
 
 
-def test_probe_walks_both_ways_to_the_unscoped_vertex():
-    # the 5-cycle 0-1-2-3-4 with 2 unscoped and the rest odd: parity forces
-    # 1->0->4->3->2 and 2->1 from the arc 1->0, once round the ring
-    search = search_on(
-        problem(range(5), [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], odd=[0, 1, 3, 4]),
-        0, {0, 1, 3, 4},
-    )
-    [(e, ring)] = search._pure_cycle_reps()
-    assert ring == [0, 1, 2, 3, 4]
-    assert search.probe(ring) == probe_by_trial(search, e) == (False, False)
-
-
 @given(low_degree_instances(), st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_probe_matches_trial_propagation(prob, seed):
@@ -326,7 +317,9 @@ def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
     search = random_search_state(prob, rng)
     if search is None:
         return
-    # decide and backtrack the way the search does, with random choices
+    # decide and backtrack the way the search does, with random choices,
+    # from a root that queues every vertex with one undecided link
+    search.force_q.extend(x for x in range(search.n) if search.und[x] == 1)
     frames = []
     for _ in range(2 * search.m + 1):
         if not search.quiesce():
@@ -339,8 +332,12 @@ def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
         for e in undecided:
             u, v = search.ends[e]
             assert not (desc[u] >> v) & 1 and not (desc[v] >> u) & 1
+        # no vertex is left with one undecided link, so pick_edge may stop
+        # at the first edge with two at its lower-count end
+        assert 1 not in search.und
         if not undecided:
             return
+        assert search.pick_edge() == pick_edge_by_scan(search)
         frames.append((len(search.trail), desc[:]))
         e = rng.choice(undecided)
         u, v = search.ends[e]
@@ -398,10 +395,8 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
     rng = random.Random(seed)
     verts = sorted(prob.graph.vertices)
     odd = [v for v in verts if rng.random() < 0.5]
-    # unscoped vertices keep one undecided link after propagation
-    scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
     g = prob.graph
-    search = search_on(problem(verts, g.edges, g.arcs, odd), 0, scope)
+    search = search_on(problem(verts, g.edges, g.arcs, odd))
     if not search.fixed_acyclic:
         return
     checkpoints = []
@@ -434,29 +429,25 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
             assert all(now & ~then == 0 for now, then in zip(reach, before))
             seen_clean[e, tuple(ring)] = reach
         clean_reach = seen_clean
-        assert search.ones == search.und.count(1)
-        if len(search.trail) < search.m:
-            assert search.pick_edge() == pick_edge_by_scan(search)
 
 
 def start(search: _ExactSearch) -> bool:
-    """The root of ``run``: queue every scoped vertex with one undecided
-    link, then quiesce; False on a conflict."""
+    """The root of ``run``: queue every vertex with one undecided link, then
+    quiesce; False on a conflict."""
     for x in range(search.n):
-        if search.scoped[x]:
-            if search.und[x] == 0 and search.in_par[x] != search.target[x]:
-                search.conflict = 0
-                return False
-            if search.und[x] == 1:
-                search.force_q.append(x)
+        if search.und[x] == 0 and search.in_par[x] != search.target[x]:
+            search.conflict = 0
+            return False
+        if search.und[x] == 1:
+            search.force_q.append(x)
     return search.quiesce()
 
 
-def replay(prob, scope, decisions, mask) -> tuple[bool, _ExactSearch]:
+def replay(prob, decisions, mask) -> tuple[bool, _ExactSearch]:
     """A fresh search that takes only the decisions at the levels in
     ``mask`` (``decisions[i]`` is level i + 1), each followed by quiesce,
     and whether it stayed free of conflict."""
-    search = search_on(prob, 0, scope)
+    search = search_on(prob)
     ok = start(search)
     for level, (e, t, h) in zip(range(1, len(decisions) + 1), decisions):
         if not ok:
@@ -471,7 +462,7 @@ def replay(prob, scope, decisions, mask) -> tuple[bool, _ExactSearch]:
     return ok, search
 
 
-def assert_masks_sound(prob, scope, search, decisions, ok) -> None:
+def assert_masks_sound(prob, search, decisions, ok) -> None:
     """The decisions in a forced arc's mask alone force it (or conflict),
     and those in the conflict's mask alone conflict (``ok`` False)."""
     chosen = {e for e, _, _ in decisions}
@@ -482,11 +473,11 @@ def assert_masks_sound(prob, scope, search, decisions, ok) -> None:
         mask = search.dep[e]
         assert mask >> (len(decisions) + 1) == 0 and not mask & 1
         if mask not in replays:
-            replays[mask] = replay(prob, scope, decisions, mask)
+            replays[mask] = replay(prob, decisions, mask)
         still_ok, replayed = replays[mask]
         assert not still_ok or replayed.decided[e] == (t, h)
     if not ok:
-        assert not replay(prob, scope, decisions, search.conflict)[0]
+        assert not replay(prob, decisions, search.conflict)[0]
 
 
 @given(st.one_of(low_degree_instances(), rings_with_ears()), st.integers(0, 2**32 - 1))
@@ -497,9 +488,8 @@ def test_dependency_masks_are_sound(prob, seed):
     rng = random.Random(seed)
     verts = sorted(prob.graph.vertices)
     odd = [v for v in verts if rng.random() < 0.5]
-    scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
     prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
-    search = search_on(prob, 0, scope)
+    search = search_on(prob)
     if not search.fixed_acyclic:
         return
     ok = start(search)
@@ -512,22 +502,27 @@ def test_dependency_masks_are_sound(prob, seed):
         t, h = (u, v) if rng.random() < 0.5 else (v, u)
         decisions.append((e, t, h))
         ok = search.apply_arc(e, t, h, 1 << len(decisions), decision=True) and search.quiesce()
-    assert_masks_sound(prob, scope, search, decisions, ok)
+    assert_masks_sound(prob, search, decisions, ok)
 
 
 def test_probe_reason_holds_the_path_between_ring_vertices():
-    # the ring 0-1-2-3 with fixed arcs 0->4 and 5->2 to unscoped vertices:
-    # deciding 4->5 lets 0 reach 2 and nothing else, and the probe then
-    # rejects the ring direction whose arcs lead from 2 back to 0
-    prob = problem(range(6), [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)], [(0, 4), (5, 2)], [1])
-    scope = {0, 1, 2, 3}
-    search = search_on(prob, 0, scope)
-    assert start(search) and search.m - len(search.trail) == 5
+    # the ring 0-1-2-3 with fixed arcs 0->4 and 5->2 to the ring 4-5-7-6,
+    # where parity leaves both directions open: deciding 4->5 lets 0 reach
+    # 2 and no other vertex of the first ring, and the probe then rejects
+    # the direction whose arcs lead from 2 back to 0
+    prob = problem(
+        range(8),
+        [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (4, 6), (5, 7), (6, 7)],
+        [(0, 4), (5, 2)],
+        [1, 4],
+    )
+    search = search_on(prob)
+    assert start(search) and search.m - len(search.trail) == 8
     decisions = [(4, 4, 5)]
     assert search.apply_arc(4, 4, 5, 1 << 1, decision=True) and search.quiesce()
     assert search.decided[:4] == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert search.dep[:4] == [1 << 1] * 4
-    assert_masks_sound(prob, scope, search, decisions, True)
+    assert_masks_sound(prob, search, decisions, True)
 
 
 def literal_arc(search: _ExactSearch, lit: int) -> tuple[int, int, int]:
@@ -537,11 +532,11 @@ def literal_arc(search: _ExactSearch, lit: int) -> tuple[int, int, int]:
     return (e, u, v) if (u < v) == (lit & 1) else (e, v, u)
 
 
-def replay_nogood(prob, scope, earlier, lits) -> bool:
+def replay_nogood(prob, earlier, lits) -> bool:
     """Whether a fresh search holding the nogoods ``earlier`` reaches a
     conflict when it takes the literals ``lits`` as decisions, each followed
     by quiesce."""
-    search = search_on(prob, 0, scope)
+    search = search_on(prob)
     for old in earlier:
         search.add_nogood(old)
     ok = start(search)
@@ -567,21 +562,19 @@ def frozen_reduction(index: int) -> OrientationProblem:
 @example(frozen_reduction(2), None)
 @settings(max_examples=200, deadline=None)
 def test_learned_nogoods_are_sound(prob, seed):
-    # a seed draws an odd set and a scope; None keeps the problem
-    scope = None
+    # a seed draws an odd set; None keeps the problem
     if seed is not None:
         rng = random.Random(seed)
         verts = sorted(prob.graph.vertices)
         odd = [v for v in verts if rng.random() < 0.5]
-        scope = None if rng.random() < 0.3 else {v for v in verts if rng.random() < 0.8}
         prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
-    search = search_on(prob, 10**6, scope)
+    search = search_on(prob, 10**6)
     search.run()
     if seed is None:
         assert search.nogoods
     # each nogood follows from the constraints and the nogoods before it
     for i, lits in enumerate(search.nogoods):
-        assert replay_nogood(prob, scope, search.nogoods[:i], lits)
+        assert replay_nogood(prob, search.nogoods[:i], lits)
 
 
 def test_decide_matches_oracle_and_learns():
@@ -605,22 +598,28 @@ def test_decide_matches_oracle_and_learns():
     assert sum(learned) > 0
 
 
-def count_by_self_reduction(prob: OrientationProblem, scope) -> int:
-    """The solutions of ``prob`` on ``scope``, counted with ``solve_exact``
-    as a yes/no oracle: a feasible problem with an edge left splits on its
-    lowest edge, fixed as an arc each way.  Each witness is checked."""
-    res = solve_exact(prob, scope=scope)
+def count_by_self_reduction(prob: OrientationProblem, solutions) -> int:
+    """The solutions of ``prob``, counted with ``solve_exact`` as a yes/no
+    oracle: a feasible problem with an edge left splits on its lowest edge,
+    fixed as an arc each way.  ``solutions`` holds the arc sets of the
+    solutions of ``prob`` that ``enumerate`` found for the problem the count
+    started from; each verdict is checked against them where it is made, so
+    a wrong one fails at its own node, not after the whole count.  Each
+    witness is checked."""
+    res = solve_exact(prob)
+    assert res.feasible == bool(solutions)
     if not res.feasible:
         return 0
     g, w = prob.graph, res.witness
     assert extends(g, w) and is_acyclic(w.arcs).acyclic
-    assert is_T_odd_on(prob, w, scope)
+    assert is_T_odd_on(prob, w)
     if not g.edges:
         return 1
     u, v = min(g.edges)
     return sum(
         count_by_self_reduction(
-            problem(g.vertices, g.edges - {(u, v)}, g.arcs | {arc}, prob.odd_set), scope
+            problem(g.vertices, g.edges - {(u, v)}, g.arcs | {arc}, prob.odd_set),
+            [arcs for arcs in solutions if arc in arcs],
         )
         for arc in ((u, v), (v, u))
     )
@@ -632,23 +631,30 @@ def count_by_self_reduction(prob: OrientationProblem, scope) -> int:
 )
 @example(TRIANGLE_ALL_ODD, None)
 @example(PATH_CLOSED_BY_PARITY, None)
+@example(BACKTRACKS_AT_LEVEL_TWO, None)
 @settings(max_examples=150, deadline=None)
 def test_self_reduction_count_matches_oracle(prob, seed):
     """The search is complete: an infeasible answer where a solution exists
-    makes the count fall short.  Low-degree graphs and rings with ears make
-    it backtrack past the first levels, where a skipped alternative hides;
-    a seed draws an odd set that passes the parity gate and a scope."""
-    scopes = [None]
-    if seed is not None:
+    fails where it is given, and the count must match the oracle's.
+    Low-degree graphs and rings with ears make it backtrack past the first
+    levels, where a skipped alternative hides.  A seed draws three odd sets
+    that pass the parity gate: parity at every vertex prunes the search so
+    hard that one draw in about 75 catches an alternative dropped below
+    level 1, and three in about 25."""
+    if seed is None:
+        probs = [prob]
+    else:
         rng = random.Random(seed)
         g, verts = prob.graph, sorted(prob.graph.vertices)
-        odd = {v for v in verts if rng.random() < 0.5}
-        if (len(g.edges) + len(g.arcs) + len(odd)) % 2:
-            odd ^= {verts[0]}
-        prob = problem(verts, g.edges, g.arcs, odd)
-        scopes.append({v for v in verts if rng.random() < 0.7})
-    for scope in scopes:
-        assert count_by_self_reduction(prob, scope) == enum(prob, scope=scope).total_valid
+        probs = []
+        for _ in range(3):
+            odd = {v for v in verts if rng.random() < 0.5}
+            if (len(g.edges) + len(g.arcs) + len(odd)) % 2:
+                odd ^= {verts[0]}
+            probs.append(problem(verts, g.edges, g.arcs, odd))
+    for prob in probs:
+        solutions = [w.arcs for w in enum(prob, witness_cap=None).witnesses]
+        assert count_by_self_reduction(prob, solutions) == len(solutions)
 
 
 def rename(pf, flips):
