@@ -68,6 +68,14 @@ def _load_instance(path: str, normalize_multi: bool) -> oio.InstanceBundle:
     return oio.read_instance(_read_in(path), normalize_multi=normalize_multi)
 
 
+def non_negative_int(text: str) -> int:
+    """An argparse type: an int of at least 0, refused at its flag."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -194,14 +202,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # -- gadget -----------------------------------------------------------------------
-
-
-def non_negative_int(text: str) -> int:
-    """An argparse type: an int of at least 0, refused at its flag."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
 
 
 def _parse_polarities(text: str) -> tuple[bool, bool, bool]:
@@ -402,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true",
                            help="machine-readable report on stdout")
         if budget:
-            p.add_argument("--budget", type=int, default=10_000_000,
+            p.add_argument("--budget", type=non_negative_int, default=10_000_000,
                            help="search node budget (default 10^7)")
         if instance:
             p.add_argument("--normalize-multi", action="store_true",

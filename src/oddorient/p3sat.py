@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from oddorient.pdgraph import GraphError, PartiallyDirectedGraph, Vertex, validate
-from oddorient.solver import BudgetError
+from oddorient.solver import _BLOCK_BITS, BudgetError, _counter_bits
 
 Literal = tuple[int, bool]
 Clause = tuple[Literal, Literal, Literal]
@@ -78,30 +76,35 @@ def eval_formula(formula: Formula, assignment: Sequence[bool]) -> bool:
 def sat_oracle(formula: Formula, budget: int = 24) -> Optional[tuple[bool, ...]]:
     """Exhaustive satisfiability check; returns the lowest-index witness.
 
-    Sweeps all 2^n assignments (bit v of the sweep index is variable v).
-    Raises BudgetError-style ValueError when n exceeds ``budget`` so a partial
-    sweep is never mistaken for a proof of unsatisfiability.
+    Sweeps all 2^n assignments (bit v of the sweep index is variable v) in
+    bit-sliced blocks: bit r of a literal's int is its value in assignment
+    first + r, and the AND of the clause ORs marks the satisfying ones.
+    Raises BudgetError when n exceeds ``budget``, so a partial sweep is
+    never mistaken for a proof of unsatisfiability.
     """
     n = formula.variable_count
     if n > budget:
         raise BudgetError(
             f"satisfiability sweep over {n} variables exceeds the 2**{budget} budget"
         )
-    total = 1 << n
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        masks = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(masks.shape, dtype=bool)
-        for clause in formula.clauses:
-            hit = np.zeros(masks.shape, dtype=bool)
-            for v, pos in clause:
-                bit = (masks >> np.uint64(v)) & np.uint64(1)
-                hit |= bit == np.uint64(1 if pos else 0)
+    b = min(n, _BLOCK_BITS)
+    ones = (1 << (1 << b)) - 1
+    pats = _counter_bits(b)
+    # literal (v, pos) is entry 2v + pos of a block's literal ints
+    clauses = [[2 * v + pos for v, pos in clause] for clause in formula.clauses]
+    for q in range(1 << (n - b)):
+        val = pats + [ones if (q >> v) & 1 else 0 for v in range(n - b)]
+        lit = [x ^ flip for x in val for flip in (ones, 0)]
+        ok = ones
+        for clause in clauses:
+            hit = 0
+            for i in clause:
+                hit |= lit[i]
             ok &= hit
-        where = np.nonzero(ok)[0]
-        if where.size:
-            m = int(masks[where[0]])
+            if not ok:
+                break
+        if ok:
+            m = (q << b) | ((ok & -ok).bit_length() - 1)
             return tuple(bool((m >> v) & 1) for v in range(n))
     return None
 

@@ -6,8 +6,8 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
 * ``enumerate``      exhaustive oracle over all 2^k edge directions; it
                      generates only the solutions of the parity constraints
                      (an affine space over GF(2)) and checks their
-                     acyclicity bit-sliced, 64 solutions to a machine word,
-                     by peeling sinks with word-wide AND/OR,
+                     acyclicity bit-sliced, one solution to a bit of a
+                     Python int, by peeling sinks with int-wide AND/OR,
 * ``solve_tree`` and ``solve_degree_two``
                      one linear pass over an integer index for forests and
                      max-degree-2 graphs: fixed arcs only shift the parity
@@ -36,8 +36,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from oddorient.pdgraph import (
     Arc,
@@ -109,22 +107,11 @@ class EnumerationReport:
 
 # -- exhaustive oracle ----------------------------------------------------------
 
-# A block of the bit-sliced sweep spans this many uint64 words summed over
-# the (terminal, successor) pairs, 64 parity solutions to a word: its pair
-# slices and each round's gathered successor rows are 128 KB each, however
-# large the space.  Small enough to stay in cache, large enough that the
-# few numpy calls of a peeling round are not paid per handful of words.
-_BLOCK_WORDS = 1 << 14
-# Bit r of _LOW_BITS[j] is bit j of r: the low six counter bits of the 64
-# solutions in one word.
-_LOW_BITS = (
-    0xAAAAAAAAAAAAAAAA,
-    0xCCCCCCCCCCCCCCCC,
-    0xF0F0F0F0F0F0F0F0,
-    0xFF00FF00FF00FF00,
-    0xFFFF0000FFFF0000,
-    0xFFFFFFFF00000000,
-)
+# A block of the bit-sliced sweep holds 2**_BLOCK_BITS parity solutions, one
+# to a bit of a Python int, so each int operation covers 8 KB and the
+# interpreter is paid once per 65,536 solutions; of 12 to 18 bits, 16 and 17
+# swept d = 25 and 26 fastest.  A smaller space is swept in one block.
+_BLOCK_BITS = 16
 
 
 def enumerate(
@@ -143,13 +130,14 @@ def enumerate(
     2^k: it counts the choices covered, not the masks touched.  Only the
     parity solutions are generated, as an affine space over GF(2) of some
     dimension d, so the sweep touches 2^d of them.  Their acyclicity is
-    checked bit-sliced: bit r of word j stands for solution 64·j + r, each
-    edge direction is a row of such words, and sinks are peeled from 64
-    solutions per word operation.  With ``require_acyclic=False``
-    the count ignores directed cycles, which is how per-class completion
-    counts are measured.  Witnesses come in ascending mask order (bit i set
-    means ``sorted(edges)[i]`` runs from its first to its second endpoint),
-    at most ``witness_cap`` of them (None = all).
+    checked bit-sliced in blocks of 2**_BLOCK_BITS solutions: bit r of a
+    block's int stands for solution first + r, each edge direction is one
+    such int, and sinks are peeled from a whole block per int operation.  With
+    ``require_acyclic=False`` the count ignores directed cycles, which is
+    how per-class completion counts are measured.  Witnesses come in
+    ascending mask order (bit i set means ``sorted(edges)[i]`` runs from its
+    first to its second endpoint), at most ``witness_cap`` of them (None =
+    all).
 
     Raises BudgetError when d exceeds ``max_edges`` or k the 64-bit mask
     width; a partial count is never returned.  Raises ValueError on a
@@ -205,16 +193,10 @@ def enumerate(
 
     total_valid = 0
     witnesses: list[Orientation] = []
-    for first, ok in _acyclic_words(g.arcs, order, edge_list, offset, basis):
-        total_valid += int(np.bitwise_count(ok).sum())
+    for first, ok in _acyclic_blocks(g.arcs, order, edge_list, offset, basis):
+        total_valid += ok.bit_count()
         room = None if witness_cap is None else witness_cap - len(witnesses)
-        # each set word holds a hit, so the first ``room`` of them suffice
-        hits = [
-            64 * (first + j) + r
-            for j in np.flatnonzero(ok)[:room].tolist()
-            for r in _bits(int(ok[j]))
-        ]
-        witnesses += [orientation(c) for c in hits[:room]]
+        witnesses += [orientation(first + r) for r in islice(_bits(ok), room)]
     return EnumerationReport(
         total_valid=total_valid, witnesses=tuple(witnesses), explored=explored
     )
@@ -281,69 +263,83 @@ def _parity_space(
     return offset, basis
 
 
-def _acyclic_words(
+def _acyclic_blocks(
     arcs: frozenset[Arc],
     order: tuple[Vertex, ...],
     edge_list: list[Edge],
     offset: int,
     basis: list[int],
-) -> Iterator[tuple[int, np.ndarray]]:
+) -> Iterator[tuple[int, int]]:
     """Which parity solutions orient the edges acyclically, given acyclic
-    fixed arcs, as ``(first, ok)`` blocks: bit r of ``ok[j]`` is set when
-    solution 64·(first + j) + r of the counter order is acyclic.
+    fixed arcs, as ``(first, ok)`` blocks: bit r of ``ok`` is set when
+    solution first + r of the counter order is acyclic.
 
     Every cycle passes through edge endpoints ("terminals"), so each
     solution is checked on a graph over the terminals alone: the first
     terminals each one meets along fixed arcs, plus its edges in their
-    solved directions.  Bit-sliced, row a of ``live`` holds per solution
-    whether terminal a is still unpeeled, and the slice of a pair (a, b)
-    holds whether a -> b is an arc.  A round keeps a where some pair's
-    slice and b's row are both set; rounds run until nothing changes, and
-    a solution is acyclic when no terminal is left in it.
+    solved directions.  Bit-sliced, ``live[a]`` holds per solution whether
+    terminal a is still unpeeled, and the slice of a pair (a, b) holds
+    whether a -> b is an arc.  A sweep keeps a where some pair's slice and
+    b's live bits are both set; sweeps run until nothing changes, and a
+    solution is acyclic when no terminal is left in it.
     """
     d = len(basis)
-    valid = (1 << (1 << min(d, 6))) - 1
-    # Edge i runs forward in solution c = 64·j + r when bit i of the offset
-    # ⊕ parity(c & col_i) is 1, col_i being column i of the basis: its low
-    # six bits give a fixed pattern over r, the rest a parity over j.
-    low, high = [0] * len(edge_list), [0] * len(edge_list)
+    b = min(d, _BLOCK_BITS)
+    ones = (1 << (1 << b)) - 1
+    pats = _counter_bits(b)
+    # Edge i runs forward in solution c = first + r when bit i of the offset
+    # ⊕ parity(c & col_i) is 1, col_i being column i of the basis: its low b
+    # bits give a fixed pattern over r, the rest a parity over q = first >> b.
+    k = len(edge_list)
+    low = [ones if (offset >> i) & 1 else 0 for i in range(k)]
+    high = [0] * k
     for j, vec in zip(range(d), basis):
         for i in _bits(vec):
-            if j < 6:
-                low[i] ^= _LOW_BITS[j]
+            if j < b:
+                low[i] ^= pats[j]
             else:
-                high[i] |= 1 << (j - 6)
+                high[i] |= 1 << (j - b)
     terminals = sorted({x for e in edge_list for x in e})
     tidx = {v: i for i, v in zip(range(len(terminals)), terminals)}
-    # (tail, head, low pattern, high column, offset bit) per successor pair;
-    # a fixed pair's slice is all ones.  Every terminal is a tail.
-    pairs = [(a, b, 0, 0, 1) for a, b in _fixed_reach(arcs, order, tidx)]
-    for i, (u, v) in zip(range(len(edge_list)), edge_list):
-        fwd = (offset >> i) & 1
-        pairs.append((tidx[u], tidx[v], low[i], high[i], fwd))
-        pairs.append((tidx[v], tidx[u], low[i], high[i], fwd ^ 1))
-    pairs.sort()
-    starts = np.searchsorted([p[0] for p in pairs], np.arange(len(terminals)))
-    head = np.array([p[1] for p in pairs], dtype=np.intp)
-    pat, col, flip = (
-        np.array([p[f] for p in pairs], dtype=np.uint64)[:, None] for f in (2, 3, 4)
-    )
+    # (head, slice) per successor pair, the slice an index into the block's
+    # edge slices: i forward, k + i backward, 2k the all-ones of a fixed pair
+    succ: list[list[tuple[int, int]]] = [[] for _ in terminals]
+    for a, h in _fixed_reach(arcs, order, tidx):
+        succ[a].append((h, 2 * k))
+    for i, (u, v) in zip(range(k), edge_list):
+        succ[tidx[u]].append((tidx[v], i))
+        succ[tidx[v]].append((tidx[u], k + i))
 
-    words = 1 << max(d - 6, 0)
-    step = max(1, _BLOCK_WORDS // max(len(pairs), 1))
-    for first in range(0, words, step):
-        j = np.arange(first, min(first + step, words), dtype=np.uint64)
-        slices = np.negative((np.bitwise_count(col & j) ^ flip) & 1) ^ pat
-        live = np.full((len(terminals), j.size), valid, dtype=np.uint64)
+    for q in range(1 << (d - b)):
+        fwd = [lo ^ ones if (q & hi).bit_count() & 1 else lo for lo, hi in zip(low, high)]
+        slices = fwd + [f ^ ones for f in fwd] + [ones]
+        pairs = [[(h, slices[s]) for h, s in out] for out in succ]
+        live = [ones] * len(terminals)
         while True:
-            kept = live[head]
-            kept &= slices
-            kept = np.bitwise_or.reduceat(kept, starts, axis=0)
-            kept &= live
-            if np.array_equal(kept, live):
+            before = live[:]
+            for a, out in zip(range(len(terminals)), pairs):
+                y = 0
+                for h, s in out:
+                    y |= s & live[h]
+                live[a] &= y
+            if live == before:
                 break
-            live = kept
-        yield first, np.bitwise_or.reduce(live, axis=0) ^ np.uint64(valid)
+        left = 0
+        for x in live:
+            left |= x
+        yield q << b, left ^ ones
+
+
+def _counter_bits(b: int) -> list[int]:
+    """Bit r of pattern j is bit j of r, for the 2**b counters r of a block.
+    From all ones, each pattern is the one above it XORed with itself
+    shifted down by 2**j: the top half, then alternate quarters, and so on."""
+    pats = [0] * b
+    p = (1 << (1 << b)) - 1
+    for j in reversed(range(b)):
+        p ^= p >> (1 << j)
+        pats[j] = p
+    return pats
 
 
 def _fixed_reach(

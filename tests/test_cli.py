@@ -282,6 +282,15 @@ def test_unread_flag_exits_2(command, flag, capsys):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+def test_negative_budget_is_refused(capsys):
+    # refused at the flag, not run and reported as an aborted search
+    for command in (("solve", "i.json"), ("verify", "f.cnf"), ("apex", "i.json")):
+        with pytest.raises(SystemExit) as exit_:
+            run(*command, "--budget", -1)
+        assert exit_.value.code == 2
+        assert "argument --budget: must be non-negative, got -1" in capsys.readouterr().err
+
+
 # tokens an edit puts into a formula line, and generator sizes that always
 # find a layout
 _FUZZ_TOKENS = ["0", "1", "-1", "2", "-3", "7", "-0", "x", "1.5", "p", "r", "c",

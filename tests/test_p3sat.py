@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddorient import p3sat
 from oddorient.p3sat import (
     ComponentCheck,
     EmbeddingReport,
@@ -95,6 +96,29 @@ class TestSatOracle:
             w = sat_oracle(pf.formula)
             if w is not None:
                 assert eval_formula(pf.formula, w)
+
+    def test_matches_product_reference_across_blocks(self, monkeypatch):
+        # blocks of 8 assignments, so the lowest witness may lie past the first
+        monkeypatch.setattr(p3sat, "_BLOCK_BITS", 3)
+        rng = random.Random(19)
+        past_first = unsat = 0
+        for n in range(15):
+            for _ in range(8):
+                m = rng.randint(0, 5 * n) if n >= 3 else 0
+                f = Formula.build(n, [
+                    [(v, rng.random() < 0.5) for v in rng.sample(range(n), 3)]
+                    for _ in range(m)
+                ])
+                # product varies its last position fastest, so reversed, bit
+                # v of the index is variable v
+                ref = next((a[::-1] for a in itertools.product((False, True), repeat=n)
+                            if eval_formula(f, a[::-1])), None)
+                assert sat_oracle(f) == ref
+                if ref is None:
+                    unsat += 1
+                else:
+                    past_first += sum(x << v for v, x in enumerate(ref)) >= 8
+        assert past_first >= 10 and unsat >= 3
 
     def test_budget_guard(self):
         f = Formula.build(30, [[(0, True), (1, True), (2, True)]])

@@ -184,11 +184,11 @@ class TestEnumerate:
 
     # (vertices, edges, seed): a connected edge graph with two fixed arcs and
     # full scope has a parity space of dimension edges - vertices + 1, from
-    # one 64-solution word (6) up; the last spans several blocks
+    # 6 up to 14; the last is swept in blocks of 2**12 solutions, four blocks
     @pytest.mark.parametrize("n,k,seed", [
         (8, 13, 7), (9, 15, 6), (10, 18, 3), (12, 22, 0), (21, 34, 4),
     ])
-    def test_sweep_across_words_and_blocks(self, n, k, seed):
+    def test_sweep_across_words_and_blocks(self, n, k, seed, monkeypatch):
         rng = random.Random(seed)
         edges = [(rng.randrange(v), v) for v in range(1, n)]
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -200,7 +200,8 @@ class TestEnumerate:
         prob = problem(range(n), edges, extra[:2], odd)
         d = k - n + 1
         if n == 21:
-            assert 2 ** (d - 6) > solver._BLOCK_WORDS // (2 * k)
+            monkeypatch.setattr(solver, "_BLOCK_BITS", 12)
+            assert d == 14
         # the reference does without the kernel: every parity solution,
         # filtered by is_acyclic
         every = enum(prob, witness_cap=None, require_acyclic=False)
@@ -593,6 +594,24 @@ def test_enumerate_matches_brute_force(case):
     prob, scope, witness_cap, require_acyclic = case
     rep = enum(prob, scope=scope, witness_cap=witness_cap,
                require_acyclic=require_acyclic)
+    assert (rep.total_valid, rep.witnesses, rep.explored) == brute_force_sweep(
+        prob, scope, witness_cap, require_acyclic
+    )
+
+
+@given(sweep_cases())
+@example((  # 3 of the first block's 4 solutions are valid: the cap of 4 ends
+    # inside the second block
+    problem(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), set(), 4, True))
+@settings(max_examples=150, deadline=None)
+def test_enumerate_matches_brute_force_across_blocks(case):
+    """The same comparison with blocks of 4 solutions, so that a draw
+    spans several blocks and a witness cap can end inside a later one."""
+    prob, scope, witness_cap, require_acyclic = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_BLOCK_BITS", 2)
+        rep = enum(prob, scope=scope, witness_cap=witness_cap,
+                   require_acyclic=require_acyclic)
     assert (rep.total_valid, rep.witnesses, rep.explored) == brute_force_sweep(
         prob, scope, witness_cap, require_acyclic
     )
