@@ -30,8 +30,10 @@ print("witness arcs:", sorted(result.witness.arcs))
 print("parity ok:", is_T_odd_on(problem, result.witness))
 print("acyclic:", is_acyclic(result.witness.arcs).acyclic)
 
-# the parity gate: |E| + |A| + |T| must be even, because every link
-# contributes exactly one unit of in-degree somewhere
+# the parity condition: |E| + |A| + |T| must be even, because every link
+# contributes exactly one unit of in-degree somewhere; decide checks it
+# exactly, for each connected set of edges, and names a vertex of one
+# that cannot meet it
 odd_total = OrientationProblem.build(g, odd_set=[1, 2])
 print("\nparity-violating variant feasible?", parity_feasible(odd_total))
 print("decide:", decide(odd_total).status, "-", decide(odd_total).detail)

@@ -467,7 +467,12 @@ class _SpineMap:
         return final
 
 
-def generate(seed: int, n: int, m: int, *, max_attempts: int = 400) -> PlanarFormula:
+# layouts `generate` tries before it gives up: 192/276 seed 1 needs 62, and
+# an impossible size such as 3/3 is refused after all of them in about 0.04 s
+_MAX_ATTEMPTS = 400
+
+
+def generate(seed: int, n: int, m: int) -> PlanarFormula:
     """Deterministic planar formula: n variables on a spine, m clauses nested
     above and below it without crossings.
 
@@ -478,14 +483,14 @@ def generate(seed: int, n: int, m: int, *, max_attempts: int = 400) -> PlanarFor
     traced again only where a clause splits a face, so an attempt costs the
     faces it splits rather than a full trace per clause; no record outlives
     the attempt.  Raises GenerationError when no layout covering every
-    variable is found within the attempt budget.
+    variable is found within ``_MAX_ATTEMPTS`` attempts.
     """
     if n < 3:
         raise GenerationError("need at least 3 variables")
     if m < 1:
         raise GenerationError("need at least 1 clause")
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         smap = _SpineMap(n)
         triples: list[tuple[int, ...]] = []
         for j in range(m):
@@ -519,5 +524,5 @@ def generate(seed: int, n: int, m: int, *, max_attempts: int = 400) -> PlanarFor
         rotation = RotationSystem.build(orders)
         return PlanarFormula.build(formula, rotation)
     raise GenerationError(
-        f"no layout found for n={n}, m={m} after {max_attempts} attempts"
+        f"no layout found for n={n}, m={m} after {_MAX_ATTEMPTS} attempts"
     )

@@ -15,7 +15,8 @@ the fixed arcs, whose odd-in-degree set is exactly the requested one?"):
                      leaves, and each cycle of edges is cut at its lowest
                      vertex first; the two names differ only in the graph
                      class they accept,
-* ``solve_exact``    complete search with parity and cycle propagation,
+* ``solve_exact``    a parity tally per edge component, exact on its own,
+                     then complete search with parity and cycle propagation,
                      conflict-directed backjumping and learned nogoods,
 
 plus ``decide`` (dispatcher) and the two instance transforms
@@ -56,6 +57,9 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 ABORTED = "aborted"
 
+# the detail of an infeasible answer for parity, exact per edge component
+_PARITY_REFUSAL = "parity cannot be met in the edge component of vertex {}"
+
 
 class BudgetError(RuntimeError):
     """Raised when an exhaustive operation would exceed its configured budget."""
@@ -81,7 +85,8 @@ class SolveResult:
     cycle of edges.  In the exact search they are the arcs a rule forced and
     applied, decisions excluded, including those a backtrack later undid and
     those a learned nogood forced; its probe applies no arc, so a direction
-    it only tests counts nothing.
+    it only tests counts nothing.  A parity refusal, which rests on one
+    edge component's tally, reports no decisions and no propagations.
     """
 
     status: str
@@ -139,9 +144,9 @@ def enumerate(
     first to its second endpoint), at most ``witness_cap`` of them (None =
     all).
 
-    Raises BudgetError when d exceeds ``max_edges`` or k the 64-bit mask
-    width; a partial count is never returned.  Raises ValueError on a
-    negative ``witness_cap`` or ``max_edges``.
+    Raises BudgetError when d exceeds ``max_edges``; a partial count is
+    never returned.  Raises ValueError on a negative ``witness_cap`` or
+    ``max_edges``.
     """
     if witness_cap is not None and witness_cap < 0:
         raise ValueError(f"witness_cap must be None or non-negative, got {witness_cap}")
@@ -150,8 +155,6 @@ def enumerate(
     g = problem.graph
     edge_list = sorted(g.edges)
     k = len(edge_list)
-    if k > 64:
-        raise BudgetError(f"enumeration over {k} edges exceeds the 64-bit mask width")
     if scope is None:
         scoped = sorted(g.vertices)
     else:
@@ -397,14 +400,13 @@ class _Index:
             deg[b] += 1
 
 
-def _roots(ix: _Index) -> tuple[list[int], bool]:
-    """The lowest vertex of each vertex's connected component (links taken
-    undirected), and whether some link joins two vertices already connected
-    through others.  Union-find with path halving; a merge keeps the lower
-    root, so a root is the lowest vertex of its set."""
-    root = list(range(len(ix.labels)))
+def _union(root: list[int], links: Iterable[tuple[int, int]]) -> bool:
+    """Merge the two ends of each link in the union-find ``root``, then
+    point every vertex at its root; whether some link joined two vertices
+    already connected.  Path halving; a merge keeps the lower root, so a
+    root is the lowest vertex of its set and ``root[v] <= v`` throughout."""
     cyclic = False
-    for u, v in ix.ends:
+    for u, v in links:
         while root[u] != u:
             root[u] = u = root[root[u]]
         while root[v] != v:
@@ -418,21 +420,21 @@ def _roots(ix: _Index) -> tuple[list[int], bool]:
     for v in range(len(root)):
         # root[v] <= v, so root[root[v]] is already final
         root[v] = root[root[v]]
-    return root, cyclic
+    return cyclic
 
 
 def _is_forest(ix: _Index) -> bool:
     """True when the links together (direction ignored) contain no cycle."""
     if len(ix.ends) >= len(ix.labels) > 0:
         return False   # a forest has fewer links than vertices
-    return not _roots(ix)[1]
+    return not _union(list(range(len(ix.labels))), ix.ends)
 
 
 def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     """True when edges and arcs together (direction ignored) contain no cycle."""
     if len(graph.edges) + len(graph.arcs) >= len(graph.vertices) > 0:
         return False   # as in _is_forest, before any index is built
-    return not _roots(_Index(graph))[1]
+    return _is_forest(_Index(graph))
 
 
 def max_degree(graph: PartiallyDirectedGraph) -> int:
@@ -453,20 +455,42 @@ class _Part(NamedTuple):
     arcs: list[tuple[int, int]]
 
 
-def _split(ix: _Index) -> list[_Part]:
+def _split(ix: _Index, target: list[bool]) -> tuple[list[_Part], int]:
     """The connected components of the links (direction ignored), in
-    ascending order of their lowest vertex.  A connected index is its one
-    part, in place: its positions stay, and only its edges are sorted."""
-    root = _roots(ix)[0]
-    ends, k, n = ix.ends, ix.k, len(root)
+    ascending order of their lowest vertex, and -1; or no parts and the
+    lowest vertex of an edge component whose parity cannot be met, where
+    ``target`` flags each vertex odd.
+
+    This is where the exact branch settles parity, in the one union-find
+    that splits.  The edges are merged first: a connected edge set meets
+    every parity demand whose sum matches its edge count (Chevalier, Jaeger,
+    Payan and Xuong 1983), so an edge component C has a parity orientation
+    iff |E(C)| + (fixed arcs into C) + |T ∩ C| is even, and each root tallies
+    that sum.  The fixed arcs, merged next, join edge components into the
+    parts searched.  A connected index is its one part, in place: its
+    positions stay, and only its edges are sorted."""
+    ends, k, n = ix.ends, ix.k, len(ix.labels)
+    root = list(range(n))
+    _union(root, islice(ends, k))
+    odd = [0] * n
+    for r, t in zip(root, target):
+        if t:
+            odd[r] ^= 1
+    for a, _ in islice(ends, k):
+        odd[root[a]] ^= 1
+    for _, h in islice(ends, k, None):
+        odd[root[h]] ^= 1
+    if 1 in odd:
+        return [], odd.index(1)
+    _union(root, islice(ends, k, None))
     # ascending order of the edges' ends, (a, b) keyed as the int a * n + b
     ids = sorted(range(k), key=[a * n + b for a, b in ends[:k]].__getitem__)
     if not any(root):
-        return [_Part(range(n), ids, [ends[i] for i in ids], ends[k:])]
+        return [_Part(range(n), ids, [ends[i] for i in ids], ends[k:])], -1
     pos = [0] * n       # a vertex's position in its part
     part_at = [0] * n   # a lowest vertex's part
     parts: list[_Part] = []
-    for v, r in zip(range(len(root)), root):
+    for v, r in zip(range(n), root):
         if r == v:
             part_at[v] = len(parts)
             parts.append(_Part([v], [], [], []))
@@ -481,7 +505,7 @@ def _split(ix: _Index) -> list[_Part]:
         part.ends.append((pos[a], pos[b]))
     for t, h in islice(ends, k, None):
         parts[part_at[root[t]]].arcs.append((pos[t], pos[h]))
-    return parts
+    return parts, -1
 
 
 def _check_witness(
@@ -585,7 +609,7 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
     has a second one, its reverse; the reverse of a directed cycle is one
     too.  So the witness check's acyclicity verdict is the answer.
     ``propagations`` counts the edges oriented by a parity demand: every
-    edge but the one cut from each cycle.
+    edge but the one cut from each cycle, or none on a parity refusal.
     """
     labels, ends, k = ix.labels, ix.ends, ix.k   # links k.. are the fixed arcs
     n = len(labels)
@@ -637,12 +661,8 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
             ready = [c, u]
 
     if True in owe:
-        return SolveResult(
-            INFEASIBLE,
-            propagations=steps,
-            detail="parity cannot be met in the edge component of vertex "
-            f"{labels[owe.index(True)]}",
-        )
+        detail = _PARITY_REFUSAL.format(labels[owe.index(True)])
+        return SolveResult(INFEASIBLE, detail=detail)
     if not _check_witness(ix, arcs, problem.odd_set):
         return SolveResult(
             INFEASIBLE,
@@ -787,18 +807,11 @@ class _ExactSearch:
     last decision is undone, with none of its literals made true.
     """
 
-    def __init__(
-        self,
-        labels: list[Vertex],
-        part: _Part,
-        target: list[bool],
-        budget: int,
-    ):
-        """Search ``part`` of an index whose vertices are ``labels``;
-        ``target`` flags each index position odd.  A part that spans the
-        index is searched in place and reads ``target`` as it is."""
+    def __init__(self, part: _Part, target: list[bool], budget: int):
+        """Search ``part`` of an index; ``target`` flags each index position
+        odd.  A part that spans the index is searched in place and reads
+        ``target`` as it is."""
         self.budget = budget
-        self.labels, self.verts = labels, part.verts
         self.n = n = len(part.verts)
         self.ends = ends = part.ends
         self.m = m = len(ends)
@@ -1312,17 +1325,6 @@ class _ExactSearch:
                 best, best_key = e, key
         return best
 
-    def result(self, status: str, detail: str = "") -> SolveResult:
-        """The outcome without a witness; a feasible search returns with its
-        solution in ``decided``, the (tail, head) of each edge as positions
-        in the part."""
-        return SolveResult(
-            status,
-            decisions=self.decisions,
-            propagations=self.propagations,
-            detail=detail,
-        )
-
     def learn(self, conflict: int, frames: list[list]) -> None:
         """Store the decisions at the levels ``conflict`` rests on, which
         cannot all hold, as a nogood."""
@@ -1335,12 +1337,20 @@ class _ExactSearch:
             conflict ^= low
         self.add_nogood(lits)
 
-    def run(self) -> SolveResult:
+    def run(self) -> tuple[str, str]:
         """Depth-first search with conflict-directed backjumping (Prosser,
-        Comput. Intell. 1993).
+        Comput. Intell. 1993); the status and its detail.  A feasible search
+        returns with its solution in ``decided``, the (tail, head) of each
+        edge as positions in the part.  Parity is settled before the search,
+        per edge component, so the root only queues the vertices with one
+        undecided link; a vertex with none is an edge component of its own,
+        whose parity the fixed arcs into it already meet.
 
-        Each frame is one decision level and keeps the levels its failed
-        branches rest on.  A conflict resting on levels D goes back to level
+        Each frame is one decision level: its edge, the directions left to
+        try, the trail mark and closure snapshot to return to, and the
+        levels its failed branches rest on.  A new level pushes its frame
+        with both directions, and every decision takes the next direction of
+        the newest frame.  A conflict resting on levels D goes back to level
         max(D) in one undo: the frames above it are dropped untried, because
         the decisions in D fail under any choice of theirs.  The frame at
         max(D) adds the rest of D to its set and tries its other direction;
@@ -1358,67 +1368,56 @@ class _ExactSearch:
         branch edge chosen below it.
         """
         if not self.fixed_acyclic:
-            return self.result(INFEASIBLE, "fixed arcs contain a directed cycle")
-        for x in range(self.n):
-            if self.und[x] == 0 and self.in_par[x] != self.target[x]:
-                label = self.labels[self.verts[x]]
-                return self.result(INFEASIBLE, f"parity cannot be met at vertex {label}")
-            if self.und[x] == 1:
-                self.force_q.append(x)
+            return INFEASIBLE, "fixed arcs contain a directed cycle"
+        self.force_q.extend(x for x in range(self.n) if self.und[x] == 1)
         ok = self.quiesce()
-        # one frame per decision level, from 1: [edge, alternatives left,
-        # trail mark, desc snapshot, levels its failed branches rest on]
-        frames: list[list] = []
+        frames: list[list] = []   # one per decision level, from 1
         while True:
             if ok:
                 if len(self.trail) == self.m:
-                    return self.result(FEASIBLE)
-                if self.decisions >= self.budget:
-                    return self.result(ABORTED, "decision budget exceeded")
+                    return FEASIBLE, ""
                 e = self.pick_edge()
                 u, v = self.ends[e]
                 lo, hi = (u, v) if u < v else (v, u)
-                frames.append([e, [(lo, hi)], len(self.trail), self.desc[:], 0])
-                self.decisions += 1
-                ok = (
-                    self.apply_arc(e, hi, lo, 1 << len(frames), decision=True)
-                    and self.quiesce()
-                )
-                continue
-            conflict = self.conflict
-            while conflict:
-                self.learn(conflict, frames)
-                level = conflict.bit_length() - 1
-                del frames[level:]
-                frame = frames[-1]
-                e, alts, mark, desc, _ = frame
-                frame[4] |= conflict ^ (1 << level)
-                if alts:
-                    self.undo_to(mark, desc)
-                    t, h = alts.pop()
-                    if self.decisions >= self.budget:
-                        return self.result(ABORTED, "decision budget exceeded")
-                    self.decisions += 1
-                    ok = (
-                        self.apply_arc(e, t, h, 1 << level, decision=True)
-                        and self.quiesce()
-                    )
-                    break
-                # both directions failed: their levels below are the conflict
-                conflict = frame[4]
-                frames.pop()
+                frame = [e, [(lo, hi), (hi, lo)], len(self.trail), self.desc[:], 0]
+                frames.append(frame)
             else:
-                return self.result(INFEASIBLE, "search space exhausted")
+                conflict = self.conflict
+                while conflict:
+                    self.learn(conflict, frames)
+                    level = conflict.bit_length() - 1
+                    del frames[level:]
+                    frame = frames[-1]
+                    frame[4] |= conflict ^ (1 << level)
+                    if frame[1]:
+                        self.undo_to(frame[2], frame[3])
+                        break
+                    # both directions failed: their levels below are the conflict
+                    conflict = frame[4]
+                    frames.pop()
+                else:
+                    return INFEASIBLE, "search space exhausted"
+            if self.decisions >= self.budget:
+                return ABORTED, "decision budget exceeded"
+            self.decisions += 1
+            t, h = frame[1].pop()
+            ok = (
+                self.apply_arc(frame[0], t, h, 1 << len(frames), decision=True)
+                and self.quiesce()
+            )
 
 
 def solve_exact(problem: OrientationProblem, budget: int = 10_000_000) -> SolveResult:
     """Complete backtracking search; infeasible answers are proofs.
 
-    A directed cycle and an in-degree both stay inside one connected
-    component of the links (direction ignored), so the components are
-    searched one at a time, in ascending order of their lowest vertex, and
-    the first infeasible or aborted one ends the solve.  A connected
-    instance, such as a reduction, is searched in place on its index.
+    Parity is settled first, exactly and before any search: an edge
+    component whose parity cannot be met answers infeasible with 0
+    decisions, naming one of its vertices (see ``_split``).  A directed
+    cycle and an in-degree both stay inside one connected component of the
+    links (direction ignored), so the components are then searched one at
+    a time, in ascending order of their lowest vertex, and the first
+    infeasible or aborted one ends the solve.  A connected instance, such
+    as a reduction, is searched in place on its index.
 
     ``budget`` caps branch decisions over all components together: each gets
     what the earlier ones left.  Overruns return status "aborted", never a
@@ -1436,36 +1435,38 @@ def _solve_exact(problem: OrientationProblem, ix: _Index, budget: int) -> SolveR
     search's ``decided``."""
     labels = ix.labels
     target = [v in problem.odd_set for v in labels]
+    parts, odd = _split(ix, target)
+    status, detail = FEASIBLE, ""
+    if odd >= 0:
+        status, detail = INFEASIBLE, _PARITY_REFUSAL.format(labels[odd])
     decisions = propagations = 0
     arcs = ix.ends[: ix.k]   # each edge's (tail, head), filled in per part
-    for part in _split(ix):
-        search = _ExactSearch(labels, part, target, budget - decisions)
-        outcome = search.run()
-        decisions += outcome.decisions
-        propagations += outcome.propagations
-        if not outcome.feasible:
-            return replace(outcome, decisions=decisions, propagations=propagations)
+    for part in parts:
+        search = _ExactSearch(part, target, budget - decisions)
+        status, detail = search.run()
+        decisions += search.decisions
+        propagations += search.propagations
+        if status != FEASIBLE:
+            break
         verts = part.verts
         for i, (t, h) in zip(part.edge_ids, search.decided):
             arcs[i] = (verts[t], verts[h])
-    if not _check_witness(ix, arcs, problem.odd_set):
-        raise RuntimeError("solver produced a cyclic witness")
-    return SolveResult(
-        FEASIBLE,
-        witness=_orientation(ix, arcs, problem.graph),
-        decisions=decisions,
-        propagations=propagations,
-    )
+    witness = None
+    if status == FEASIBLE:
+        if not _check_witness(ix, arcs, problem.odd_set):
+            raise RuntimeError("solver produced a cyclic witness")
+        witness = _orientation(ix, arcs, problem.graph)
+    return SolveResult(status, witness, decisions, propagations, detail)
 
 
 def decide(problem: OrientationProblem, *, budget: int = 10_000_000) -> SolveResult:
-    """Dispatcher: the parity gate, then one integer index of the problem
-    that the rest reads.  On a graph of maximum degree 2 or a forest it
-    runs the linear pass behind ``solve_tree`` and ``solve_degree_two``,
-    else ``solve_exact`` within ``budget`` decisions; either witness is
-    checked on the same index."""
-    if not parity_feasible(problem):
-        return SolveResult(INFEASIBLE, detail="parity: |E|+|A|+|T| is odd")
+    """Dispatcher over one integer index of the problem.  On a graph of
+    maximum degree 2 or a forest it runs the linear pass behind
+    ``solve_tree`` and ``solve_degree_two``, else ``solve_exact`` within
+    ``budget`` decisions.  Both settle parity exactly per edge component
+    before anything else can fail (the pass at its one parity exit, the
+    search before it branches), so an odd |E|+|A|+|T| needs no gate of its
+    own; either witness is checked on the same index."""
     ix = _Index(problem.graph)
     if max(ix.deg, default=0) <= 2 or _is_forest(ix):
         return _solve_sparse(problem, ix)
@@ -1502,10 +1503,15 @@ def apex_feasible_variant(
 ) -> SolveResult:
     """Alternative reading of the apex equivalence: the transformed graph is
     feasible if SOME vertex w can serve as the unique even one.  Tries every
-    w in ascending order and reports the first feasible choice."""
+    w in ascending order and reports the first feasible choice.  Each
+    choice leaves one vertex out of the odd set, so all share one
+    |E|+|A|+|T|, and an odd total is one exit before the loop."""
     g2 = apex_transform(problem).graph
+    order = sorted(g2.vertices)
     last = SolveResult(INFEASIBLE, detail="no vertex admits an all-but-one odd set")
-    for w in sorted(g2.vertices):
+    if not parity_feasible(OrientationProblem(g2, g2.vertices - {order[0]})):
+        return last
+    for w in order:
         outcome = decide(
             OrientationProblem(g2, g2.vertices - {w}), budget=budget
         )
@@ -1569,6 +1575,10 @@ def normalize_empty_T(
     vertex set, at which point reversing every fixed arc yields an instance
     whose T-odd orientations are exactly the flips of the original's: the
     returned problem has odd_set = ∅ and the back-map restores witnesses.
+
+    The links are kept in a dict with a neighbour set per vertex, not in an
+    ``_Index``: each contraction rewrites the graph, merging two links into
+    one and dropping a vertex, and an index is a fixed view of one graph.
     """
     g = problem.graph
     links: dict[Edge, Optional[Arc]] = {}

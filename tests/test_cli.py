@@ -165,10 +165,13 @@ class TestGadget:
             assert "argument --enum-cap: must be non-negative, got -1" in err
             assert "max_edges" not in err and "budget" not in err
 
-    def test_variable_past_mask_width(self, capsys):
-        # 66 edges: over the 64-bit mask width even with a cap of 100
-        assert run("gadget", "variable", "--copies", 6, "--enum-cap", 100) == 2
-        assert "64-bit" in capsys.readouterr().err
+    def test_variable_past_64_edges(self, capsys):
+        # six copies: 66 edges, but a parity space of dimension 7, so the
+        # sweep finds the two modes however many edges there are
+        assert run("gadget", "variable", "--copies", 6, "--enum-cap", 100) == 0
+        out = capsys.readouterr().out
+        assert "orientations: 2" in out
+        assert "boundaries: uniform and opposite" in out
 
     def test_clause_classes(self, capsys):
         assert run("gadget", "clause", "--polarities", "++-", "--json") == 0

@@ -379,8 +379,8 @@ class TestGenerate:
 
     def test_impossible_layout_raises(self):
         # three variables expose at most two clause slots (one per side)
-        with pytest.raises(GenerationError):
-            generate(7, 3, 3, max_attempts=40)
+        with pytest.raises(GenerationError, match="after 400 attempts"):
+            generate(7, 3, 3)
 
 
 def _digest(cases):

@@ -19,6 +19,7 @@ from oddorient.pdgraph import (
     is_acyclic,
     is_uniform,
 )
+from oddorient.reduction import attach_stubs, build_variable_gadget
 from oddorient.solver import (
     BudgetError,
     NormalizeError,
@@ -122,10 +123,19 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="max_edges"):
             enum(prob, scope=[], max_edges=-1, require_acyclic=require_acyclic)
 
-    def test_budget_refuses_past_mask_width(self):
-        edges = [(i, i + 1) for i in range(65)]
-        with pytest.raises(BudgetError, match="64-bit"):
-            enum(problem(range(66), edges), max_edges=100)
+    def test_sweeps_past_64_edges(self):
+        # the 6-copy variable ring: 66 edges, more than one 64-bit word, and
+        # a parity space of dimension 7; its two orientations are uniform
+        # and opposite on the boundary
+        gad = build_variable_gadget(6)
+        stubs = [v for pair in gad.stub_pairs for v in pair]
+        prob, outside = attach_stubs(gad.problem, stubs)
+        assert len(prob.graph.edges) == 66
+        scope = {v for c in gad.ids for v in c.values()}
+        rep = enum(prob, scope=scope, max_edges=7)
+        assert rep.total_valid == 2
+        outward = [{w.directs(s, o) for s, o in zip(stubs, outside)} for w in rep.witnesses]
+        assert sorted(outward, key=min) == [{False}, {True}]
 
     def test_terminals_past_one_word(self):
         # a 64-edge path has 65 terminals, more than one word of bits
@@ -327,8 +337,11 @@ class TestSolveExact:
             assert res.feasible == (rep.total_valid > 0)
 
     def test_cyclic_fixed_arcs_infeasible(self):
+        # every edge component meets parity ({0, 3} has the edge and the arc
+        # 2->0, {1} and {2} an arc into each and odd), so the fixed cycle is
+        # the one defect
         prob = problem(
-            [0, 1, 2, 3], [(0, 3)], [(0, 1), (1, 2), (2, 0)], odd=[1, 2, 3]
+            [0, 1, 2, 3], [(0, 3)], [(0, 1), (1, 2), (2, 0)], odd=[1, 2]
         )
         res = solve_exact(prob)
         assert res.status == "infeasible"

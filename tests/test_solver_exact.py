@@ -4,7 +4,8 @@ from scratch, its ring probe against trial propagation, the completeness of
 its cycle forcing, the soundness of the decision levels each forced arc and
 conflict rests on and of the nogoods it learns, its completeness through a
 count by self-reduction, its verdicts against the oracle and on renamed
-UNSAT cores, its component-by-component search of disconnected instances,
+UNSAT cores, its parity refusal per edge component before any search, its
+component-by-component search of disconnected instances,
 and its decision and propagation counts on the frozen UNSAT samples, on
 small seeded draws and on generated reductions, with the witnesses of the
 latter."""
@@ -28,6 +29,7 @@ from oddorient.reduction import assemble, assignment_from_orientation
 from oddorient.samples import sample_planar_formula, unsat_samples
 from oddorient.solver import (
     ABORTED,
+    FEASIBLE,
     INFEASIBLE,
     _ExactSearch,
     _Index,
@@ -36,6 +38,7 @@ from oddorient.solver import (
     enumerate as enum,
     solve_exact,
 )
+from test_solver import edge_component_counts
 
 
 def problem(verts, edges=(), arcs=(), odd=()):
@@ -98,7 +101,7 @@ def search_on(prob, budget=0) -> _ExactSearch:
         range(len(ix.labels)), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
     )
     target = [v in prob.odd_set for v in ix.labels]
-    return _ExactSearch(ix.labels, whole, target, budget)
+    return _ExactSearch(whole, target, budget)
 
 
 def reach_by_bfs(search: _ExactSearch, prob: OrientationProblem) -> list[int]:
@@ -434,12 +437,7 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
 def start(search: _ExactSearch) -> bool:
     """The root of ``run``: queue every vertex with one undecided link, then
     quiesce; False on a conflict."""
-    for x in range(search.n):
-        if search.und[x] == 0 and search.in_par[x] != search.target[x]:
-            search.conflict = 0
-            return False
-        if search.und[x] == 1:
-            search.force_q.append(x)
+    search.force_q.extend(x for x in range(search.n) if search.und[x] == 1)
     return search.quiesce()
 
 
@@ -589,8 +587,10 @@ def test_decide_matches_oracle_and_learns():
         prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
         feasible = enum(prob).total_valid > 0
         assert decide(prob).feasible == feasible
+        if any(c % 2 for c in edge_component_counts(prob).values()):
+            return   # refused on parity before any search, as _solve_exact does
         search = search_on(prob, 10**6)
-        assert search.run().feasible == feasible
+        assert (search.run()[0] == FEASIBLE) == feasible
         learned.append(bool(search.nogoods))
 
     check()
@@ -704,6 +704,47 @@ def test_infeasible_component_is_proved_once():
     assert res.decisions <= d_pad.decisions + d_core.decisions
 
 
+def prisms(rungs: int, odd=(), copies: int = 2) -> OrientationProblem:
+    """``copies`` disjoint prisms C_rungs x K2, no arcs: copy c has the
+    cycles 2rc + i and 2rc + rungs + i (i < rungs) and the rungs between
+    them, so each is one edge component of 3 * rungs edges."""
+    edges = []
+    for c in range(copies):
+        s = 2 * rungs * c
+        for i in range(rungs):
+            j = (i + 1) % rungs
+            edges += [(s + i, s + j), (s + rungs + i, s + rungs + j), (s + i, s + rungs + i)]
+    return problem(range(2 * rungs * copies), edges, odd=odd)
+
+
+# Two prisms whose counts are odd, though |E|+|A|+|T| is even: 30 edges and
+# one odd vertex in each 10-rung prism, and 45 edges in each 15-rung prism
+# with no odd vertex.  The search alone took 488 and 3,376 decisions to
+# exhaust them
+@given(instances(), st.data())
+@example(prisms(10, odd=[0, 20]), None)
+@example(prisms(15), None)
+@settings(max_examples=300, deadline=None)
+def test_parity_refusal_is_exact_per_edge_component(prob, data):
+    """``decide`` and ``solve_exact`` refuse on parity, with no decision
+    and no propagation, exactly when some edge component has an odd count,
+    and the vertex they name lies in such a component.  The odd set is
+    drawn afresh, free of the global parity gate."""
+    if data is not None:
+        verts = sorted(prob.graph.vertices)
+        odd = data.draw(st.sets(st.sampled_from(verts)))
+        prob = problem(verts, prob.graph.edges, prob.graph.arcs, odd)
+    odd_comps = [comp for comp, c in edge_component_counts(prob).items() if c % 2]
+    for solve in (decide, solve_exact):
+        res = solve(prob)
+        refused = res.detail.startswith("parity cannot be met in the edge component")
+        assert refused == bool(odd_comps)
+        if refused:
+            assert (res.status, res.decisions, res.propagations) == (INFEASIBLE, 0, 0)
+            named = int(res.detail.rsplit(" ", 1)[1])
+            assert any(named in comp for comp in odd_comps)
+
+
 def test_components_share_the_decision_budget():
     union, pad, core = feasible_then_unsat()
     need = solve_exact(pad).decisions + solve_exact(core).decisions
@@ -751,9 +792,11 @@ def small_draw(seed: int) -> OrientationProblem:
 # order in which the cycle queue drains shows: draining it oldest first
 # moves the propagations of each, and at seed 965 the decisions too
 # (17, 33 becomes 16, 34).  The pins of the frozen UNSAT samples and of the
-# generated reductions do not move with that order.
+# generated reductions do not move with that order.  Seed 13 has an edge
+# component whose parity cannot be met, so it is refused before any search
+# (the search took 3 decisions and 10 propagations to exhaust it).
 SMALL_DRAW_COUNTS = {
-    13: (3, 10),
+    13: (0, 0),
     51: (11, 22),
     130: (5, 13),
     145: (8, 21),
