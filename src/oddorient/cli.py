@@ -3,7 +3,9 @@
 Exit codes are a function of the semantic outcome only: 0 for feasible /
 valid / agree, 1 for infeasible / invalid / disagree, 2 for aborts and
 errors.  All output files use the canonical writers, so reruns with the same
-inputs produce byte-identical results.
+inputs produce byte-identical results.  A command whose artifact goes to
+standard output prints its report on standard error, so a redirect
+captures the artifact alone.
 """
 
 import argparse
@@ -43,20 +45,26 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _emit(report: dict, as_json: bool) -> None:
+def _emit(report: dict, as_json: bool, piped: bool = False) -> None:
+    """Print the report, on standard error when ``piped``: an artifact went
+    to standard output."""
+    out = sys.stderr if piped else sys.stdout
     if as_json:
-        print(json.dumps(report, sort_keys=True))
+        print(json.dumps(report, sort_keys=True), file=out)
         return
     for key, value in report.items():
-        print(f"{key}: {value}")
+        print(f"{key}: {value}", file=out)
 
 
-def _write_out(data: bytes, path: Optional[str]) -> None:
+def _write_out(data: bytes, path: Optional[str]) -> bool:
+    """Write an artifact to ``path``, or to standard output for None or "-";
+    whether it went to standard output."""
     if path is None or path == "-":
         sys.stdout.write(data.decode())
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        return True
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return False
 
 
 def _read_in(path: str) -> bytes:
@@ -103,10 +111,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     }
     if result.detail:
         report["detail"] = result.detail
+    piped = False
     if result.feasible and args.witness:
-        _write_out(oio.write_witness(result.witness), args.witness)
+        piped = _write_out(oio.write_witness(result.witness), args.witness)
         report["witness"] = args.witness
-    _emit(report, args.json)
+    _emit(report, args.json, piped)
     if result.feasible:
         return EXIT_OK
     if result.status == solver.INFEASIBLE:
@@ -129,7 +138,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         registry=red.registry,
         formula=red.formula,
     )
-    _write_out(blob, args.out)
+    piped = _write_out(blob, args.out)
     _emit(
         {
             "vertices": check.vertices,
@@ -140,6 +149,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
             "structural": "ok" if check.ok else "; ".join(check.problems),
         },
         args.json,
+        piped,
     )
     return EXIT_OK if check.ok else EXIT_NEGATIVE
 
@@ -310,7 +320,7 @@ def cmd_gadget(args: argparse.Namespace) -> int:
         report = _gadget_variable(args)
     else:
         report = _gadget_clause(args)
-    _emit(report, args.json)
+    _emit(report, args.json, args.out == "-")
     return EXIT_OK
 
 
@@ -319,10 +329,10 @@ def cmd_gadget(args: argparse.Namespace) -> int:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     pf = generate(args.seed, args.variables, args.clauses)
-    _write_out(oio.write_formula(pf), args.out)
+    piped = _write_out(oio.write_formula(pf), args.out)
     if args.json:
-        print(json.dumps({"seed": args.seed, "variables": args.variables,
-                          "clauses": args.clauses}, sort_keys=True))
+        _emit({"seed": args.seed, "variables": args.variables,
+               "clauses": args.clauses}, True, piped)
     return EXIT_OK
 
 
@@ -347,7 +357,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 def cmd_normalize(args: argparse.Namespace) -> int:
     bundle = _load_instance(args.instance, args.normalize_multi)
     normalized, back = solver.normalize_empty_T(bundle.problem)
-    _write_out(oio.write_instance(normalized), args.out)
+    piped = _write_out(oio.write_instance(normalized), args.out)
     _emit(
         {
             "contractions": len(back.steps),
@@ -355,6 +365,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
             "marked": len(normalized.odd_set),
         },
         args.json,
+        piped,
     )
     return EXIT_OK
 
@@ -378,7 +389,7 @@ def cmd_apex(args: argparse.Namespace) -> int:
     }
     if result.detail:
         report["detail"] = result.detail
-    _emit(report, args.json)
+    _emit(report, args.json, args.out == "-")
     if result.feasible:
         return EXIT_OK
     if result.status == solver.INFEASIBLE:

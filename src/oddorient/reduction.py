@@ -19,6 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from oddorient.p3sat import (
     Formula,
+    FormulaError,
     PlanarFormula,
     RotationSystem,
     clause_vertex,
@@ -414,7 +415,10 @@ class StructuralReport:
 
 
 def structural_check(red: Reduction) -> StructuralReport:
-    """Invariants every assembled instance must satisfy, reported not assumed."""
+    """Invariants every assembled instance must satisfy, reported not assumed.
+
+    A rotation system that does not fit the graph is one more problem, and
+    then no faces are counted."""
     problems: list[str] = []
     g = red.problem.graph
     m = red.formula.clause_count
@@ -434,23 +438,31 @@ def structural_check(red: Reduction) -> StructuralReport:
 
     degree = Counter(chain.from_iterable(chain(g.edges, g.arcs)))
     odd = red.problem.odd_set
+    # a vertex the registry misses goes by its id
+    label = red.registry.to_label.get
     for v in sorted(
         v for v in g.vertices if degree[v] > 3 or (degree[v] != 2 and v not in odd)
     ):
         deg = degree[v]
         if deg > 3:
-            problems.append(f"degree {deg} at {red.registry.label(v)}")
+            problems.append(f"degree {deg} at {label(v, v)}")
         if v not in odd and deg != 2:
-            problems.append(f"unmarked vertex {red.registry.label(v)} has degree {deg}")
+            problems.append(f"unmarked vertex {label(v, v)} has degree {deg}")
 
     if not red.registry.bijective():
         problems.append("registry is not bijective")
     if red.registry.to_label.keys() != g.vertices:
         problems.append("registry does not cover the vertex set")
 
-    report = validate_embedding(g, red.rotation)
-    if not report.valid:
-        problems.append("rotation system is not genus zero")
+    faces = 0
+    try:
+        report = validate_embedding(g, red.rotation)
+    except (FormulaError, GraphError) as exc:
+        problems.append(f"rotation system does not fit the graph: {exc}")
+    else:
+        faces = report.face_count
+        if not report.valid:
+            problems.append("rotation system is not genus zero")
 
     # connectors may only join outward copy vertices to ports
     owner: dict[Vertex, tuple[str, int]] = {}
@@ -460,7 +472,10 @@ def structural_check(red: Reduction) -> StructuralReport:
     for j, ids in enumerate(red.clause_ids):
         owner.update(dict.fromkeys(ids.values(), ("c", j)))
     # an edge inside one gadget is never a problem
-    for u, v in sorted(e for e in g.edges if owner[e[0]] != owner[e[1]]):
+    for u, v in sorted(e for e in g.edges if owner.get(e[0]) != owner.get(e[1])):
+        if u not in owner or v not in owner:
+            problems.append(f"edge at a vertex of no gadget: {u}-{v}")
+            continue
         ku, kv = owner[u][0], owner[v][0]
         if ku == kv == "c":
             problems.append(f"edge joins two clauses: {u}-{v}")
@@ -480,7 +495,7 @@ def structural_check(red: Reduction) -> StructuralReport:
         edges=len(g.edges),
         arcs=len(g.arcs),
         marked=len(red.problem.odd_set),
-        faces=report.face_count,
+        faces=faces,
     )
 
 

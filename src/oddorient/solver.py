@@ -32,7 +32,6 @@ returned.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import chain, islice
@@ -758,23 +757,26 @@ class _ExactSearch:
     undone; a forced direction is then committed like any other arc.
 
     The pure cycles are search state: ``rings`` maps each one's lowest edge
-    id (its rep) to its vertices in ring order, and ``ring_of``/``ring_mask``
-    give each ring vertex its rep and the ring's vertex bitmask.  Only the
-    root walks every vertex.  After that a component can become a pure cycle
-    only at an endpoint of a newly decided arc, so each probe pass walks
-    from the endpoints of the arcs on the trail since the previous pass, and
-    a ring leaves the set when one of its edges is decided (any undecided
-    link at a ring vertex is a ring edge).  A ring's ``in_par`` cannot change
-    while it stays a ring, so a probe that lets both directions through stays
-    valid until the closure of a ring vertex gains another ring vertex, which
-    the closure walk sees.  ``pending`` holds the rings not probed since
-    they appeared or since that happened, and a pass probes only those, in
-    ascending rep order, as a pass over every ring would find them.  Every
-    change to this state goes on ``ring_log``, and each trail entry records
-    the log length before its arc, so ``undo_to`` rewinds the rings with the
-    trail.  Being probed is not logged: a ring that passes the probe also
-    passes it on any earlier state where it is a ring, whose closure is
-    smaller.
+    id (its rep) to its vertices in ring order from the low end of that
+    edge (ring[0]-ring[1] is the rep, ring[i] is joined to ring[i + 1] and
+    ring[-1] to ring[0]), and ``ring_of``/``ring_mask`` give each ring
+    vertex its rep and the ring's vertex bitmask.  Only the root walks every
+    vertex.  After that a component can become a pure cycle only at an
+    endpoint of a newly decided arc, so each probe pass walks from the
+    endpoints of the arcs on the trail since the previous pass, and a ring
+    leaves the set when one of its edges is decided (any undecided link at a
+    ring vertex is a ring edge).  A ring's ``in_par`` cannot change while it
+    stays a ring, so a probe that lets both directions through stays valid
+    until the closure of a ring vertex gains another ring vertex, which the
+    closure walk sees.  ``pending`` holds the rings not probed since they
+    appeared or since that happened.  A pass probes each of them once, in
+    ascending rep order; a ring that a forcing in the pass makes pending is
+    probed in the next pass, which ``quiesce`` runs whenever a pass grew
+    the trail.  Every change to this state goes on ``ring_log``, and each
+    trail entry records the log length before its arc, so ``undo_to``
+    rewinds the rings with the trail.  Being probed is not logged: a ring
+    that passes the probe also passes it on any earlier state where it is a
+    ring, whose closure is smaller.
 
     The branch edge has the fewest undecided links at its lower-count end,
     lowest id first.  ``quiesce`` forces the last undecided link at every
@@ -850,7 +852,6 @@ class _ExactSearch:
         self.ring_of = [-1] * n
         self.ring_mask = [0] * n
         self.pending: set[int] = set()
-        self.dirtied: list[int] = []
         self.ring_log: list[tuple] = []
         self.fixed_acyclic = all(self.apply_arc(-1, t, h) for t, h in part.arcs)
 
@@ -905,7 +906,6 @@ class _ExactSearch:
                 # y now reaches another vertex of its ring: probe it again
                 r = self.ring_of[y]
                 self.pending.add(r)
-                self.dirtied.append(r)
                 self.ring_log.append((_RING_DIRTY, r))
             stack.extend(in_adj[y])
         self.in_par[h] ^= 1
@@ -978,7 +978,6 @@ class _ExactSearch:
         self.desc[:] = desc
         self.force_q.clear()
         self.cycle_q.clear()
-        self.dirtied.clear()
 
     # -- pure cycles ------------------------------------------------------------
 
@@ -1075,15 +1074,6 @@ class _ExactSearch:
         self.scanned = len(trail)
         self._find_rings(starts)
 
-    def _pure_cycle_reps(self) -> list[tuple[int, list[int]]]:
-        """Each undecided component whose vertices all have exactly two
-        undecided links (such a component is a single cycle), as its lowest
-        edge id and its vertices in ring order from that edge's low end:
-        ring[0]-ring[1] is the edge, ring[i] is joined to ring[i + 1] and
-        ring[-1] to ring[0].  In ascending edge order."""
-        self._update_rings()
-        return sorted(self.rings.items())
-
     # -- reasons -------------------------------------------------------------
 
     def links_dep(self, x: int) -> int:
@@ -1172,10 +1162,11 @@ class _ExactSearch:
 
     def probe(self, ring: list[int]) -> tuple[bool, bool]:
         """Whether the arcs ring[1]->ring[0] and ring[0]->ring[1] each
-        survive parity forcing around the pure cycle ``ring`` (an entry of
-        ``_pure_cycle_reps``) without a conflict.  Each forces every other
-        ring arc, the second the reverse of the first's, so both fail when
-        the ring's parities do not close."""
+        survive parity forcing around the pure cycle ``ring`` (a value of
+        ``rings``) without a conflict.  Each forces every other ring arc,
+        the second the reverse of the first's, so both fail when the ring's
+        parities do not close.  The closure is read only within the ring's
+        vertices, whose bitmask ``ring_mask`` holds."""
         r = len(ring)
         target, in_par, desc = self.target, self.in_par, self.desc
         # fwd[i]: edge ring[i]-ring[i+1] points ring[i] -> ring[i+1] (1) or
@@ -1192,11 +1183,9 @@ class _ExactSearch:
         if fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ in_par[x]:
             return False, False
 
-        ring_bits = 0
-        for x in ring:
-            ring_bits |= 1 << x
+        bits = self.ring_mask[ring[0]]
         # the other ring vertices each one reaches over decided arcs
-        reached = [(desc[x] & ring_bits) ^ (1 << x) for x in ring]
+        reached = [(desc[x] & bits) ^ (1 << x) for x in ring]
         if not any(reached):
             # the forced arcs alone close a cycle only by going all the way
             # round one way, and then so do the reverse arcs
@@ -1219,38 +1208,29 @@ class _ExactSearch:
             second[h] |= 1 << t
         return not _has_cycle(first), not _has_cycle(second)
 
-    def probe_pass(self) -> tuple[bool, bool]:
-        """Probe the representative edge of each pending pure cycle; force
-        the survivor when exactly one direction works.  A ring that a
-        forcing makes pending is probed in the same pass when its rep is
-        above the current one, and in the next pass otherwise."""
+    def probe_pass(self) -> bool:
+        """Probe the rep edge of each pending pure cycle once, in ascending
+        rep order, and force the survivor when exactly one direction works;
+        False on a conflict.  A forcing and the parity propagation after it
+        decide only edges of the probed ring, so every other ring of the
+        pass stays a ring.  A ring that a forcing makes pending waits for
+        the next pass, which ``quiesce`` runs because the trail grew."""
         self._update_rings()
         pending, rings = self.pending, self.rings
-        queue = sorted(pending)
-        self.dirtied.clear()
-        changed = False
-        while queue:
-            e = heapq.heappop(queue)
-            if e not in pending:
-                continue
+        for e in sorted(pending):
             ring = rings[e]
             hi_lo, lo_hi = self.probe(ring)
             if hi_lo == lo_hi:
                 if not hi_lo:
                     self.conflict = self.ring_dep(ring)
-                    return changed, False
+                    return False
                 pending.discard(e)
                 continue
             lo, hi = ring[0], ring[1]
             t, h = (hi, lo) if hi_lo else (lo, hi)
             if not (self.apply_arc(e, t, h, self.ring_dep(ring)) and self.propagate()):
-                return changed, False
-            changed = True
-            for r in self.dirtied:
-                if r > e:
-                    heapq.heappush(queue, r)
-            self.dirtied.clear()
-        return changed, True
+                return False
+        return True
 
     def add_nogood(self, lits: list[int]) -> None:
         """Store literals that cannot all hold; the next ``quiesce`` checks
@@ -1292,6 +1272,10 @@ class _ExactSearch:
         return True
 
     def quiesce(self) -> bool:
+        """Run the rules until none fires; False on a conflict.  At the fixed
+        point no vertex has one undecided link, no undecided edge closes a
+        cycle either way, no ring is pending, and every ring lets both
+        directions of its rep edge through the probe."""
         while True:
             if not (self.propagate() and self.cycle_force_pass()):
                 return False
@@ -1300,10 +1284,10 @@ class _ExactSearch:
                 if not self.nogood_pass():
                     return False
                 continue
-            changed, ok = self.probe_pass()
-            if not ok:
+            size = len(self.trail)
+            if not self.probe_pass():
                 return False
-            if not changed:
+            if len(self.trail) == size:
                 return True
 
     # -- search ------------------------------------------------------------
@@ -1579,6 +1563,10 @@ def normalize_empty_T(
     The links are kept in a dict with a neighbour set per vertex, not in an
     ``_Index``: each contraction rewrites the graph, merging two links into
     one and dropping a vertex, and an index is a fixed view of one graph.
+    The neighbour map holds all the rest: its keys are the survivors, and
+    on a simple graph a survivor's degree is the size of its set, since a
+    contraction refuses a parallel link and so keeps every other vertex's
+    degree.  The odd set left is the odd set minus the contracted vertices.
     """
     g = problem.graph
     links: dict[Edge, Optional[Arc]] = {}
@@ -1591,13 +1579,11 @@ def normalize_empty_T(
         adj[u].add(v)
         adj[v].add(u)
 
-    remaining = set(g.vertices)
-    odd_left = set(problem.odd_set)
     steps: list[ContractionStep] = []
     for v in sorted(problem.odd_set):
         if len(adj[v]) != 2:
             continue
-        a, b = sorted(adj[v])
+        a, b = sorted(adj.pop(v))
         pair = canonical_edge(a, b)
         if pair in links:
             raise NormalizeError(
@@ -1605,50 +1591,37 @@ def normalize_empty_T(
             )
         la = links.pop(canonical_edge(a, v))
         lb = links.pop(canonical_edge(v, b))
-        # the through-direction: at most one orientation lets v pass its
-        # single in-arc through, so fixed directions must compose
-        into_v = {a: None, b: None}
-        if la is not None:
-            into_v[a] = la[1] == v
-        if lb is not None:
-            into_v[b] = lb[1] == v
-        if into_v[a] is not None and into_v[b] is not None and into_v[a] == into_v[b]:
+        # the through-direction of each fixed link, True for a -> v -> b: v
+        # passes its single in-arc through, so fixed links must agree on it
+        through = {arc in ((a, v), (v, b)) for arc in (la, lb) if arc is not None}
+        if len(through) == 2:
             raise NormalizeError(
                 f"arcs at {v} do not compose (both point "
-                f"{'in' if into_v[a] else 'out'})",
+                f"{'in' if la[1] == v else 'out'})",
                 vertex=v,
             )
-        if into_v[a] is None and into_v[b] is None:
-            merged: Optional[Arc] = None
-        elif into_v[a] is True or into_v[b] is False:
-            merged = (a, b)
-        else:
-            merged = (b, a)
+        merged = None
+        if through:
+            merged = (a, b) if through.pop() else (b, a)
         links[pair] = merged
-        adj[a].discard(v)
-        adj[b].discard(v)
+        adj[a].remove(v)
         adj[a].add(b)
+        adj[b].remove(v)
         adj[b].add(a)
-        del adj[v]
-        remaining.discard(v)
-        odd_left.discard(v)
         steps.append(ContractionStep(vertex=v, left=a, right=b))
 
-    degree = {v: 0 for v in remaining}
-    for u, v in links:
-        degree[u] += 1
-        degree[v] += 1
-    odd_degree = {v for v in remaining if degree[v] % 2 == 1}
+    odd_left = problem.odd_set.difference(step.vertex for step in steps)
+    odd_degree = {v for v, nbrs in adj.items() if len(nbrs) % 2}
     if odd_left != odd_degree:
         off = sorted(odd_left ^ odd_degree)
         raise NormalizeError(
             "after contraction the odd set must equal the odd-degree set "
             f"(mismatch at {off[:4]})",
-            vertex=off[0] if off else None,
+            vertex=off[0],
         )
 
     contracted = PartiallyDirectedGraph(
-        vertices=frozenset(remaining),
+        vertices=frozenset(adj),
         edges=frozenset(p for p, d in links.items() if d is None),
         arcs=frozenset(d for d in links.values() if d is not None),
     )

@@ -134,6 +134,16 @@ class TestVerify:
     def test_needs_input(self):
         assert run("verify") == 2
 
+    def test_batch_needs_a_seed(self, capsys):
+        assert run("verify", "--batch", 1) == 2
+        assert "--batch needs --seed" in capsys.readouterr().err
+
+    def test_needs_rotation_lines(self, tmp_path, capsys):
+        f = tmp_path / "bare.cnf"
+        f.write_bytes(b"p cnf 3 1\n1 2 3 0\n")
+        assert run("verify", f) == 2
+        assert "embedding required" in capsys.readouterr().err
+
 
 class TestGadget:
     def test_base_counts(self, capsys):
@@ -200,6 +210,12 @@ class TestGadget:
         assert bundle.registry is not None
         assert bundle.registry.to_vertex["M.u"] in bundle.problem.graph.vertices
 
+    @pytest.mark.parametrize("kind", ["variable", "clause"])
+    def test_gadget_file_solves(self, tmp_path, kind):
+        out = tmp_path / f"{kind}.json"
+        assert run("gadget", kind, "-o", out) == 0
+        assert run("solve", out) in (0, 1)
+
 
 class TestExportDot:
     def test_oriented_export(self, tmp_path):
@@ -254,6 +270,81 @@ class TestTransforms:
     def test_apex_rejects_fixed_arcs(self, tmp_path):
         inst = _instance_file(tmp_path, "a.json", [0, 1], [], [(0, 1)])
         assert run("apex", inst) == 2
+
+
+class TestArtifactOnStdout:
+    """A command whose artifact goes to standard output, by ``-o -`` or by
+    default, prints its report on standard error, so that what a redirect
+    captures reads back as the artifact."""
+
+    def split(self, capsys, path):
+        """Standard output into ``path``; standard error as text."""
+        out, err = capsys.readouterr()
+        path.write_text(out)
+        return err
+
+    def test_reduce(self, tmp_path, capsys):
+        f = tmp_path / "f.cnf"
+        run("gen", "--seed", 3, "-n", 6, "-m", 7, "-o", f)
+        capsys.readouterr()
+        assert run("reduce", f) == 0
+        err = self.split(capsys, tmp_path / "a.json")
+        assert "structural: ok" in err.splitlines()
+        assert run("solve", tmp_path / "a.json") == 0
+
+    def test_gen_json(self, tmp_path, capsys):
+        assert run("gen", "--seed", 1, "-n", 6, "-m", 7, "--json") == 0
+        err = self.split(capsys, tmp_path / "f.cnf")
+        assert json.loads(err) == {"clauses": 7, "seed": 1, "variables": 6}
+        assert run("verify", tmp_path / "f.cnf") == 0
+
+    def test_normalize(self, tmp_path, capsys):
+        # 1 is odd with two links, so it is contracted into the edge 0-2
+        inst = _instance_file(tmp_path, "i.json", range(4),
+                              [(0, 1), (1, 2), (2, 3), (0, 3)], odd=[1])
+        assert run("normalize", inst) == 0
+        err = self.split(capsys, tmp_path / "n.json")
+        assert "contractions: 1" in err.splitlines()
+        assert run("solve", tmp_path / "n.json") == run("solve", inst)
+
+    def test_apex(self, tmp_path, capsys):
+        inst = _instance_file(tmp_path, "i.json", range(4),
+                              [(0, 1), (1, 2), (2, 3), (0, 3)], odd=[0, 2])
+        code = run("apex", inst, "-o", "-")
+        err = self.split(capsys, tmp_path / "apex.json")
+        assert f"status: {'feasible' if code == 0 else 'infeasible'}" in err.splitlines()
+        assert run("solve", tmp_path / "apex.json") == code
+
+    @pytest.mark.parametrize("kind", ["base", "variable", "clause"])
+    def test_gadget(self, tmp_path, capsys, kind):
+        assert run("gadget", kind, "-o", "-", "--json") == 0
+        err = self.split(capsys, tmp_path / "g.json")
+        assert json.loads(err)["gadget"].startswith(kind)
+        assert run("solve", tmp_path / "g.json") in (0, 1)
+
+    def test_solve_witness(self, tmp_path, capsys):
+        inst = _instance_file(tmp_path, "i.json", [0, 1, 2], [(0, 1), (1, 2)], odd=[1, 2])
+        assert run("solve", inst, "--witness", "-") == 0
+        err = self.split(capsys, tmp_path / "w.json")
+        assert "status: feasible" in err.splitlines()
+        assert run("solve", inst, "--check-witness", tmp_path / "w.json") == 0
+
+
+class TestAbortExits:
+    def test_solve_budget_zero_on_a_reduction(self, tmp_path, capsys):
+        f, art = tmp_path / "f.cnf", tmp_path / "a.json"
+        run("gen", "--seed", 3, "-n", 6, "-m", 7, "-o", f)
+        run("reduce", f, "-o", art)
+        capsys.readouterr()
+        assert run("solve", art, "--budget", 0) == 2
+        assert "status: aborted" in capsys.readouterr().out.splitlines()
+
+    def test_apex_budget_zero_when_a_decision_is_needed(self, tmp_path, capsys):
+        # the apex instance of this 4-cycle is decided only by branching
+        inst = _instance_file(tmp_path, "i.json", range(4),
+                              [(0, 1), (0, 2), (1, 3), (2, 3)], odd=[2, 3])
+        assert run("apex", inst, "--budget", 0) == 2
+        assert "status: aborted" in capsys.readouterr().out.splitlines()
 
 
 # the flags a subcommand never read, each dropped from its parser

@@ -7,7 +7,6 @@ import pytest
 
 from oddorient import solver
 from oddorient.p3sat import (
-    FormulaError,
     RotationSystem,
     generate,
     sat_oracle,
@@ -16,6 +15,8 @@ from oddorient.p3sat import (
 from oddorient.pdgraph import (
     GraphError,
     Orientation,
+    OrientationProblem,
+    PartiallyDirectedGraph,
     is_acyclic,
     is_T_odd_on,
 )
@@ -170,9 +171,71 @@ class TestAssemble:
         # reader refuses rotation entries for non-vertices
         red = assemble(generate(3, 6, 7))
         rotation = RotationSystem.build({**red.rotation.orders, 10**6: ()})
-        stray = dataclasses.replace(red, rotation=rotation)
-        with pytest.raises(FormulaError, match=r"non-vertices: \[1000000\]"):
-            structural_check(stray)
+        rep = structural_check(dataclasses.replace(red, rotation=rotation))
+        assert not rep.ok and rep.faces == 0
+        assert any("non-vertices: [1000000]" in p for p in rep.problems)
+
+
+def _corrupt(red, how: str):
+    """``red`` with one fault of kind ``how`` put into its graph, odd set,
+    rotation or registry; the raw constructors keep every other part as it
+    was."""
+    g, odd, orders = red.problem.graph, red.problem.odd_set, dict(red.rotation.orders)
+    registry = red.registry
+    vertices, edges, arcs = g.vertices, g.edges, g.arcs
+    # a marked vertex of degree 3 in a variable copy
+    x0 = red.variable_ids[0][0]["a"]
+    if how == "drop an arc":
+        arcs = arcs - {min(arcs)}
+    elif how == "join two clauses":
+        edges = edges | {(red.clause_ids[0]["w1"], red.clause_ids[1]["w1"])}
+    elif how == "join two variables":
+        edges = edges | {(x0, red.variable_ids[1][0]["a"])}
+    elif how == "stray connector":
+        edges = edges | {(x0, red.clause_ids[0]["w1"])}
+    elif how == "extra vertex":
+        vertices = vertices | {10**6}
+        edges = edges | {(x0, 10**6)}
+    elif how == "unmark a vertex":
+        odd = odd - {x0}
+    elif how == "swap a rotation":
+        a, b, c = orders[x0]
+        orders[x0] = (b, a, c)
+    elif how == "break the registry":
+        to_vertex = {**registry.to_vertex, registry.label(x0): x0 + 1}
+        registry = GadgetRegistry(to_label=registry.to_label, to_vertex=to_vertex)
+    graph = PartiallyDirectedGraph(vertices=vertices, edges=edges, arcs=arcs)
+    return dataclasses.replace(
+        red,
+        problem=OrientationProblem(graph=graph, odd_set=odd),
+        rotation=RotationSystem(orders=orders),
+        registry=registry,
+    )
+
+
+_NO_FIT = "rotation system does not fit the graph"
+
+
+@pytest.mark.parametrize("how, named", [
+    ("drop an arc", ["arc count off", "parity gate violated", _NO_FIT]),
+    ("join two clauses", ["edge count off", "degree 4 at c0.w1", _NO_FIT,
+                          "edge joins two clauses"]),
+    ("join two variables", ["degree 4 at x0.k0.a", "edge joins two variables"]),
+    ("stray connector", ["stray connector x0.k0.a-c0.w1"]),
+    ("extra vertex", ["vertex count off", "unmarked vertex 1000000 has degree 1",
+                      "registry does not cover the vertex set", _NO_FIT,
+                      "edge at a vertex of no gadget: 1-1000000"]),
+    ("unmark a vertex", ["unmarked vertex x0.k0.a has degree 3"]),
+    ("swap a rotation", ["rotation system is not genus zero"]),
+    ("break the registry", ["registry is not bijective"]),
+])
+def test_structural_check_reports_a_corrupted_reduction(how, named):
+    rep = structural_check(_corrupt(assemble(generate(3, 6, 7)), how))
+    assert not rep.ok
+    for text in named:
+        assert any(p.startswith(text) for p in rep.problems), (text, rep.problems)
+    # faces are counted only on a rotation that fits the graph
+    assert (rep.faces == 0) == any(p.startswith(_NO_FIT) for p in rep.problems)
 
 
 def _satisfying_assignments(formula):

@@ -15,6 +15,7 @@ from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
     boundary,
+    extends,
     is_T_odd_on,
     is_acyclic,
     is_uniform,
@@ -466,6 +467,35 @@ class TestApexTransform:
             assert apex_feasible_variant(prob).feasible == base
 
 
+@st.composite
+def contractible_problems(draw):
+    """Small instances with fixed arcs whose odd set is the odd-degree
+    vertices plus some of degree 2, so that normalization often contracts
+    and reaches each of its refusals."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+    kinds = draw(st.lists(st.integers(0, 2), min_size=len(chosen), max_size=len(chosen)))
+    edges, arcs = [], []
+    for (u, v), kind in zip(chosen, kinds):
+        if kind == 0:
+            edges.append((u, v))
+        else:
+            arcs.append((u, v) if kind == 1 else (v, u))
+    degree = [0] * n
+    for u, v in chosen:
+        degree[u] += 1
+        degree[v] += 1
+    odd = {v for v in range(n) if degree[v] % 2}
+    two = [v for v in range(n) if degree[v] == 2]
+    if two:
+        odd |= draw(st.sets(st.sampled_from(two)))
+    if draw(st.integers(0, 4)) == 4:
+        # one vertex off, which only the odd-degree check can refuse
+        odd ^= {draw(st.integers(0, n - 1))}
+    return problem(range(n), edges, arcs, odd)
+
+
 class TestNormalizeEmptyT:
     def test_edge_edge_contraction(self):
         # contract 1 out of the 4-cycle: its two edges merge into edge {0,2}
@@ -543,6 +573,28 @@ class TestNormalizeEmptyT:
                 assert is_acyclic(restored.arcs).acyclic
                 assert is_T_odd_on(prob, restored)
         assert done >= 10
+
+    @given(contractible_problems())
+    @settings(max_examples=400, deadline=None)
+    def test_contraction_preserves_status_and_restores(self, prob):
+        try:
+            norm, back = normalize_empty_T(prob)
+        except NormalizeError:
+            return
+        a, b = decide(prob), decide(norm)
+        assert a.status == b.status
+        if b.feasible:
+            restored = back.restore(b.witness)
+            assert extends(prob.graph, restored)
+            assert is_acyclic(restored.arcs).acyclic
+            assert is_T_odd_on(prob, restored)
+
+    def test_restore_needs_every_merged_link(self):
+        # 1 is contracted into the edge 0-2, which this witness leaves out
+        _, back = normalize_empty_T(four_cycle(odd=[1]))
+        witness = Orientation(arcs=frozenset({(2, 3), (3, 0)}))
+        with pytest.raises(GraphError, match="merged link 0-2"):
+            back.restore(witness)
 
 
 # -- property tests ---------------------------------------------------------------

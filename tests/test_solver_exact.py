@@ -196,12 +196,32 @@ def low_degree_instances(draw):
     return problem(ids, edges)
 
 
+@st.composite
+def rings_with_ears(draw):
+    """A cycle of undecided edges plus a few outer vertices, each tied to
+    one or two cycle vertices by fixed arcs and to other outer vertices by
+    undecided edges: the cycle is a pure cycle from the start, and as the
+    outer edges get decided its vertices come to reach each other."""
+    k = draw(st.integers(min_value=3, max_value=8))
+    j = draw(st.integers(min_value=2, max_value=6))
+    ids = draw(st.lists(st.integers(0, 99), min_size=k + j, max_size=k + j, unique=True))
+    edges = [(ids[i], ids[(i + 1) % k]) for i in range(k)]
+    arcs = []
+    for w in range(k, k + j):
+        for x in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True)):
+            arcs.append((ids[x], ids[w]) if draw(st.booleans()) else (ids[w], ids[x]))
+        for x in draw(st.lists(st.integers(k, w), max_size=3, unique=True)):
+            if x != w:
+                edges.append((ids[x], ids[w]))
+    return problem(ids, edges, arcs)
+
+
 def pure_cycle_reps_by_scan(search: _ExactSearch) -> list[tuple[int, list[int]]]:
-    """The pure cycles as ``_pure_cycle_reps`` gives them, found by one walk
-    from the low end of every undecided edge.  The first undecided edge met
-    of a component is its lowest, and a walk from its low end along
-    two-link vertices comes back to the start exactly when the component is
-    a pure cycle."""
+    """The pure cycles as ``rings`` holds them, in ascending rep order,
+    found by one walk from the low end of every undecided edge.  The first
+    undecided edge met of a component is its lowest, and a walk from its low
+    end along two-link vertices comes back to the start exactly when the
+    component is a pure cycle."""
     decided, ends, und, edge_at = search.decided, search.ends, search.und, search.edge_at
     reached = set()
     reps = []
@@ -229,7 +249,8 @@ def pure_cycle_reps_by_scan(search: _ExactSearch) -> list[tuple[int, list[int]]]
 
 
 def assert_rings_match_references(search: _ExactSearch) -> None:
-    reps = search._pure_cycle_reps()
+    search._update_rings()
+    reps = sorted(search.rings.items())
     assert [e for e, _ in reps] == pure_cycle_reps_by_bfs(search)
     assert reps == pure_cycle_reps_by_scan(search)
     live = {search.ends[i] for i in range(search.m) if search.decided[i] is None}
@@ -259,10 +280,10 @@ def test_pure_cycle_walk_matches_bfs(prob, seed):
 
 def random_search_state(prob: OrientationProblem, rng: random.Random):
     """A search on ``prob`` with about a fifth of its edges turned into fixed
-    arcs, a random odd set, and a few arcs applied; None when the fixed arcs
-    close a cycle."""
+    arcs besides its own, a random odd set, and a few arcs applied; None
+    when the fixed arcs close a cycle."""
     verts = sorted(prob.graph.vertices)
-    edges, arcs = [], []
+    edges, arcs = [], sorted(prob.graph.arcs)
     for u, v in sorted(prob.graph.edges):
         if rng.random() < 0.2:
             arcs.append((u, v) if rng.random() < 0.5 else (v, u))
@@ -308,12 +329,14 @@ def test_probe_matches_trial_propagation(prob, seed):
     for _ in range(search.m + 1):
         # the search probes only once parity propagation has drained
         search.force_q.clear()
-        for e, ring in search._pure_cycle_reps():
+        search._update_rings()
+        # the trial applies and undoes arcs, which rewinds ``rings``
+        for e, ring in sorted(search.rings.items()):
             assert search.probe(ring) == probe_by_trial(search, e)
         apply_random_arc(search, rng)
 
 
-@given(low_degree_instances(), st.integers(0, 2**32 - 1))
+@given(st.one_of(low_degree_instances(), rings_with_ears()), st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
     rng = random.Random(seed)
@@ -335,6 +358,12 @@ def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
         for e in undecided:
             u, v = search.ends[e]
             assert not (desc[u] >> v) & 1 and not (desc[v] >> u) & 1
+        # the probe is at its fixed point too: the rings are current, none
+        # waits, and every one lets both directions of its rep edge through
+        assert sorted(search.rings.items()) == pure_cycle_reps_by_scan(search)
+        assert not search.pending
+        for ring in search.rings.values():
+            assert search.probe(ring) == (True, True)
         # no vertex is left with one undecided link, so pick_edge may stop
         # at the first edge with two at its lower-count end
         assert 1 not in search.und
@@ -356,26 +385,6 @@ def pick_edge_by_scan(search: _ExactSearch) -> int:
         for e, (u, v) in enumerate(search.ends)
         if search.decided[e] is None
     )[1]
-
-
-@st.composite
-def rings_with_ears(draw):
-    """A cycle of undecided edges plus a few outer vertices, each tied to
-    one or two cycle vertices by fixed arcs and to other outer vertices by
-    undecided edges: the cycle is a pure cycle from the start, and as the
-    outer edges get decided its vertices come to reach each other."""
-    k = draw(st.integers(min_value=3, max_value=8))
-    j = draw(st.integers(min_value=2, max_value=6))
-    ids = draw(st.lists(st.integers(0, 99), min_size=k + j, max_size=k + j, unique=True))
-    edges = [(ids[i], ids[(i + 1) % k]) for i in range(k)]
-    arcs = []
-    for w in range(k, k + j):
-        for x in draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2, unique=True)):
-            arcs.append((ids[x], ids[w]) if draw(st.booleans()) else (ids[w], ids[x]))
-        for x in draw(st.lists(st.integers(k, w), max_size=3, unique=True)):
-            if x != w:
-                edges.append((ids[x], ids[w]))
-    return problem(ids, edges, arcs)
 
 
 def apply_arc_off_rings(search: _ExactSearch, rng: random.Random) -> None:
