@@ -60,6 +60,17 @@ def _text(data: Union[bytes, str]) -> str:
         raise FormatError(f"not UTF-8 text: byte {exc.start}") from exc
 
 
+def _json(data: Union[bytes, str]):
+    """The parsed JSON document; nesting deeper than the parser's recursion
+    limit is refused like any other malformed text."""
+    try:
+        return json.loads(_text(data))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    except RecursionError as exc:
+        raise FormatError("not valid JSON: nested too deeply") from exc
+
+
 # -- instance JSON ----------------------------------------------------------------
 
 
@@ -191,11 +202,7 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
     parallel links, which are collapsed to an equivalent simple instance
     before validation.
     """
-    data = _text(data)
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    doc = _json(data)
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
         raise FormatError("not an instance document")
     _check_version(doc)
@@ -325,11 +332,7 @@ def write_witness(orientation: Orientation) -> bytes:
 
 def read_witness(data: Union[bytes, str], problem: OrientationProblem) -> Orientation:
     """Parse a witness document and bind it to the problem's graph."""
-    data = _text(data)
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: line {exc.lineno} col {exc.colno}") from exc
+    doc = _json(data)
     if not isinstance(doc, dict) or doc.get("format") != WITNESS_FORMAT:
         raise FormatError("not a witness document")
     _check_version(doc)

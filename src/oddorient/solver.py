@@ -676,12 +676,6 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
 # -- complete backtracking solver ----------------------------------------------------
 
 
-# kinds of ``_ExactSearch.ring_log`` entries: a ring found, a ring dropped
-# (with its ring, vertex bitmask and pending flag), a ring made pending, and
-# a walk of the trail (with the previous ``scanned``)
-_RING_NEW, _RING_DROP, _RING_DIRTY, _RING_SCAN = range(4)
-
-
 def _has_cycle(succ: list[int]) -> bool:
     """Whether the digraph on 0..len(succ)-1 in which ``succ[x]`` is the
     bitmask of x's out-neighbours has a directed cycle (depth-first search
@@ -772,11 +766,15 @@ class _ExactSearch:
     appeared or since that happened.  A pass probes each of them once, in
     ascending rep order; a ring that a forcing in the pass makes pending is
     probed in the next pass, which ``quiesce`` runs whenever a pass grew
-    the trail.  Every change to this state goes on ``ring_log``, and each
-    trail entry records the log length before its arc, so ``undo_to``
-    rewinds the rings with the trail.  Being probed is not logged: a ring
-    that passes the probe also passes it on any earlier state where it is a
-    ring, whose closure is smaller.
+    the trail.  The trail is the one undo record of this state: each entry
+    carries the ring its arc dropped, and ``undo_to`` links it again and
+    unlinks the rings found at the arc's ends since.  Neither a probe nor
+    closure growth leaves a record.  A ring that passes the probe also
+    passes it on any earlier state where it is a ring, whose closure is
+    smaller, so after an undo it needs no probe; a ring made pending by
+    closure growth stays pending, which costs at most one probe, and
+    ``run`` clears ``pending`` after each backjump, since every frame is
+    pushed at a fixed point of ``quiesce``, where no ring waits.
 
     The branch edge has the fewest undecided links at its lower-count end,
     lowest id first.  ``quiesce`` forces the last undecided link at every
@@ -852,16 +850,14 @@ class _ExactSearch:
         self.ring_of = [-1] * n
         self.ring_mask = [0] * n
         self.pending: set[int] = set()
-        self.ring_log: list[tuple] = []
         self.fixed_acyclic = all(self.apply_arc(-1, t, h) for t, h in part.arcs)
 
-        # (edge, tail, head, ring_log length before the arc)
-        self.trail: list[tuple[int, int, int, int]] = []
+        # (edge, tail, head, dropped): dropped is the (rep, ring, bitmask) of
+        # the pure cycle the arc's edge was on, None when it was on none
+        self.trail: list[tuple[int, int, int, Optional[tuple[int, list[int], int]]]] = []
         self.seen = [0] * n   # the stamp of the last walk to reach x
         self.stamp = 0
-        # the root's rings are never rewound, so they are not logged
         self._find_rings(range(n))
-        self.ring_log.clear()
         self.scanned = 0   # trail entries whose endpoints have been walked
         self.force_q: deque[int] = deque()
         self.decisions = 0
@@ -882,7 +878,6 @@ class _ExactSearch:
             self.conflict = mask | self.path_dep(h, t)
             return False
         in_adj, nbr_bits, ring_mask = self.in_adj, self.nbr_bits, self.ring_mask
-        log_at = len(self.ring_log)
         in_adj[h].append(t)
         self.in_edge[h].append(e)
         stack = [t]
@@ -902,11 +897,9 @@ class _ExactSearch:
                     u, v = ends[i]
                     if (gained >> (u + v - y)) & 1:
                         cycle_q.append(i)
-            if ring_mask[y] and new & ring_mask[y] and self.ring_of[y] not in self.pending:
+            if new & ring_mask[y]:
                 # y now reaches another vertex of its ring: probe it again
-                r = self.ring_of[y]
-                self.pending.add(r)
-                self.ring_log.append((_RING_DIRTY, r))
+                self.pending.add(self.ring_of[y])
             stack.extend(in_adj[y])
         self.in_par[h] ^= 1
         if e < 0:
@@ -916,18 +909,13 @@ class _ExactSearch:
             self.propagations += 1
         self.decided[e] = (t, h)
         self.dep[e] = mask
-        self.trail.append((e, t, h, log_at))
+        r = self.ring_of[t]
+        # e is an edge of t's ring, if t has one, so h is on it too
+        self.trail.append((e, t, h, None if r < 0 else self._unlink_ring(r)))
         if self.occ:
             lit = 2 * e + (t < h)
             if lit in self.occ:
                 self.lit_q.append(lit)
-        r = self.ring_of[t]
-        if r >= 0:
-            # e is an edge of t's ring, so h is on it too
-            was_pending = r in self.pending
-            self.pending.discard(r)
-            bits = ring_mask[t]
-            self.ring_log.append((_RING_DROP, r, self._unlink_ring(r), bits, was_pending))
         und = self.und
         left = und[t] = und[t] - 1
         right = und[h] = und[h] - 1
@@ -950,17 +938,23 @@ class _ExactSearch:
 
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
-        taken when the trail had that length.  The rings are rewound with the
-        trail, and the queues are emptied, except that both literals of each
+        taken when the trail had that length, and the rings must have been
+        current then (``scanned`` equal to ``mark``), as at every frame
+        ``run`` pushes.  The entries go newest first: a ring at either end
+        of an entry's arc was found since ``mark`` (one there before would
+        have been dropped by the arc) and is unlinked, and the ring the arc
+        dropped is linked again, pending.  A ring that a closure walk made
+        pending since ``mark`` stays pending, which costs at most one probe
+        too many.  The queues are emptied, except that both literals of each
         edge made undecided are queued, newest edge first: a nogood learned
         since ``mark`` can be unit there, with its undecided literal the only
         one that moved."""
         trail = self.trail
         if len(trail) > mark:
-            self._rewind_rings(trail[mark][3])
             und, decided, dep, in_par = self.und, self.decided, self.dep, self.in_par
             in_adj, in_edge, occ, lit_q = self.in_adj, self.in_edge, self.occ, self.lit_q
-            for e, t, h, _ in reversed(trail[mark:]):
+            ring_of = self.ring_of
+            for e, t, h, dropped in reversed(trail[mark:]):
                 if occ:
                     lit = 2 * e
                     if lit in occ:
@@ -974,7 +968,13 @@ class _ExactSearch:
                 in_par[h] ^= 1
                 und[t] += 1
                 und[h] += 1
+                for x in (t, h):
+                    if ring_of[x] >= 0:
+                        self._unlink_ring(ring_of[x])
+                if dropped:
+                    self._link_ring(*dropped)
             del trail[mark:]
+            self.scanned = min(self.scanned, mark)
         self.desc[:] = desc
         self.force_q.clear()
         self.cycle_q.clear()
@@ -982,35 +982,22 @@ class _ExactSearch:
     # -- pure cycles ------------------------------------------------------------
 
     def _link_ring(self, rep: int, ring: list[int], bits: int) -> None:
+        """Add a ring, pending."""
         self.rings[rep] = ring
         for x in ring:
             self.ring_of[x] = rep
             self.ring_mask[x] = bits
+        self.pending.add(rep)
 
-    def _unlink_ring(self, rep: int) -> list[int]:
+    def _unlink_ring(self, rep: int) -> tuple[int, list[int], int]:
+        """Remove a ring, and return its (rep, ring, bitmask)."""
         ring = self.rings.pop(rep)
+        bits = self.ring_mask[ring[0]]
         for x in ring:
             self.ring_of[x] = -1
             self.ring_mask[x] = 0
-        return ring
-
-    def _rewind_rings(self, length: int) -> None:
-        """Undo the ring log back to ``length`` entries, newest first."""
-        log = self.ring_log
-        while len(log) > length:
-            entry = log.pop()
-            kind, r = entry[0], entry[1]
-            if kind == _RING_NEW:
-                self._unlink_ring(r)
-                self.pending.discard(r)
-            elif kind == _RING_DROP:
-                self._link_ring(r, entry[2], entry[3])
-                if entry[4]:
-                    self.pending.add(r)
-            elif kind == _RING_DIRTY:
-                self.pending.discard(r)
-            else:
-                self.scanned = r
+        self.pending.discard(rep)
+        return rep, ring, bits
 
     def _find_rings(self, starts: Iterable[int]) -> None:
         """Add the pure cycle through each start vertex that is on one.
@@ -1061,8 +1048,6 @@ class _ExactSearch:
             else:
                 ring = [cyc[(k + 1 - i) % r] for i in range(r)]
             self._link_ring(rep, ring, bits)
-            self.pending.add(rep)
-            self.ring_log.append((_RING_NEW, rep))
 
     def _update_rings(self) -> None:
         """Walk from the endpoints of the arcs decided since the last call."""
@@ -1070,7 +1055,6 @@ class _ExactSearch:
         if self.scanned == len(trail):
             return
         starts = [x for item in trail[self.scanned:] for x in item[1:3]]
-        self.ring_log.append((_RING_SCAN, self.scanned))
         self.scanned = len(trail)
         self._find_rings(starts)
 
@@ -1375,6 +1359,8 @@ class _ExactSearch:
                     frame[4] |= conflict ^ (1 << level)
                     if frame[1]:
                         self.undo_to(frame[2], frame[3])
+                        # no ring waits at the quiesce fixed point the frame was pushed at
+                        self.pending.clear()
                         break
                     # both directions failed: their levels below are the conflict
                     conflict = frame[4]

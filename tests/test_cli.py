@@ -511,6 +511,36 @@ class TestMainFuzz:
             assert run("apex", path, "--variant", *flags) in (0, 1, 2)
 
 
+class TestDeeplyNested:
+    """JSON nested past the parser's recursion limit is malformed input,
+    exit 2, not a traceback, whose exit 1 would read as infeasible."""
+
+    # 3,000 nested objects: about 15 KB
+    NESTED = '{"a": ' * 3000 + "0" + "}" * 3000
+
+    @pytest.mark.parametrize("command, output", [
+        ("solve", None), ("normalize", "o.json"), ("apex", "o.json"),
+        ("export-dot", "o.dot"),
+    ])
+    def test_instance_document(self, tmp_path, capsys, command, output):
+        inst = tmp_path / "i.json"
+        inst.write_text(self.NESTED)
+        out = ("-o", tmp_path / output) if output else ()
+        assert run(command, inst, *out) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, output", [
+        ("solve", "--check-witness", None), ("export-dot", "--witness", "t.dot"),
+    ])
+    def test_witness_document(self, tmp_path, capsys, command, flag, output):
+        inst = _instance_file(tmp_path, "t.json", [0, 1], [(0, 1)], odd=[1])
+        wit = tmp_path / "w.json"
+        wit.write_text("[" * 100_000 + "]" * 100_000)
+        out = ("-o", tmp_path / output) if output else ()
+        assert run(command, inst, flag, wit, *out) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = subprocess.run(

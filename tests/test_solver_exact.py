@@ -443,6 +443,28 @@ def test_ring_state_tracks_apply_undo_and_probe(prob, seed):
         clean_reach = seen_clean
 
 
+def test_undo_below_the_walked_trail_walks_the_new_arcs():
+    # the triangle 0-1-2 with the path 0-3-4-5 hanging off 0: the arcs 3->4
+    # and 4->5 are walked, then undone, and 0->3 alone leaves the triangle a
+    # pure cycle, which only a walk from 0 finds.  The property tests walk
+    # after every step, so a rewind that leaves the walked count past the
+    # end of the trail shows only here
+    search = search_on(problem(
+        range(6), [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (4, 5)], odd=[3, 4, 5]
+    ))
+    edge = search.ends.index
+    search._update_rings()
+    assert not search.rings
+    mark, desc = len(search.trail), search.desc[:]
+    assert search.apply_arc(edge((3, 4)), 3, 4) and search.apply_arc(edge((4, 5)), 4, 5)
+    search._update_rings()
+    search.undo_to(mark, desc)
+    assert search.apply_arc(edge((0, 3)), 0, 3)
+    search._update_rings()
+    assert sorted(search.rings.items()) == pure_cycle_reps_by_scan(search) == [(0, [0, 1, 2])]
+    assert search.pending == {0}
+
+
 def start(search: _ExactSearch) -> bool:
     """The root of ``run``: queue every vertex with one undecided link, then
     quiesce; False on a conflict."""
