@@ -160,16 +160,19 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def _batch_formulas(args: argparse.Namespace):
     made = 0
     offset = 0
+    last: Optional[GenerationError] = None
     while made < args.batch:
         if offset >= 3 * args.batch + 20:
             raise GenerationError(
                 f"could not generate {args.batch} formulas from seed {args.seed}"
+                f" (last failure: {last})"
             )
         try:
             yield f"seed {args.seed + offset}", generate(
                 args.seed + offset, args.variables, args.clauses
             )
-        except GenerationError:
+        except GenerationError as exc:
+            last = exc
             offset += 1
             continue
         made += 1
@@ -435,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check formula/artifact agreement")
     p.add_argument("formulas", nargs="*", help="formula files with rotation lines")
-    p.add_argument("--batch", type=int, default=0,
+    p.add_argument("--batch", type=non_negative_int, default=0,
                    help="also verify this many generated formulas")
     p.add_argument("--seed", type=int, help="generator seed for --batch")
     p.add_argument("-n", "--variables", type=int, default=6)

@@ -15,7 +15,7 @@ import functools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from oddorient.p3sat import (
     Formula,
@@ -271,14 +271,27 @@ class Reduction:
         return len(self.variable_ids[i])
 
 
+def _connectors(
+    copy: dict[str, Vertex], ports: dict[str, Vertex], p: int
+) -> tuple[tuple[Vertex, Vertex], tuple[Vertex, Vertex]]:
+    """The two connector edges between a copy and slot p of its clause.
+
+    They cross: u meets the hatted port and uh the plain one, which keeps
+    the corridor between copy and clause planar.  Each pair is written copy
+    side first, which is its direction when the copy runs in outward mode.
+    Both back-maps read the connectors through this one rule, walking the
+    clause slots of the reduction.
+    """
+    return ((copy["u"], ports[f"vh{p}"]), (copy["uh"], ports[f"v{p}"]))
+
+
 def assemble(planar: PlanarFormula) -> Reduction:
     """Build the orientation instance for a planar formula.
 
     Copy k of variable i serves the clause at position k of the variable's
     stored rotation; slot p of clause j serves the variable at position p of
-    the clause's rotation.  Connectors are crossed (u to the hatted port, uh
-    to the plain one) so the corridor between a copy and its clause stays
-    planar.
+    the clause's rotation.  Connectors are crossed (see `_connectors`) so
+    the corridor between a copy and its clause stays planar.
     """
     formula = planar.formula
     rot = planar.rotation
@@ -341,9 +354,8 @@ def assemble(planar: PlanarFormula) -> Reduction:
         for p, vv in zip((1, 2, 3), rot.orders[cv]):
             i = vv
             k = rot.position(variable_vertex(formula, i), cv)
-            copy = variable_ids[i][k]
             ports = clause_ids[j]
-            for a, b in ((copy["u"], ports[f"vh{p}"]), (copy["uh"], ports[f"v{p}"])):
+            for a, b in _connectors(variable_ids[i][k], ports, p):
                 edges.append((a, b))
                 ends[a].append(b)
                 ends[b].append(a)
@@ -568,11 +580,20 @@ def orientation_from_assignment(
 ) -> Orientation:
     """The canonical witness orientation for a satisfying assignment.
 
-    True variables run in outward mode, false ones inward; each port passes
-    its literal's value to the hexagon, and each hexagon takes the smallest
-    completion that is odd at every hexagon vertex and does not close the
-    ring.  Raises GadgetError when some clause is unsatisfied, since no
-    completion exists there.
+    True variables run in outward mode, false ones inward, and each clause
+    slot's port pair passes its literal's value to the hexagon: it points in
+    when the literal is satisfied.  Every hexagon vertex is marked, so one
+    whose port points in needs both or neither ring edge in, and the ring
+    turns there; one whose port points out owes one ring in-arc, and the
+    ring keeps its direction.  A hexagon is a cycle of edges, so these
+    constraints leave exactly two completions, each the other's reverse
+    (Chevalier, Jaeger, Payan and Xuong 1983).  Each slot turns the ring at
+    both of its hexagon vertices or at neither, so the turns are even in
+    number and both completions close; a satisfied slot turns it at least
+    twice, so neither completion is a directed cycle.  The witness takes the
+    completion whose sorted arcs come first.  Raises GadgetError when some
+    clause is unsatisfied: its ring never turns, and both completions are
+    cycles.
     """
     formula = red.formula
     if len(assignment) != formula.variable_count:
@@ -585,51 +606,30 @@ def orientation_from_assignment(
             next_s = copies[(k + 1) % d]["s"]
             directed.extend(_copy_arcs(copies[k], next_s, bool(assignment[i])))
 
-    for j in range(formula.clause_count):
-        ids = red.clause_ids[j]
-        satisfied = []
+    for j, ids in enumerate(red.clause_ids):
+        turns: set[Vertex] = set()
         for p, (i, k, positive) in zip((1, 2, 3), red.slots[j]):
-            value = bool(assignment[i]) == positive
-            satisfied.append(value)
-            copy = red.variable_ids[i][k]
-            v, vh, w, wh = ids[f"v{p}"], ids[f"vh{p}"], ids[f"w{p}"], ids[f"wh{p}"]
-            if assignment[i]:
-                # outward mode pushes both connectors into the ports
-                directed.extend([(copy["u"], vh), (copy["uh"], v)])
+            out_mode = bool(assignment[i])
+            for a, b in _connectors(red.variable_ids[i][k], ids, p):
+                directed.append((a, b) if out_mode else (b, a))
+            pair = ((ids[f"v{p}"], ids[f"w{p}"]), (ids[f"vh{p}"], ids[f"wh{p}"]))
+            if out_mode == positive:
+                directed.extend(pair)
+                turns.update((ids[f"w{p}"], ids[f"wh{p}"]))
             else:
-                directed.extend([(vh, copy["u"]), (v, copy["uh"])])
-            if value:
-                directed.extend([(v, w), (vh, wh)])     # satisfied: pair points in
-            else:
-                directed.extend([(w, v), (wh, vh)])
-        if not any(satisfied):
+                directed.extend((b, a) for a, b in pair)
+        if not turns:
             raise GadgetError(f"assignment leaves clause {j} unsatisfied")
-        hex_ids = [ids[x] for x in HEX_NAMES]
-        ring = [(hex_ids[p], hex_ids[(p + 1) % 6]) for p in range(6)]
-        in_from_match = {
-            ids[x]: 0 for x in HEX_NAMES
-        }
-        for t, h in directed[-12:]:
-            if h in in_from_match:
-                in_from_match[h] += 1
-        best: Optional[list[tuple[Vertex, Vertex]]] = None
-        for mask in range(64):
-            arcs = [
-                (a, b) if (mask >> p) & 1 else (b, a)
-                for p, (a, b) in enumerate(ring)
-            ]
-            if mask in (0b111111,) or all((mask >> p) & 1 == 0 for p in range(6)):
-                continue   # a consistently directed ring is a cycle
-            deg = dict(in_from_match)
-            for t, h in arcs:
-                deg[h] += 1
-            if all(d % 2 == 1 for d in deg.values()):
-                cand = sorted(arcs)
-                if best is None or cand < best:
-                    best = cand
-        if best is None:
-            raise GadgetError(f"no hexagon completion for clause {j}")
-        directed.extend(best)
+        hexagon = [ids[x] for x in HEX_NAMES]
+        ring: list[tuple[Vertex, Vertex]] = []
+        forward = True
+        for q in range(6):
+            # vertex q joins ring edges q-1 and q
+            if q and hexagon[q] in turns:
+                forward = not forward
+            a, b = hexagon[q], hexagon[(q + 1) % 6]
+            ring.append((a, b) if forward else (b, a))
+        directed.extend(min(sorted(ring), sorted((b, a) for a, b in ring)))
 
     return Orientation.of(red.problem.graph, directed)
 
@@ -637,49 +637,31 @@ def orientation_from_assignment(
 def assignment_from_orientation(
     red: Reduction, orientation: Orientation
 ) -> tuple[bool, ...]:
-    """Read each variable's mode off its stub arcs.
+    """Read each variable's mode off the connectors of its clause slots.
 
-    Raises GadgetError when any copy's stubs disagree, i.e. the orientation
-    is not in gadget normal form.
+    A variable votes True for each connector pointing from its copy into
+    the port (outward mode) and False for each pointing back.  A variable
+    in no clause has no copy and no vote, and reads False.  Raises
+    GadgetError when a connector is left undirected or a variable's votes
+    disagree, i.e. the orientation is not in gadget normal form.
     """
     directs = orientation.arcs
-    g = red.problem.graph
-    # the clause-side neighbors of every outward copy vertex
-    ports_of: dict[Vertex, list[Vertex]] = {
-        ids[name]: [] for copies in red.variable_ids for ids in copies
-        for name in ("u", "uh")
-    }
-    for a, b in chain(g.edges, g.arcs):
-        if a in ports_of and red.registry.label(b).startswith("c"):
-            ports_of[a].append(b)
-        if b in ports_of and red.registry.label(a).startswith("c"):
-            ports_of[b].append(a)
-    out: list[bool] = []
-    for i in range(red.formula.variable_count):
-        votes: set[bool] = set()
-        for ids in red.variable_ids[i]:
-            for name in ("u", "uh"):
-                v = ids[name]
-                ports = ports_of[v]
-                if len(ports) != 1:
-                    raise GadgetError(
-                        f"outward vertex {red.registry.label(v)} has no port link"
-                    )
-                if (v, ports[0]) in directs:
-                    votes.add(True)
-                elif (ports[0], v) in directs:
-                    votes.add(False)
+    votes: list[set[bool]] = [set() for _ in range(red.formula.variable_count)]
+    for j, ids in enumerate(red.clause_ids):
+        for p, (i, k, _) in zip((1, 2, 3), red.slots[j]):
+            for a, b in _connectors(red.variable_ids[i][k], ids, p):
+                if (a, b) in directs:
+                    votes[i].add(True)
+                elif (b, a) in directs:
+                    votes[i].add(False)
                 else:
                     raise GadgetError("connector left undirected in witness")
-        if votes == {True}:
-            out.append(True)
-        elif votes == {False}:
-            out.append(False)
-        else:
+    for i, vote in enumerate(votes):
+        if len(vote) > 1:
             raise GadgetError(
                 f"variable {i} has mixed stub directions; not a gadget witness"
             )
-    return tuple(out)
+    return tuple(vote == {True} for vote in votes)
 
 
 def clause_boundary_class(

@@ -144,6 +144,27 @@ class TestVerify:
         assert run("verify", f) == 2
         assert "embedding required" in capsys.readouterr().err
 
+    def test_variables_in_no_clause_read_false(self, tmp_path, capsys):
+        # three isolated variables: no gadget copy, no vote, read False
+        f = tmp_path / "empty.cnf"
+        f.write_bytes(b"p cnf 3 0\nr 0\nr 1\nr 2\n")
+        assert run("verify", f) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "agree: 1/1"
+
+    def test_negative_batch_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            run("verify", "--batch", -1)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --batch: must be non-negative, got -1" in err
+
+    def test_batch_names_the_generation_failure(self, capsys):
+        # two variables can never fill a three-variable clause
+        assert run("verify", "--batch", 3, "--seed", 1, "-n", 2, "-m", 3) == 2
+        err = capsys.readouterr().err
+        assert "could not generate 3 formulas from seed 1" in err
+        assert "need at least 3 variables" in err
+
 
 class TestGadget:
     def test_base_counts(self, capsys):

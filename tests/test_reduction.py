@@ -7,6 +7,8 @@ import pytest
 
 from oddorient import solver
 from oddorient.p3sat import (
+    Formula,
+    PlanarFormula,
     RotationSystem,
     generate,
     sat_oracle,
@@ -23,6 +25,8 @@ from oddorient.pdgraph import (
 from oddorient.reduction import (
     CORE_EDGES,
     CORE_NAMES,
+    HEX_NAMES,
+    MATCH_EDGES,
     GadgetError,
     GadgetRegistry,
     _mode_template,
@@ -248,6 +252,44 @@ def _satisfying_assignments(formula):
             yield bits
 
 
+def _swept_completion(ids, arcs):
+    """The hexagon completion of a clause by sweeping all 64 ring masks.
+
+    The reference for the closed form in `orientation_from_assignment`: the
+    smallest sorted arc list that is odd at every hexagon vertex, given the
+    port arcs in ``arcs``, and is not a consistently directed ring.
+    """
+    hexagon = [ids[x] for x in HEX_NAMES]
+    ring = [(hexagon[q], hexagon[(q + 1) % 6]) for q in range(6)]
+    from_ports = {ids[w]: int((ids[v], ids[w]) in arcs) for v, w in MATCH_EDGES}
+    best = None
+    for mask in range(1, 63):   # masks 0 and 63 direct the ring as a cycle
+        cand = sorted(
+            (a, b) if (mask >> q) & 1 else (b, a) for q, (a, b) in enumerate(ring)
+        )
+        deg = dict(from_ports)
+        for _, h in cand:
+            deg[h] += 1
+        if all(d % 2 == 1 for d in deg.values()) and (best is None or cand < best):
+            best = cand
+    return best
+
+
+def _with_unused_variable(pf):
+    """``pf`` with one more variable, in no clause: an isolated vertex."""
+    n = pf.formula.variable_count
+
+    def shift(v):
+        return v + 1 if v >= n else v
+
+    orders = {shift(v): [shift(w) for w in order]
+              for v, order in pf.rotation.orders.items()}
+    orders[n] = ()
+    return PlanarFormula.build(
+        Formula.build(n + 1, pf.formula.clauses), RotationSystem.build(orders)
+    )
+
+
 # The outward mode of one variable copy.  Marking the outside stub vertices
 # odd gives the template that leaving them out of the parity constraint
 # gave: each has one link, the fixed arc into it.
@@ -307,6 +349,49 @@ class TestOrientationBridge:
         broken = Orientation.of(red.problem.graph, directed)
         with pytest.raises(GadgetError):
             assignment_from_orientation(red, broken)
+
+    def test_hexagon_completion_matches_the_sweep(self):
+        cases = [(sample_planar_formula(), None)]
+        cases += [(generate(seed, 6, 7), None) for seed in range(10)]
+        cases += [(pf, sat_oracle(pf.formula))
+                  for pf in (generate(seed, 12, 17) for seed in range(10))]
+        checked = 0
+        for pf, model in cases:
+            red = assemble(pf)
+            models = [model] if model else _satisfying_assignments(red.formula)
+            for bits in models:
+                arcs = orientation_from_assignment(red, bits).arcs
+                for ids in red.clause_ids:
+                    hexagon = {ids[x] for x in HEX_NAMES}
+                    got = sorted(a for a in arcs if set(a) <= hexagon)
+                    assert got == _swept_completion(ids, arcs)
+                    checked += 1
+        assert checked > 1000
+
+    def test_missing_connector_rejected(self):
+        red = assemble(sample_planar_formula())
+        bits = next(_satisfying_assignments(red.formula))
+        o = orientation_from_assignment(red, bits)
+        u = red.variable_ids[0][0]["u"]
+        port = next(
+            w for w in red.problem.graph.adjacency()[u]
+            if red.registry.label(w).startswith("c")
+        )
+        arc = (u, port) if (u, port) in o.arcs else (port, u)
+        # the raw constructor takes an arc set that leaves the edge undirected
+        broken = Orientation(arcs=o.arcs - {arc})
+        with pytest.raises(GadgetError, match="connector left undirected in witness"):
+            assignment_from_orientation(red, broken)
+
+    def test_variable_in_no_clause_reads_false(self):
+        pf = _with_unused_variable(generate(3, 6, 7))
+        red = assemble(pf)
+        assert structural_check(red).ok
+        assert red.degree_of_variable(6) == 0
+        for bits in _satisfying_assignments(red.formula):
+            o = orientation_from_assignment(red, bits)
+            assert assignment_from_orientation(red, o) == bits[:6] + (False,)
+        assert verify_equivalence(pf)["agree"]
 
     def test_split_port_pair_rejected(self):
         red = assemble(sample_planar_formula())
