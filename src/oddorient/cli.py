@@ -19,6 +19,7 @@ from .p3sat import (
     FormulaError,
     GenerationError,
     PlanarFormula,
+    SizeError,
     generate,
 )
 from .pdgraph import (
@@ -171,6 +172,8 @@ def _batch_formulas(args: argparse.Namespace):
             yield f"seed {args.seed + offset}", generate(
                 args.seed + offset, args.variables, args.clauses
             )
+        except SizeError:
+            raise   # no other seed can help
         except GenerationError as exc:
             last = exc
             offset += 1

@@ -31,6 +31,10 @@ class GenerationError(ValueError):
     """Raised when no planar layout satisfies the requested parameters."""
 
 
+class SizeError(GenerationError):
+    """Raised when the requested sizes admit no formula, whatever the seed."""
+
+
 @dataclass(frozen=True)
 class Formula:
     """A 3-CNF formula: every clause has three distinct variables."""
@@ -482,13 +486,14 @@ def generate(seed: int, n: int, m: int) -> PlanarFormula:
     drawn from the working map's records, which are kept per face and
     traced again only where a clause splits a face, so an attempt costs the
     faces it splits rather than a full trace per clause; no record outlives
-    the attempt.  Raises GenerationError when no layout covering every
-    variable is found within ``_MAX_ATTEMPTS`` attempts.
+    the attempt.  Raises SizeError when n < 3 or m < 1, and GenerationError
+    when no layout covering every variable is found within
+    ``_MAX_ATTEMPTS`` attempts.
     """
     if n < 3:
-        raise GenerationError("need at least 3 variables")
+        raise SizeError("need at least 3 variables")
     if m < 1:
-        raise GenerationError("need at least 1 clause")
+        raise SizeError("need at least 1 clause")
     rng = random.Random(seed)
     for _ in range(_MAX_ATTEMPTS):
         smap = _SpineMap(n)

@@ -38,7 +38,7 @@ from oddorient.pdgraph import (
     is_T_odd_on,
     parity_feasible,
 )
-from oddorient.solver import SolveResult, decide, enumerate as sweep, solve_exact
+from oddorient.solver import SolveResult, decide, enumerate as sweep
 
 
 class GadgetError(ValueError):
@@ -129,6 +129,10 @@ def attach_stubs(
 class BaseGadget:
     problem: OrientationProblem
     ids: dict[str, Vertex]
+    # the outside vertex of the stub at each of u, uh, s and t
+    stubs: dict[str, Vertex]
+    # the two acyclic T-odd orientations of the core with those four stubs
+    modes: tuple[Orientation, Orientation]
 
     @property
     def outward(self) -> tuple[Vertex, Vertex]:
@@ -140,8 +144,12 @@ def build_base_gadget() -> BaseGadget:
     """The 10-vertex core on ids 0..9, self-checked at first construction.
 
     The self-check attaches four stubs (at u, uh, s, t) and sweeps all 2^12
-    orientations: exactly two are acyclic with odd in-degree on the core's
-    marked set, and they are flips of each other.
+    orientations.  It asserts that exactly two are acyclic with odd
+    in-degree on the core's marked set, that they are flips of each other on
+    the core edges, and that in each the s and t stubs point opposite ways:
+    a copy's t stub stands for the link into the next copy's s, so copies
+    chain round a ring in one mode.  The gadget keeps the two orientations
+    as its ``modes``.
     """
     ids = _names_to_ids(CORE_NAMES, 0)
     graph = PartiallyDirectedGraph.build(
@@ -150,13 +158,24 @@ def build_base_gadget() -> BaseGadget:
         [(ids[x], ids[y]) for x, y in CORE_ARCS],
     )
     problem = OrientationProblem.build(graph, [ids[x] for x in CORE_ODD])
-    gamma, _ = attach_stubs(problem, [ids["u"], ids["uh"], ids["s"], ids["t"]])
+    boundary = ("u", "uh", "s", "t")
+    gamma, outside = attach_stubs(problem, [ids[x] for x in boundary])
+    stubs = dict(zip(boundary, outside))
     report = sweep(gamma, scope=set(ids.values()), witness_cap=4)
     if report.total_valid != 2:
         raise AssertionError(
             f"base gadget sanity sweep found {report.total_valid} orientations"
         )
-    return BaseGadget(problem=problem, ids=ids)
+    first, second = report.witnesses
+    for x, y in CORE_EDGES:
+        arc = (ids[x], ids[y])
+        if (arc in first.arcs) == (arc in second.arcs):
+            raise AssertionError(f"base gadget modes agree at {x}-{y}")
+    for mode in (first, second):
+        s_out, t_out = ((ids[x], stubs[x]) in mode.arcs for x in ("s", "t"))
+        if s_out == t_out:
+            raise AssertionError("base gadget s and t stubs point the same way")
+    return BaseGadget(problem=problem, ids=ids, stubs=stubs, modes=(first, second))
 
 
 @dataclass(frozen=True)
@@ -518,43 +537,21 @@ def structural_check(red: Reduction) -> StructuralReport:
 def _mode_template() -> dict[str, tuple[str, str]]:
     """Arc directions inside one copy when every stub points outward.
 
-    Derived once by solving a two-copy ring with its four stubs fixed
-    outward; the solution is copy-uniform, and the all-inward mode is its
-    flip.  Keys are undirected name pairs plus "link" for t -> next-s.
+    Read off the base gadget's mode whose u and uh stubs point out; the
+    all-inward mode is its flip.  Keys are undirected name pairs plus "link"
+    for the edge t - next s, which runs as the t stub does.
     """
-    gadget = build_variable_gadget(2)
-    gamma, outside = attach_stubs(
-        gadget.problem, [v for pair in gadget.stub_pairs for v in pair]
-    )
-    fixed = list(gamma.graph.arcs)
-    stubs = [v for pair in gadget.stub_pairs for v in pair]
-    for sv, ov in zip(stubs, outside):
-        fixed.append((sv, ov))
-    graph = PartiallyDirectedGraph.build(gamma.graph.vertices, [
-        e for e in gamma.graph.edges
-        if e not in {tuple(sorted(p)) for p in zip(stubs, outside)}
-    ], fixed)
-    # each outside vertex's one link is the fixed arc into it, so it is odd
-    res = solve_exact(OrientationProblem.build(graph, gamma.odd_set | set(outside)))
-    if not res.feasible:
-        raise AssertionError("outward mode did not solve")
-    directed = {}
-    for t, h in res.witness.arcs:
-        directed[(t, h)] = True
-    template: dict[str, tuple[str, str]] = {}
-    for x, y in CORE_EDGES:
-        a, b = gadget.ids[0][x], gadget.ids[0][y]
-        template[f"{x}-{y}"] = (x, y) if (a, b) in directed else (y, x)
-        a1, b1 = gadget.ids[1][x], gadget.ids[1][y]
-        other = (x, y) if (a1, b1) in directed else (y, x)
-        if other != template[f"{x}-{y}"]:
-            raise AssertionError(f"mode template not copy-uniform at {x}-{y}")
-    t0, s1 = gadget.link_edges[0]
-    template["link"] = ("t", "s") if (t0, s1) in directed else ("s", "t")
-    t1, s0 = gadget.link_edges[1]
-    second = ("t", "s") if (t1, s0) in directed else ("s", "t")
-    if second != template["link"]:
-        raise AssertionError("mode template not copy-uniform at the ring link")
+    base = build_base_gadget()
+    ids, stubs = base.ids, base.stubs
+    (mode,) = [
+        m for m in base.modes
+        if {(ids["u"], stubs["u"]), (ids["uh"], stubs["uh"])} <= m.arcs
+    ]
+    template = {
+        f"{x}-{y}": (x, y) if (ids[x], ids[y]) in mode.arcs else (y, x)
+        for x, y in CORE_EDGES
+    }
+    template["link"] = ("t", "s") if (ids["t"], stubs["t"]) in mode.arcs else ("s", "t")
     return template
 
 

@@ -787,12 +787,12 @@ class _ExactSearch:
     arcs and the root's forcings rest on none.  The reasons: a parity
     forcing at x rests on the other links at x; a cycle forcing of u-v to
     v->u on the decided arcs of one v~>u path (``path_dep`` walks back over
-    ``in_adj``, whose entries ``in_edge`` names, always to an in-neighbour v
-    reaches); a probe forcing on the decided links at every ring vertex and
-    one path for each ring vertex another one reaches.  A conflict gets its
-    mask the same way, in ``conflict``: a parity dead end at x rests on all
-    links at x, an arc t->h that would close a cycle on its own mask and a
-    path h~>t, and a probe that fails both ways on its reason.
+    ``in_adj``, always to an in-neighbour v reaches); a probe forcing on the
+    decided links at every ring vertex and one path for each ring vertex
+    another one reaches.  A conflict gets its mask the same way, in
+    ``conflict``: a parity dead end at x rests on all links at x, an arc
+    t->h that would close a cycle on its own mask and a path h~>t, and a
+    probe that fails both ways on its reason.
 
     Each conflict teaches a nogood: the decisions at the levels its mask
     names cannot all hold (the decision scheme of Zhang, Madigan, Moskewicz
@@ -833,8 +833,6 @@ class _ExactSearch:
         self.cycle_q: list[int] = []
         self.desc = [1 << x for x in range(n)]
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
-        # the edge id of each in_adj entry, -1 for a fixed arc
-        self.in_edge: list[list[int]] = [[] for _ in range(n)]
         # decision levels each decided arc rests on (0 while undecided)
         self.dep = [0] * m
         # decision levels the last conflict rests on
@@ -879,7 +877,6 @@ class _ExactSearch:
             return False
         in_adj, nbr_bits, ring_mask = self.in_adj, self.nbr_bits, self.ring_mask
         in_adj[h].append(t)
-        self.in_edge[h].append(e)
         stack = [t]
         while stack:
             y = stack.pop()
@@ -952,7 +949,7 @@ class _ExactSearch:
         trail = self.trail
         if len(trail) > mark:
             und, decided, dep, in_par = self.und, self.decided, self.dep, self.in_par
-            in_adj, in_edge, occ, lit_q = self.in_adj, self.in_edge, self.occ, self.lit_q
+            in_adj, occ, lit_q = self.in_adj, self.occ, self.lit_q
             ring_of = self.ring_of
             for e, t, h, dropped in reversed(trail[mark:]):
                 if occ:
@@ -964,7 +961,6 @@ class _ExactSearch:
                 decided[e] = None
                 dep[e] = 0
                 in_adj[h].pop()
-                in_edge[h].pop()
                 in_par[h] ^= 1
                 und[t] += 1
                 und[h] += 1
@@ -1071,15 +1067,19 @@ class _ExactSearch:
     def path_dep(self, a: int, b: int) -> int:
         """The levels the arcs of one a~>b path rest on; a reaches b.  The
         walk goes back from b, each time to the first in-neighbour that a
-        reaches, so it ends at a."""
-        reach, in_adj, in_edge, dep = self.desc[a], self.in_adj, self.in_edge, self.dep
+        reaches, so it ends at a.  The graph is simple, so an arc p->b is
+        decided on the one edge at b that ends at p, or is fixed, with no
+        edge there and no level."""
+        reach, in_adj, dep = self.desc[a], self.in_adj, self.dep
+        edge_at, ends = self.edge_at, self.ends
         mask = 0
         while b != a:
-            for p, f in zip(in_adj[b], in_edge[b]):
+            for p in in_adj[b]:
                 if (reach >> p) & 1:
                     break
-            if f >= 0:
-                mask |= dep[f]
+            for f in edge_at[b]:
+                if p in ends[f]:
+                    mask |= dep[f]
             b = p
         return mask
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddorient import cli
 from oddorient.cli import main
 from oddorient.io import write_formula, write_instance
 from oddorient.p3sat import generate
@@ -159,11 +160,38 @@ class TestVerify:
         assert "argument --batch: must be non-negative, got -1" in err
 
     def test_batch_names_the_generation_failure(self, capsys):
-        # two variables can never fill a three-variable clause
-        assert run("verify", "--batch", 3, "--seed", 1, "-n", 2, "-m", 3) == 2
+        # three variables expose at most two clause slots, so every seed
+        # fails its layout and the batch gives up after 3N+20 seeds
+        assert run("verify", "--batch", 1, "--seed", 1, "-n", 3, "-m", 3) == 2
         err = capsys.readouterr().err
-        assert "could not generate 3 formulas from seed 1" in err
-        assert "need at least 3 variables" in err
+        assert "could not generate 1 formulas from seed 1" in err
+        assert "no layout found for n=3, m=3 after 400 attempts" in err
+
+    @pytest.mark.parametrize("n, m, message", [
+        (2, 3, "need at least 3 variables"),
+        (-3, 3, "need at least 3 variables"),
+        (6, 0, "need at least 1 clause"),
+        (6, -1, "need at least 1 clause"),
+    ], ids=["n2", "n-3", "m0", "m-1"])
+    @pytest.mark.parametrize(
+        "batch", [("verify", "--batch", 3), ("gen",)], ids=["verify", "gen"]
+    )
+    def test_size_refusal_calls_generate_once(
+        self, monkeypatch, capsys, batch, n, m, message
+    ):
+        # a size refusal holds at every seed, so no other seed is tried
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return generate(*args)
+
+        monkeypatch.setattr(cli, "generate", counted)
+        assert run(*batch, "--seed", 1, "-n", n, "-m", m) == 2
+        assert calls == [(1, n, m)]
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "could not generate" not in err
 
 
 class TestGadget:

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from oddorient import solver
+from oddorient import reduction, solver
 from oddorient.p3sat import (
     Formula,
     PlanarFormula,
@@ -81,6 +81,39 @@ class TestBaseGadget:
         } | {(g.ids[y], g.ids[x]) for x, y in CORE_EDGES}
         flipped = {(b, a) for a, b in first.arcs if (a, b) in core}
         assert flipped == {d for d in second.arcs if d in core}
+
+    def test_modes_kept_from_the_sweep(self):
+        g = build_base_gadget()
+        boundary = [g.ids[x] for x in ("u", "uh", "s", "t")]
+        prob, outside = attach_stubs(g.problem, boundary)
+        assert g.stubs == dict(zip(("u", "uh", "s", "t"), outside))
+        assert g.modes == solver.enumerate(prob, scope=set(g.ids.values())).witnesses
+        # the u and uh stubs point one way in each mode: out in one, in in
+        # the other
+        out = {
+            x: [(g.ids[x], g.stubs[x]) in m.arcs for m in g.modes] for x in ("u", "uh")
+        }
+        assert out["u"] == out["uh"] and sorted(out["u"]) == [False, True]
+
+    @pytest.mark.parametrize("damage, message", [
+        ("same", "base gadget modes agree at u-a"),
+        ("t-stub", "base gadget s and t stubs point the same way"),
+    ], ids=["same", "t-stub"])
+    def test_self_check_refuses_a_broken_sweep(self, monkeypatch, damage, message):
+        g = build_base_gadget()
+        t, stub = g.ids["t"], g.stubs["t"]
+        first, second = g.modes
+        if damage == "same":
+            second = first
+        else:
+            flip = {(t, stub), (stub, t)}
+            second = Orientation(arcs=frozenset(
+                (b, a) if (a, b) in flip else (a, b) for a, b in second.arcs
+            ))
+        report = solver.EnumerationReport(2, (first, second), 2 ** 12)
+        monkeypatch.setattr(reduction, "sweep", lambda *args, **kwargs: report)
+        with pytest.raises(AssertionError, match=message):
+            reduction.build_base_gadget.__wrapped__()
 
     def test_stub_at_missing_vertex(self):
         g = build_base_gadget()
