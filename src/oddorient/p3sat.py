@@ -161,9 +161,6 @@ class RotationSystem:
             orders[v] = cycle
         return cls(orders=orders)
 
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        return self.orders[v]
-
     def succ(self, v: Vertex, u: Vertex) -> Vertex:
         """Neighbor immediately after u in the cyclic order at v."""
         cycle = self.orders[v]

@@ -15,7 +15,7 @@ import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 Vertex = int
 Edge = tuple[int, int]   # canonical form has lower id first
@@ -110,9 +110,6 @@ class PartiallyDirectedGraph:
             d += (a == v) + (b == v)
         return d
 
-    def fixed_in_degree(self, v: Vertex) -> int:
-        return sum(1 for _, h in self.arcs if h == v)
-
 
 def validate(graph: PartiallyDirectedGraph) -> list[str]:
     """Report every invariant violation; an empty list means the graph is fine.
@@ -180,14 +177,9 @@ class Orientation:
 
     @classmethod
     def of(
-        cls,
-        graph: PartiallyDirectedGraph,
-        directed_edges: Iterable[Arc] | Mapping[Edge, Arc],
+        cls, graph: PartiallyDirectedGraph, directed_edges: Iterable[Arc]
     ) -> "Orientation":
-        if isinstance(directed_edges, Mapping):
-            chosen = list(directed_edges.values())
-        else:
-            chosen = list(directed_edges)
+        chosen = list(directed_edges)
         covered: set[Edge] = set()
         for u, v in chosen:
             pair = canonical_edge(u, v)
@@ -205,6 +197,9 @@ class Orientation:
         return (u, v) in self.arcs
 
     def in_degrees(self, vertices: Iterable[Vertex]) -> dict[Vertex, int]:
+        """The in-degree vector over ``vertices``: the number of arcs into
+        each, whose parity the T-odd condition constrains (odd exactly on
+        T)."""
         deg = {v: 0 for v in vertices}
         for _, h in self.arcs:
             if h in deg:

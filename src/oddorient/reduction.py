@@ -134,10 +134,6 @@ class BaseGadget:
     # the two acyclic T-odd orientations of the core with those four stubs
     modes: tuple[Orientation, Orientation]
 
-    @property
-    def outward(self) -> tuple[Vertex, Vertex]:
-        return (self.ids["u"], self.ids["uh"])
-
 
 @functools.cache
 def build_base_gadget() -> BaseGadget:
@@ -285,9 +281,6 @@ class Reduction:
     clause_ids: tuple[dict[str, Vertex], ...]
     # clause j -> slot p -> (variable, copy, polarity)
     slots: tuple[tuple[tuple[int, int, bool], ...], ...]
-
-    def degree_of_variable(self, i: int) -> int:
-        return len(self.variable_ids[i])
 
 
 def _connectors(

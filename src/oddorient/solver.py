@@ -676,32 +676,21 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
 # -- complete backtracking solver ----------------------------------------------------
 
 
-def _has_cycle(succ: list[int]) -> bool:
-    """Whether the digraph on 0..len(succ)-1 in which ``succ[x]`` is the
-    bitmask of x's out-neighbours has a directed cycle (depth-first search
-    that meets a vertex still on its path)."""
-    done = 0
-    for root in range(len(succ)):
-        if (done >> root) & 1:
-            continue
-        path, stack, left = 1 << root, [root], [succ[root]]
-        while stack:
-            rest = left[-1] & ~done
-            if rest & path:
-                return True
-            if rest:
-                low = rest & -rest
-                left[-1] = rest ^ low
-                y = low.bit_length() - 1
-                path |= low
-                stack.append(y)
-                left.append(succ[y])
-            else:
-                x = stack.pop()
-                left.pop()
-                path ^= 1 << x
-                done |= 1 << x
-    return False
+def _stays_acyclic(reach: dict[int, int], arcs: Iterable[Arc]) -> bool:
+    """Whether the arcs, added one at a time to an acyclic closure, close
+    no cycle.  ``reach[x]`` is the bitmask of the keys x reaches, x
+    included, and every arc joins two keys.  Each arc grows a copy of it by
+    ``apply_arc``'s rule: t->h closes a cycle iff h reaches t, and otherwise
+    every vertex that reaches t gains what h reaches."""
+    reach = dict(reach)
+    for t, h in arcs:
+        below = reach[h]
+        if (below >> t) & 1:
+            return False
+        for x, got in reach.items():
+            if (got >> t) & 1:
+                reach[x] = got | below
+    return True
 
 
 class _ExactSearch:
@@ -730,7 +719,8 @@ class _ExactSearch:
     copy of the walk, and the fixed arcs go through it too, as edge -1.
     Undo makes one pass over the trail entries it drops, newest first: each
     pops the newest in-arc of its head, which is exactly the arc it added.
-    Then it restores the ``desc`` snapshot of the search frame.
+    Then it restores the ``desc`` snapshot of the search frame.  The in-arcs
+    also give each vertex its in-parity so far, ``len(in_adj[x]) & 1``.
 
     Cycle forcing is driven by closure growth.  An edge u-v becomes forced
     exactly when bit v enters ``desc[u]`` or bit u enters ``desc[v]``, so
@@ -747,8 +737,10 @@ class _ExactSearch:
     and the opposite arc forces the reverse arcs.  The walk closes with a
     parity check at its start, which is the same for both directions.  A
     direction that passes it fails iff its arcs close a directed cycle with
-    the closure restricted to the ring's vertices.  Nothing is applied or
-    undone; a forced direction is then committed like any other arc.
+    the closure restricted to the ring's vertices, which the probe grows
+    arc by arc by ``apply_arc``'s rule on a copy of that restriction.
+    Nothing is applied or undone; a forced direction is then committed like
+    any other arc.
 
     The pure cycles are search state: ``rings`` maps each one's lowest edge
     id (its rep) to its vertices in ring order from the low end of that
@@ -759,14 +751,14 @@ class _ExactSearch:
     endpoint of a newly decided arc, so each probe pass walks from the
     endpoints of the arcs on the trail since the previous pass, and a ring
     leaves the set when one of its edges is decided (any undecided link at a
-    ring vertex is a ring edge).  A ring's ``in_par`` cannot change while it
-    stays a ring, so a probe that lets both directions through stays valid
-    until the closure of a ring vertex gains another ring vertex, which the
-    closure walk sees.  ``pending`` holds the rings not probed since they
-    appeared or since that happened.  A pass probes each of them once, in
-    ascending rep order; a ring that a forcing in the pass makes pending is
-    probed in the next pass, which ``quiesce`` runs whenever a pass grew
-    the trail.  The trail is the one undo record of this state: each entry
+    ring vertex is a ring edge).  The in-parities of a ring's vertices
+    cannot change while it stays a ring, so a probe that lets both
+    directions through stays valid until the closure of a ring vertex gains
+    another ring vertex, which the closure walk sees.  ``pending`` holds the
+    rings not probed since they appeared or since that happened.  A pass
+    probes each of them once, in ascending rep order; a ring that a forcing
+    in the pass makes pending is probed in the next pass, which ``quiesce``
+    runs whenever a pass grew the trail.  The trail is the one undo record of this state: each entry
     carries the ring its arc dropped, and ``undo_to`` links it again and
     unlinks the rings found at the arc's ends since.  Neither a probe nor
     closure growth leaves a record.  A ring that passes the probe also
@@ -843,7 +835,6 @@ class _ExactSearch:
         self.nogoods: list[list[int]] = []
         self.occ: dict[int, list[list[int]]] = {}
         self.lit_q: list[int] = []
-        self.in_par = [0] * n
         self.rings: dict[int, list[int]] = {}
         self.ring_of = [-1] * n
         self.ring_mask = [0] * n
@@ -898,7 +889,6 @@ class _ExactSearch:
                 # y now reaches another vertex of its ring: probe it again
                 self.pending.add(self.ring_of[y])
             stack.extend(in_adj[y])
-        self.in_par[h] ^= 1
         if e < 0:
             return True
 
@@ -918,17 +908,17 @@ class _ExactSearch:
         right = und[h] = und[h] - 1
         if left > 1 and right > 1:
             return True
-        in_par, target = self.in_par, self.target
+        target = self.target
         if left < 2:
             if left:
                 self.force_q.append(t)
-            elif in_par[t] != target[t]:
+            elif len(in_adj[t]) & 1 != target[t]:
                 self.conflict = self.links_dep(t)
                 return False
         if right < 2:
             if right:
                 self.force_q.append(h)
-            elif in_par[h] != target[h]:
+            elif len(in_adj[h]) & 1 != target[h]:
                 self.conflict = self.links_dep(h)
                 return False
         return True
@@ -948,7 +938,7 @@ class _ExactSearch:
         one that moved."""
         trail = self.trail
         if len(trail) > mark:
-            und, decided, dep, in_par = self.und, self.decided, self.dep, self.in_par
+            und, decided, dep = self.und, self.decided, self.dep
             in_adj, occ, lit_q = self.in_adj, self.occ, self.lit_q
             ring_of = self.ring_of
             for e, t, h, dropped in reversed(trail[mark:]):
@@ -961,7 +951,6 @@ class _ExactSearch:
                 decided[e] = None
                 dep[e] = 0
                 in_adj[h].pop()
-                in_par[h] ^= 1
                 und[t] += 1
                 und[h] += 1
                 for x in (t, h):
@@ -1105,7 +1094,7 @@ class _ExactSearch:
         force_q, und, decided, ends, dep = (
             self.force_q, self.und, self.decided, self.ends, self.dep
         )
-        edge_at, in_par, target = self.edge_at, self.in_par, self.target
+        edge_at, in_adj, target = self.edge_at, self.in_adj, self.target
         while force_q:
             x = force_q.popleft()
             if und[x] != 1:
@@ -1118,7 +1107,7 @@ class _ExactSearch:
                     mask |= dep[f]
             u, v = ends[e]
             other = u + v - x
-            t, h = (other, x) if in_par[x] != target[x] else (x, other)
+            t, h = (other, x) if len(in_adj[x]) & 1 != target[x] else (x, other)
             if not self.apply_arc(e, t, h, mask):
                 return False
         return True
@@ -1149,10 +1138,13 @@ class _ExactSearch:
         survive parity forcing around the pure cycle ``ring`` (a value of
         ``rings``) without a conflict.  Each forces every other ring arc,
         the second the reverse of the first's, so both fail when the ring's
-        parities do not close.  The closure is read only within the ring's
-        vertices, whose bitmask ``ring_mask`` holds."""
+        parities do not close.  A direction that closes them fails iff its
+        arcs, added one at a time to the closure within the ring's vertices
+        (whose bitmask ``ring_mask`` holds), close a cycle: every new path
+        between two ring vertices alternates ring arcs with jumps along
+        that closure."""
         r = len(ring)
-        target, in_par, desc = self.target, self.in_par, self.desc
+        target, in_adj, desc = self.target, self.in_adj, self.desc
         # fwd[i]: edge ring[i]-ring[i+1] points ring[i] -> ring[i+1] (1) or
         # back (0) under the first direction.  x keeps the direction iff one
         # of its two ring links must enter it, i.e. iff its decided
@@ -1160,37 +1152,25 @@ class _ExactSearch:
         fwd = [0] * r   # the first direction, ring[1] -> ring[0]
         for i in range(1, r):
             x = ring[i]
-            fwd[i] = fwd[i - 1] ^ 1 ^ target[x] ^ in_par[x]
+            fwd[i] = fwd[i - 1] ^ 1 ^ target[x] ^ (len(in_adj[x]) & 1)
         # parity at ring[0] closes the walk, and reversing every arc keeps
         # each vertex's in-parity
         x = ring[0]
-        if fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ in_par[x]:
+        if fwd[0] != fwd[-1] ^ 1 ^ target[x] ^ (len(in_adj[x]) & 1):
             return False, False
 
         bits = self.ring_mask[ring[0]]
-        # the other ring vertices each one reaches over decided arcs
-        reached = [(desc[x] & bits) ^ (1 << x) for x in ring]
-        if not any(reached):
+        # the ring vertices each one reaches over fixed and decided arcs
+        reach = {x: desc[x] & bits for x in ring}
+        if all(reach[x] == 1 << x for x in ring):
             # the forced arcs alone close a cycle only by going all the way
             # round one way, and then so do the reverse arcs
             circular = len(set(fwd)) == 1
             return not circular, not circular
-        # the same as bitmasks over ring positions
-        pos = dict(zip(ring, range(r)))
-        reach = [0] * r
-        for i in range(r):
-            rest = reached[i]
-            while rest:
-                low = rest & -rest
-                reach[i] |= 1 << pos[low.bit_length() - 1]
-                rest ^= low
-        first, second = reach[:], reach
-        for i in range(r):
-            k = (i + 1) % r
-            t, h = (i, k) if fwd[i] else (k, i)
-            first[t] |= 1 << h
-            second[h] |= 1 << t
-        return not _has_cycle(first), not _has_cycle(second)
+        links = zip(ring, ring[1:] + ring[:1], fwd)
+        first = [(x, y) if f else (y, x) for x, y, f in links]
+        second = [(y, x) for x, y in first]
+        return _stays_acyclic(reach, first), _stays_acyclic(reach, second)
 
     def probe_pass(self) -> bool:
         """Probe the rep edge of each pending pure cycle once, in ascending

@@ -77,8 +77,6 @@ class TestConstruction:
         assert g.degree(1) == 2   # edge 1-2 and arc 4->1
         assert g.degree(2) == 2
         assert g.degree(4) == 1
-        assert g.fixed_in_degree(1) == 1
-        assert g.fixed_in_degree(4) == 0
 
 
 class TestOrientation:

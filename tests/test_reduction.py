@@ -173,7 +173,7 @@ class TestAssemble:
     def test_sample_counts(self):
         red = assemble(sample_planar_formula())
         graph = red.problem.graph
-        copies = sum(red.degree_of_variable(i) for i in range(5))
+        copies = sum(len(red.variable_ids[i]) for i in range(5))
         assert copies == 15
         assert len(graph.vertices) == 10 * copies + 12 * 5
         assert len(graph.edges) == 9 * copies + 18 * 5
@@ -420,7 +420,7 @@ class TestOrientationBridge:
         pf = _with_unused_variable(generate(3, 6, 7))
         red = assemble(pf)
         assert structural_check(red).ok
-        assert red.degree_of_variable(6) == 0
+        assert len(red.variable_ids[6]) == 0
         for bits in _satisfying_assignments(red.formula):
             o = orientation_from_assignment(red, bits)
             assert assignment_from_orientation(red, o) == bits[:6] + (False,)

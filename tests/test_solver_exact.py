@@ -3,8 +3,9 @@ closure, pure-cycle state and branch choice against references recomputed
 from scratch, its ring probe against trial propagation, the completeness of
 its cycle forcing, the soundness of the decision levels each forced arc and
 conflict rests on and of the nogoods it learns, its completeness through a
-count by self-reduction, its verdicts against the oracle and on renamed
-UNSAT cores, its parity refusal per edge component before any search, its
+count by self-reduction, its verdicts against the oracle, against
+sat_oracle on a fixed corpus of reductions and on renamed UNSAT cores, its
+parity refusal per edge component before any search, its
 component-by-component search of disconnected instances,
 and its decision and propagation counts on the frozen UNSAT samples, on
 small seeded draws and on generated reductions, with the witnesses of the
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddorient.p3sat import Formula, PlanarFormula, eval_formula, generate
+from oddorient.p3sat import Formula, PlanarFormula, eval_formula, generate, sat_oracle
 from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
@@ -334,6 +335,35 @@ def test_probe_matches_trial_propagation(prob, seed):
         for e, ring in sorted(search.rings.items()):
             assert search.probe(ring) == probe_by_trial(search, e)
         apply_random_arc(search, rng)
+
+
+# Two states on the probe's general path, where ring vertices already reach
+# one another, so that the property test above is not the only one to reach
+# it.  Both were drawn by ``random_search_state`` and are written out here,
+# the decided arcs made fixed and the vertices that play no part dropped.
+
+
+def test_probe_keeps_the_one_direction_that_survives():
+    # the ring 0-2-3 and the fixed path 2->1->3, no odd vertex: 2 reaches 3,
+    # and 0->2 makes 2 owe another in-arc, 3->2, which closes that path
+    search = search_on(problem(range(4), [(0, 2), (0, 3), (2, 3)], [(2, 1), (1, 3)]))
+    ring = search.rings[0]
+    assert ring == [0, 2, 3]
+    assert search.probe(ring) == probe_by_trial(search, 0) == (True, False)
+
+
+def test_probe_finds_a_cycle_through_two_closure_jumps():
+    # the ring 0-1-2-3-4-5 with fixed arcs 1->3 and 4->0, odd at 1 and 3:
+    # 0->1 forces 1->2, 3->2, 3->4, 5->4 and 5->0.  No one of those arcs
+    # t->h has h reaching t, but 0->1, the jump 1~>3, 3->4 and the jump
+    # 4~>0 close a cycle
+    ring_edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)]
+    search = search_on(problem(range(6), ring_edges, [(1, 3), (4, 0)], [1, 3]))
+    ring = search.rings[0]
+    assert ring == [0, 1, 2, 3, 4, 5]
+    forced = [(0, 1), (1, 2), (3, 2), (3, 4), (5, 4), (5, 0)]
+    assert not any((search.desc[h] >> t) & 1 for t, h in forced)
+    assert search.probe(ring) == probe_by_trial(search, 0) == (True, False)
 
 
 @given(st.one_of(low_degree_instances(), rings_with_ears()), st.integers(0, 2**32 - 1))
@@ -694,6 +724,23 @@ def rename(pf, flips):
     f = pf.formula
     clauses = [tuple((v, p != flips[v]) for v, p in c) for c in f.clauses]
     return PlanarFormula.build(Formula.build(f.variable_count, clauses), pf.rotation)
+
+
+def test_verdicts_match_sat_oracle():
+    """Every reduction of a fixed corpus is decided as ``sat_oracle``
+    decides its formula: the 12/17 formulas of seeds 0-199 and the frozen
+    UNSAT cores.  This checks verdicts, not decision counts, so a search
+    change that loses solutions fails here even where its pins are
+    derived again."""
+    corpus = [(f"12/17 seed {seed}", generate(seed, 12, 17)) for seed in range(200)]
+    corpus += [(f"core {i}", core) for i, core in enumerate(unsat_samples())]
+    wrong = []
+    for name, pf in corpus:
+        expected = FEASIBLE if sat_oracle(pf.formula) is not None else INFEASIBLE
+        status = decide(assemble(pf).problem).status
+        if status != expected:
+            wrong.append((name, status, expected))
+    assert not wrong
 
 
 @pytest.mark.parametrize("index", range(3))
