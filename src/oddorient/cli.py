@@ -26,8 +26,10 @@ from .pdgraph import (
     GraphError,
     OrientationProblem,
     PartiallyDirectedGraph,
+    boundary,
     is_T_odd_on,
     is_acyclic,
+    is_uniform,
 )
 from .reduction import (
     GadgetError,
@@ -85,6 +87,13 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def _verdict_exit(result: solver.SolveResult) -> int:
+    """0 for feasible, 1 for infeasible, 2 for an aborted search."""
+    if result.feasible:
+        return EXIT_OK
+    return EXIT_NEGATIVE if result.status == solver.INFEASIBLE else EXIT_ERROR
+
+
 # -- solve ------------------------------------------------------------------------
 
 
@@ -117,11 +126,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         piped = _write_out(oio.write_witness(result.witness), args.witness)
         report["witness"] = args.witness
     _emit(report, args.json, piped)
-    if result.feasible:
-        return EXIT_OK
-    if result.status == solver.INFEASIBLE:
-        return EXIT_NEGATIVE
-    return EXIT_ERROR
+    return _verdict_exit(result)
 
 
 # -- reduce -----------------------------------------------------------------------
@@ -186,7 +191,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     jobs = []
     if args.batch:
         if args.seed is None:
-            raise ValueError("--batch needs --seed, -n, and -m")
+            raise ValueError("--batch needs --seed")
         jobs = list(_batch_formulas(args))
     for path in args.formulas:
         parsed = oio.read_formula(_read_in(path))
@@ -226,56 +231,65 @@ def _parse_polarities(text: str) -> tuple[bool, bool, bool]:
     return tuple(c == "+" for c in text)
 
 
-def _gadget_base(args: argparse.Namespace) -> dict:
+def _with_stubs(problem: OrientationProblem, attach, labels: list):
+    """``attach_stubs``, with the labels extended by ``stub.o<i>`` for each
+    outside vertex."""
+    prob, outside = attach_stubs(problem, attach)
+    return prob, labels + [(o, f"stub.o{i}") for i, o in enumerate(outside)]
+
+
+def _gadget_done(args: argparse.Namespace, report: dict,
+                 problem: OrientationProblem, labels: list) -> int:
+    """Write the labelled gadget instance to ``-o``, if given, then print
+    the report."""
+    if args.out:
+        blob = oio.write_instance(problem, registry=GadgetRegistry.build(labels))
+        _write_out(blob, args.out)
+    _emit(report, args.json, args.out == "-")
+    return EXIT_OK
+
+
+def cmd_gadget_base(args: argparse.Namespace) -> int:
+    # build_base_gadget swept these stubs at construction and kept the two
+    # orientations it found, so nothing is swept again here
     gad = build_base_gadget()
-    boundary = [gad.ids[x] for x in ("u", "uh", "s", "t")]
-    prob, outside = attach_stubs(gad.problem, boundary)
-    rep = solver.enumerate(
-        prob, scope=set(gad.ids.values()), max_edges=args.enum_cap
+    prob, labels = _with_stubs(
+        gad.problem, [gad.ids[x] for x in gad.stubs],
+        [(v, f"M.{name}") for name, v in gad.ids.items()],
     )
-    labels = [(v, f"M.{name}") for name, v in gad.ids.items()]
-    labels += [(o, f"stub.o{i}") for i, o in enumerate(outside)]
-    if args.out:
-        blob = oio.write_instance(prob, registry=GadgetRegistry.build(labels))
-        _write_out(blob, args.out)
-    return {
+    report = {
         "gadget": "base",
-        "orientations": rep.total_valid,
-        "explored": rep.explored,
+        "orientations": len(gad.modes),
+        "explored": 2 ** len(prob.graph.edges),
     }
+    return _gadget_done(args, report, prob, labels)
 
 
-def _gadget_variable(args: argparse.Namespace) -> dict:
+def cmd_gadget_variable(args: argparse.Namespace) -> int:
     gad = build_variable_gadget(args.copies)
-    stubs = [v for pair in gad.stub_pairs for v in pair]
-    prob, outside = attach_stubs(gad.problem, stubs)
-    scope = {v for c in gad.ids for v in c.values()}
-    rep = solver.enumerate(prob, scope=scope, max_edges=args.enum_cap)
-    uniform = []
-    for w in rep.witnesses:
-        flags = {w.directs(s, o) for s, o in zip(stubs, outside)}
-        uniform.append(len(flags) == 1)
-    boundaries = "uniform and opposite" if all(uniform) and rep.total_valid == 2 \
-        else "unexpected"
-    labels = [
-        (v, f"k{k}.{name}")
-        for k, ids in enumerate(gad.ids)
-        for name, v in ids.items()
-    ]
-    labels += [(o, f"stub.o{i}") for i, o in enumerate(outside)]
-    if args.out:
-        blob = oio.write_instance(prob, registry=GadgetRegistry.build(labels))
-        _write_out(blob, args.out)
-    return {
+    prob, labels = _with_stubs(
+        gad.problem, [v for pair in gad.stub_pairs for v in pair],
+        [(v, f"k{k}.{name}") for k, ids in enumerate(gad.ids)
+         for name, v in ids.items()],
+    )
+    core = {v for c in gad.ids for v in c.values()}
+    rep = solver.enumerate(prob, scope=core, max_edges=args.enum_cap)
+    views = [boundary(prob.graph, core, w) for w in rep.witnesses]
+    # uniform: every stub runs one way; opposite: one mode all outward, the
+    # other all inward
+    opposite = rep.total_valid == 2 and all(map(is_uniform, views)) \
+        and {bool(v.out_arcs) for v in views} == {False, True}
+    report = {
         "gadget": f"variable d={args.copies}",
         "orientations": rep.total_valid,
-        "boundaries": boundaries,
+        "boundaries": "uniform and opposite" if opposite else "unexpected",
     }
+    return _gadget_done(args, report, prob, labels)
 
 
-def _clause_completions(polarities, inward: int, enum_cap: int) -> dict:
-    """Fix a boundary with `inward` port pairs pointing in, sweep the ring."""
-    gad = build_clause_gadget(polarities)
+def _clause_class(gad, inward: int, enum_cap: int) -> str:
+    """Fix a boundary with `inward` port pairs pointing in and count the
+    ring's completions, first ignoring cycles, then acyclic ones."""
     g = gad.problem.graph
     arcs = []
     for p, (v, vh) in enumerate(gad.port_pairs, start=1):
@@ -287,47 +301,24 @@ def _clause_completions(polarities, inward: int, enum_cap: int) -> dict:
     ring = {e for e in g.edges} - {tuple(sorted(a)) for a in arcs}
     graph = PartiallyDirectedGraph.build(g.vertices, ring, arcs)
     prob = OrientationProblem.build(graph, gad.problem.odd_set)
-    rep = solver.enumerate(
-        prob, scope=set(gad.hexagon), witness_cap=256,
-        require_acyclic=False, max_edges=enum_cap,
+    total, acyclic = (
+        solver.enumerate(
+            prob, scope=set(gad.hexagon), witness_cap=0,
+            require_acyclic=flag, max_edges=enum_cap,
+        ).total_valid
+        for flag in (False, True)
     )
-    acyclic = sum(is_acyclic(w.arcs).acyclic for w in rep.witnesses)
-    return {
-        "class": f"a_{inward}",
-        "completions": rep.total_valid,
-        "acyclic_completions": acyclic,
-    }
+    return f"{total} completions, {acyclic} acyclic"
 
 
-def _gadget_clause(args: argparse.Namespace) -> dict:
-    pols = _parse_polarities(args.polarities)
+def cmd_gadget_clause(args: argparse.Namespace) -> int:
+    gad = build_clause_gadget(_parse_polarities(args.polarities))
     classes = [args.boundary_class] if args.boundary_class is not None else range(4)
-    rows = [_clause_completions(pols, i, args.enum_cap) for i in classes]
-    if args.out:
-        gad = build_clause_gadget(pols)
-        labels = [(v, name) for name, v in gad.ids.items()]
-        blob = oio.write_instance(
-            gad.problem, registry=GadgetRegistry.build(labels)
-        )
-        _write_out(blob, args.out)
     report = {"gadget": "clause", "polarities": args.polarities}
-    for row in rows:
-        report[row["class"]] = (
-            f"{row['completions']} completions, "
-            f"{row['acyclic_completions']} acyclic"
-        )
-    return report
-
-
-def cmd_gadget(args: argparse.Namespace) -> int:
-    if args.kind == "base":
-        report = _gadget_base(args)
-    elif args.kind == "variable":
-        report = _gadget_variable(args)
-    else:
-        report = _gadget_clause(args)
-    _emit(report, args.json, args.out == "-")
-    return EXIT_OK
+    for i in classes:
+        report[f"a_{i}"] = _clause_class(gad, i, args.enum_cap)
+    labels = [(v, name) for name, v in gad.ids.items()]
+    return _gadget_done(args, report, gad.problem, labels)
 
 
 # -- gen --------------------------------------------------------------------------
@@ -396,11 +387,7 @@ def cmd_apex(args: argparse.Namespace) -> int:
     if result.detail:
         report["detail"] = result.detail
     _emit(report, args.json, args.out == "-")
-    if result.feasible:
-        return EXIT_OK
-    if result.status == solver.INFEASIBLE:
-        return EXIT_NEGATIVE
-    return EXIT_ERROR
+    return _verdict_exit(result)
 
 
 # -- parser -----------------------------------------------------------------------
@@ -449,21 +436,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, budget=True)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("gadget", help="build a gadget and enumerate it")
-    p.add_argument("kind", choices=["base", "variable", "clause"])
-    p.add_argument("--copies", type=int, default=1,
-                   help="ring size for the variable gadget")
-    p.add_argument("--polarities", default="+++",
-                   help="clause slot signs, e.g. ++-")
-    p.add_argument("--boundary-class", type=int, choices=range(4),
-                   help="fix this many inward port pairs (clause only)")
-    p.add_argument("--enum-cap", type=non_negative_int, default=26,
-                   help="exhaustive sweep cap: the largest dimension d of "
-                        "the parity solution space, which the sweep walks "
-                        "in 2^d steps (default 26)")
-    p.add_argument("-o", "--out", help="write the gadget instance here")
-    common(p)
-    p.set_defaults(func=cmd_gadget)
+    p = sub.add_parser("gadget", help="build a gadget and check its claim")
+    kinds = p.add_subparsers(dest="kind", required=True)
+
+    def gadget(kind, func, about, enum_cap=True):
+        k = kinds.add_parser(kind, help=about)
+        if enum_cap:
+            k.add_argument("--enum-cap", type=non_negative_int, default=26,
+                           help="exhaustive sweep cap: the largest dimension d "
+                                "of the parity solution space, which the sweep "
+                                "walks in 2^d steps (default 26)")
+        k.add_argument("-o", "--out", help="write the gadget instance here")
+        common(k)
+        k.set_defaults(func=func)
+        return k
+
+    gadget("base", cmd_gadget_base, "the rigid base block: two orientations",
+           enum_cap=False)
+    k = gadget("variable", cmd_gadget_variable,
+               "a ring of base blocks: one bit on a uniform boundary")
+    k.add_argument("--copies", type=int, default=1, help="ring size")
+    k = gadget("clause", cmd_gadget_clause,
+               "a clause hexagon: acyclic iff some port pair points in")
+    k.add_argument("--polarities", default="+++",
+                   help="clause slot signs, e.g. ++-; a value that starts "
+                        "with - needs the = form, --polarities=-+-")
+    k.add_argument("--boundary-class", type=int, choices=range(4),
+                   help="fix this many inward port pairs")
 
     p = sub.add_parser("gen", help="generate a planar formula")
     p.add_argument("--seed", type=int, required=True)

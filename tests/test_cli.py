@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddorient import cli
+from oddorient import cli, solver
 from oddorient.cli import main
 from oddorient.io import write_formula, write_instance
 from oddorient.p3sat import generate
@@ -137,7 +138,8 @@ class TestVerify:
 
     def test_batch_needs_a_seed(self, capsys):
         assert run("verify", "--batch", 1) == 2
-        assert "--batch needs --seed" in capsys.readouterr().err
+        # -n and -m have defaults, so the seed is all --batch lacks
+        assert capsys.readouterr().err == "error: --batch needs --seed\n"
 
     def test_needs_rotation_lines(self, tmp_path, capsys):
         f = tmp_path / "bare.cnf"
@@ -195,8 +197,13 @@ class TestVerify:
 
 
 class TestGadget:
-    def test_base_counts(self, capsys):
+    def test_base_counts(self, monkeypatch, capsys):
+        # build_base_gadget's own sweep found the two modes, so the command
+        # sweeps nothing
+        calls = []
+        monkeypatch.setattr(solver, "enumerate", lambda *a, **k: calls.append(a))
         assert run("gadget", "base", "--json") == 0
+        assert calls == []
         report = json.loads(capsys.readouterr().out)
         assert report["orientations"] == 2
         assert report["explored"] == 2 ** 12
@@ -207,6 +214,18 @@ class TestGadget:
         assert report["orientations"] == 2
         assert report["boundaries"] == "uniform and opposite"
 
+    def test_variable_verdict_checks_opposite(self, monkeypatch, capsys):
+        # two witnesses of one mode: each boundary uniform, but not opposite
+        sweep = solver.enumerate
+
+        def one_mode_twice(*args, **kwargs):
+            rep = sweep(*args, **kwargs)
+            return dataclasses.replace(rep, witnesses=rep.witnesses[:1] * 2)
+
+        monkeypatch.setattr(solver, "enumerate", one_mode_twice)
+        assert run("gadget", "variable", "--json") == 0
+        assert json.loads(capsys.readouterr().out)["boundaries"] == "unexpected"
+
     def test_variable_over_budget(self, capsys):
         # three copies: 33 edges, but a parity space of dimension 4
         assert run("gadget", "variable", "--copies", 3, "--enum-cap", 3) == 2
@@ -216,7 +235,7 @@ class TestGadget:
     def test_negative_cap_is_refused(self, capsys):
         # a misuse of the flag, refused at the flag it was given, not a
         # parity space over a 2**-1 budget
-        for kind in ("base", "variable", "clause"):
+        for kind in ("variable", "clause"):
             with pytest.raises(SystemExit) as exit_:
                 run("gadget", kind, "--enum-cap", -1)
             assert exit_.value.code == 2
@@ -247,6 +266,19 @@ class TestGadget:
 
     def test_bad_polarities(self):
         assert run("gadget", "clause", "--polarities", "+*-") == 2
+
+    def test_polarities_starting_with_minus(self, capsys):
+        # argparse reads a separate "-+-" as a flag, so the = form is needed
+        assert run("gadget", "clause", "--polarities=-+-", "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["polarities"] == "-+-"
+        assert report["a_0"] == "2 completions, 0 acyclic"
+        for key in ("a_1", "a_2", "a_3"):
+            assert report[key] == "2 completions, 2 acyclic"
+        with pytest.raises(SystemExit) as exit_:
+            run("gadget", "clause", "--polarities", "-+-")
+        assert exit_.value.code == 2
+        assert "argument --polarities: expected one argument" in capsys.readouterr().err
 
     def test_gadget_file_output(self, tmp_path):
         out = tmp_path / "base.json"
@@ -403,6 +435,13 @@ _UNREAD_FLAGS = [
     (("reduce", "f.cnf"), "--enum-cap"),
     (("verify",), "--enum-cap"),
     (("gadget", "base"), "--budget"),
+    (("gadget", "base"), "--copies"),
+    (("gadget", "base"), "--polarities"),
+    (("gadget", "base"), "--boundary-class"),
+    (("gadget", "base"), "--enum-cap"),
+    (("gadget", "variable"), "--polarities"),
+    (("gadget", "variable"), "--boundary-class"),
+    (("gadget", "clause"), "--copies"),
     (("gen", "--seed", "1", "-n", "3", "-m", "1"), "--budget"),
     (("gen", "--seed", "1", "-n", "3", "-m", "1"), "--enum-cap"),
     (("export-dot", "i.json"), "--budget"),
@@ -415,7 +454,9 @@ _UNREAD_FLAGS = [
 
 
 @pytest.mark.parametrize(
-    "command, flag", _UNREAD_FLAGS, ids=[f"{c[0]} {f}" for c, f in _UNREAD_FLAGS]
+    "command, flag", _UNREAD_FLAGS,
+    ids=[f"{' '.join(c[:2]) if c[0] == 'gadget' else c[0]} {f}"
+         for c, f in _UNREAD_FLAGS],
 )
 def test_unread_flag_exits_2(command, flag, capsys):
     argv = [*command, flag] if flag == "--json" else [*command, flag, "5"]

@@ -230,6 +230,17 @@ class TestMalformedSections:
         with pytest.raises(FormatError):
             read_instance(json.dumps(doc))
 
+    @pytest.mark.parametrize("section, value, message", [
+        ("rotation", 5, "rotation must be a list of [v, [neighbors...]] entries"),
+        ("formula", {"variables": 2, "clauses": 5}, "formula clauses must be a list"),
+    ], ids=["rotation-not-a-list", "formula-clauses-not-a-list"])
+    def test_non_list_section_named(self, section, value, message):
+        doc = json.loads(_doc_with_links([(0, 1)], []))
+        doc[section] = value
+        with pytest.raises(FormatError) as err:
+            read_instance(json.dumps(doc))
+        assert str(err.value) == message
+
 
 class TestWitness:
     def test_round_trip(self):
@@ -275,6 +286,11 @@ class TestFormulaText:
     def test_repeated_variable_rejected(self):
         with pytest.raises(FormatError, match="repeated"):
             read_formula(b"p cnf 2 1\n1 1 2 0\n")
+
+    def test_literal_zero_inside_clause_rejected(self):
+        with pytest.raises(FormatError) as err:
+            read_formula(b"p cnf 3 1\n1 0 2 0\n")
+        assert str(err.value) == "line 2: literal 0 inside clause"
 
     @pytest.mark.parametrize("body", ["1 2 0", "1 2 3 4 0", "1 2 3"])
     def test_bad_clause_shapes_rejected(self, body):

@@ -148,6 +148,15 @@ class TestBoundary:
         assert sub.vertices == frozenset({1})
         assert not sub.edges and not sub.arcs
 
+    def test_non_vertex_rejected(self):
+        g = small_graph()
+        with pytest.raises(GraphError) as err:
+            boundary(g, [1, 9])
+        assert str(err.value) == "boundary set contains non-vertices: [9]"
+        with pytest.raises(GraphError) as err:
+            gamma_subgraph(g, [9, 1])
+        assert str(err.value) == "core set contains non-vertices: [9]"
+
 
 class TestAcyclicity:
     def test_acyclic_order_is_deterministic_and_valid(self):

@@ -366,6 +366,11 @@ class TestOrientationBridge:
         with pytest.raises(GadgetError):
             orientation_from_assignment(red, (False,) * 5)
 
+    def test_short_assignment_rejected(self):
+        red = assemble(sample_planar_formula())
+        with pytest.raises(GadgetError, match="^assignment must be total$"):
+            orientation_from_assignment(red, (True,))
+
     def test_flipped_connector_rejected(self):
         red = assemble(sample_planar_formula())
         bits = next(_satisfying_assignments(red.formula))
@@ -461,6 +466,19 @@ class TestVerifyEquivalence:
         for seed, n, m in [(5, 6, 7), (7, 7, 9), (13, 8, 11)]:
             out = verify_equivalence(generate(seed, n, m))
             assert out["agree"], (seed, n, m)
+
+    @pytest.mark.parametrize("name, broken", [
+        ("is_T_odd_on", lambda problem, orientation: False),
+        ("is_acyclic", lambda arcs: dataclasses.replace(is_acyclic(arcs), acyclic=False)),
+        ("eval_formula", lambda formula, assignment: False),
+    ], ids=["built-witness-not-T-odd", "built-witness-cyclic",
+            "solver-witness-falsifies"])
+    def test_a_failed_witness_check_disagrees(self, monkeypatch, name, broken):
+        # sat and feasible agree, so only the failed check can clear agree
+        monkeypatch.setattr(reduction, name, broken)
+        out = verify_equivalence(sample_planar_formula())
+        assert out["sat"] is True and out["orientation_feasible"] is True
+        assert out["agree"] is False
 
 
 class TestEmbeddingOfArtifact:

@@ -112,6 +112,11 @@ class TestEnumerate:
         assert rep.total_valid == 4
         assert len(rep.witnesses) == 2
 
+    def test_scope_with_a_non_vertex_is_refused(self):
+        with pytest.raises(GraphError) as err:
+            enum(path3(odd=[1]), scope=[0, 7])
+        assert str(err.value) == "scope contains non-vertices: [7]"
+
     @pytest.mark.parametrize("require_acyclic", [True, False])
     def test_negative_witness_cap_is_refused(self, require_acyclic):
         prob = problem([0, 1, 2, 3], [(0, 1), (2, 3)])
@@ -465,6 +470,14 @@ class TestApexTransform:
             base = enum(prob).total_valid > 0
             assert (enum(apex_transform(prob)).total_valid > 0) == base
             assert apex_feasible_variant(prob).feasible == base
+
+    def test_variant_passes_an_abort_through(self):
+        # on this 4-cycle's apex graph the first even vertex tried already
+        # needs a decision: its abort is the answer, not "no vertex admits"
+        prob = problem(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)], odd=[2, 3])
+        result = apex_feasible_variant(prob, budget=0)
+        assert result.status == solver.ABORTED
+        assert result.detail == "decision budget exceeded"
 
 
 @st.composite
