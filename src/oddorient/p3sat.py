@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
 from oddorient.pdgraph import GraphError, PartiallyDirectedGraph, Vertex, validate
-from oddorient.solver import _BLOCK_BITS, BudgetError, _counter_bits
+from oddorient.oracle import _BLOCK_BITS, BudgetError, _counter_bits
 
 Literal = tuple[int, bool]
 Clause = tuple[Literal, Literal, Literal]

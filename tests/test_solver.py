@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddorient import solver
+from oddorient import oracle, solver
+from oddorient.core import _check_witness, _Index
 from oddorient.pdgraph import (
     GraphError,
     Orientation,
@@ -24,8 +25,6 @@ from oddorient.reduction import attach_stubs, build_variable_gadget
 from oddorient.solver import (
     BudgetError,
     NormalizeError,
-    _check_witness,
-    _Index,
     apex_feasible_variant,
     apex_transform,
     decide,
@@ -216,7 +215,7 @@ class TestEnumerate:
         prob = problem(range(n), edges, extra[:2], odd)
         d = k - n + 1
         if n == 21:
-            monkeypatch.setattr(solver, "_BLOCK_BITS", 12)
+            monkeypatch.setattr(oracle, "_BLOCK_BITS", 12)
             assert d == 14
         # the reference does without the kernel: every parity solution,
         # filtered by is_acyclic
@@ -687,7 +686,7 @@ def test_enumerate_matches_brute_force_across_blocks(case):
     spans several blocks and a witness cap can end inside a later one."""
     prob, scope, witness_cap, require_acyclic = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_BLOCK_BITS", 2)
+        mp.setattr(oracle, "_BLOCK_BITS", 2)
         rep = enum(prob, scope=scope, witness_cap=witness_cap,
                    require_acyclic=require_acyclic)
     assert (rep.total_valid, rep.witnesses, rep.explored) == brute_force_sweep(

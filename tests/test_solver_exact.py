@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oddorient.core import _Index, _Part
 from oddorient.p3sat import Formula, PlanarFormula, eval_formula, generate, sat_oracle
 from oddorient.pdgraph import (
     OrientationProblem,
@@ -28,13 +29,11 @@ from oddorient.pdgraph import (
 )
 from oddorient.reduction import assemble, assignment_from_orientation
 from oddorient.samples import sample_planar_formula, unsat_samples
+from oddorient.search import _ExactSearch
 from oddorient.solver import (
     ABORTED,
     FEASIBLE,
     INFEASIBLE,
-    _ExactSearch,
-    _Index,
-    _Part,
     decide,
     enumerate as enum,
     solve_exact,
@@ -729,17 +728,32 @@ def rename(pf, flips):
 def test_verdicts_match_sat_oracle():
     """Every reduction of a fixed corpus is decided as ``sat_oracle``
     decides its formula: the 12/17 formulas of seeds 0-199 and the frozen
-    UNSAT cores.  This checks verdicts, not decision counts, so a search
-    change that loses solutions fails here even where its pins are
+    UNSAT cores.  Each core is also decided side by side with the
+    reduction of the satisfiable 3/1 formula of seed 0, once placed before
+    it and once after: the union is infeasible as the core is.  All 200
+    12/17 formulas are satisfiable, so the cores and their unions are the
+    infeasible side.  This checks verdicts, not decision counts, so a
+    search change that loses solutions fails here even where its pins are
     derived again."""
+    pad = generate(0, 3, 1)
+    assert sat_oracle(pad.formula) is not None
+    pad_problem = assemble(pad).problem
     corpus = [(f"12/17 seed {seed}", generate(seed, 12, 17)) for seed in range(200)]
     corpus += [(f"core {i}", core) for i, core in enumerate(unsat_samples())]
     wrong = []
     for name, pf in corpus:
         expected = FEASIBLE if sat_oracle(pf.formula) is not None else INFEASIBLE
-        status = decide(assemble(pf).problem).status
-        if status != expected:
-            wrong.append((name, status, expected))
+        reduced = assemble(pf).problem
+        cases = [(name, reduced)]
+        if name.startswith("core"):
+            cases += [
+                (f"3/1 pad, {name}", disjoint_union(pad_problem, reduced)),
+                (f"{name}, 3/1 pad", disjoint_union(reduced, pad_problem)),
+            ]
+        for label, prob in cases:
+            status = decide(prob).status
+            if status != expected:
+                wrong.append((label, status, expected))
     assert not wrong
 
 
