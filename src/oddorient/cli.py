@@ -402,6 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, instance=False, budget=False, json_flag=True):
+        # the command's own parser reports a flag it does not take
+        p.set_defaults(parser=p)
         if json_flag:
             p.add_argument("--json", action="store_true",
                            help="machine-readable report on stdout")
@@ -509,7 +511,9 @@ _USER_ERRORS = (
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

@@ -28,6 +28,7 @@ from .pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
     Vertex,
+    _gc_paused,
     validate,
 )
 from .reduction import GadgetError, GadgetRegistry
@@ -74,6 +75,7 @@ def _json(data: Union[bytes, str]):
 # -- instance JSON ----------------------------------------------------------------
 
 
+@_gc_paused
 def write_instance(
     problem: OrientationProblem,
     *,
@@ -194,6 +196,7 @@ def _normalize_links(raw_edges, raw_arcs, normalize_multi: bool):
     return edges, arcs
 
 
+@_gc_paused
 def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> InstanceBundle:
     """Parse and validate an instance document.
 
@@ -320,6 +323,7 @@ def _checked_formula(variable_count: int, clauses) -> Formula:
 # -- witness JSON -----------------------------------------------------------------
 
 
+@_gc_paused
 def write_witness(orientation: Orientation) -> bytes:
     """Canonical JSON bytes of the orientation's arcs, in the instance layout."""
     doc = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-from oddorient.pdgraph import GraphError, PartiallyDirectedGraph, Vertex, validate
+from oddorient.pdgraph import GraphError, PartiallyDirectedGraph, Vertex, _gc_paused, validate
 from oddorient.oracle import _BLOCK_BITS, BudgetError, _counter_bits
 
 Literal = tuple[int, bool]
@@ -473,6 +473,7 @@ class _SpineMap:
 _MAX_ATTEMPTS = 400
 
 
+@_gc_paused
 def generate(seed: int, n: int, m: int) -> PlanarFormula:
     """Deterministic planar formula: n variables on a spine, m clauses nested
     above and below it without crossings.

@@ -11,6 +11,8 @@ tables outside this module.
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,6 +30,34 @@ class GraphError(ValueError):
 
 def canonical_edge(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u <= v else (v, u)
+
+
+def _gc_paused(func):
+    """Run ``func`` with the cyclic garbage collector off, and turn it on
+    again when the call returns or raises.
+
+    For the calls that build instance-sized object graphs: each allocates
+    enough container objects to trigger collections, yet leaves no cyclic
+    garbage behind, so every collection inside it walks live objects for
+    nothing.  Reference counting still frees everything as usual.  A call
+    made while the collector is off, by the caller or by an enclosing
+    paused call, goes straight through and leaves the setting alone.  The
+    collector is process-wide, so other threads run without it too while a
+    paused call is open.  It lives here because every module of the
+    package may import this one.
+    """
+
+    @functools.wraps(func)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return func(*args, **kwargs)
+        gc.disable()
+        try:
+            return func(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True)

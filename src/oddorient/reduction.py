@@ -34,6 +34,7 @@ from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
     Vertex,
+    _gc_paused,
     is_acyclic,
     is_T_odd_on,
     parity_feasible,
@@ -297,6 +298,7 @@ def _connectors(
     return ((copy["u"], ports[f"vh{p}"]), (copy["uh"], ports[f"v{p}"]))
 
 
+@_gc_paused
 def assemble(planar: PlanarFormula) -> Reduction:
     """Build the orientation instance for a planar formula.
 
@@ -438,6 +440,7 @@ class StructuralReport:
     faces: int
 
 
+@_gc_paused
 def structural_check(red: Reduction) -> StructuralReport:
     """Invariants every assembled instance must satisfy, reported not assumed.
 

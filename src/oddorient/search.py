@@ -127,6 +127,8 @@ class _ExactSearch:
     lowest id first.  ``quiesce`` forces the last undecided link at every
     vertex, so no undecided edge has fewer than two at either end, and the
     scan from the first undecided edge stops at the first edge on that floor.
+    No edge below ``low`` is undecided: ``pick_edge`` moves it up to the
+    first undecided edge, and ``undo_to`` down to each edge it undecides.
 
     Every decided arc carries a dependency mask ``dep[e]``, an int with one
     bit per decision level: the decisions that force it.  A decision at
@@ -177,6 +179,7 @@ class _ExactSearch:
         self.und = list(map(len, edge_at))   # undecided links at x
 
         self.decided: list[Optional[Arc]] = [None] * m
+        self.low = 0   # every edge below it is decided
         self.cycle_q: list[int] = []
         self.desc = [1 << x for x in range(n)]
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
@@ -295,7 +298,7 @@ class _ExactSearch:
         if len(trail) > mark:
             und, decided, dep = self.und, self.decided, self.dep
             in_adj, occ, lit_q = self.in_adj, self.occ, self.lit_q
-            ring_of = self.ring_of
+            ring_of, low = self.ring_of, self.low
             for e, t, h, dropped in reversed(trail[mark:]):
                 if occ:
                     lit = 2 * e
@@ -304,6 +307,8 @@ class _ExactSearch:
                     if lit + 1 in occ:
                         lit_q.append(lit + 1)
                 decided[e] = None
+                if e < low:
+                    low = e
                 dep[e] = 0
                 in_adj[h].pop()
                 und[t] += 1
@@ -314,6 +319,7 @@ class _ExactSearch:
                 if dropped:
                     self._link_ring(*dropped)
             del trail[mark:]
+            self.low = low
             self.scanned = min(self.scanned, mark)
         self.desc[:] = desc
         self.force_q.clear()
@@ -616,8 +622,12 @@ class _ExactSearch:
         first; some edge must be undecided, and no vertex may have exactly
         one undecided link, as after ``quiesce``."""
         decided, ends, und = self.decided, self.ends, self.und
+        low = self.low
+        while decided[low] is not None:
+            low += 1
+        self.low = low
         best, best_key = -1, self.m + 1
-        for e in range(decided.index(None), self.m):
+        for e in range(low, self.m):
             if decided[e] is not None:
                 continue
             u, v = ends[e]

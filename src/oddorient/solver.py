@@ -74,6 +74,7 @@ from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
     Vertex,
+    _gc_paused,
     canonical_edge,
     flip_all,
     parity_feasible,
@@ -204,6 +205,7 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
     )
 
 
+@_gc_paused
 def decide(problem: OrientationProblem, *, budget: int = 10_000_000) -> SolveResult:
     """Dispatcher over one integer index of the problem.  On a graph of
     maximum degree 2 or a forest it runs the linear pass behind

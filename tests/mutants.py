@@ -35,6 +35,39 @@ MUTANTS = [
         "mask |= 0",
         "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
     ),
+    # links_dep rests on no level, so a parity dead end ends the search as
+    # if no decision caused it, and probe reasons lose their ring's links
+    (
+        "links_dep",
+        "        return mask\n\n    def path_dep",
+        "        return 0\n\n    def path_dep",
+        "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
+    ),
+    # path_dep drops the decided arcs of the path, so cycle forcings and
+    # cycle conflicts rest on too few levels
+    (
+        "path_dep masks",
+        "                if p in ends[f]:\n                    mask |= dep[f]",
+        "                if p in ends[f]:\n                    mask |= 0",
+        "tests/test_acceptance.py::TestCriterion5::test_end_to_end_equivalence",
+    ),
+    # a frame drops the lower levels its failed branches rest on, so once
+    # both have failed the conflict it passes on rests on none and ends the
+    # search
+    (
+        "failed-branch set",
+        "frame[4] |= conflict ^ (1 << level)",
+        "frame[4] |= 0",
+        "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
+    ),
+    # parity forcing rests on no level, so a conflict on an arc it forced
+    # misses the decisions behind it and backjumps past them
+    (
+        "parity forcing mask",
+        "if not self.apply_arc(e, t, h, mask):",
+        "if not self.apply_arc(e, t, h, 0):",
+        "tests/test_acceptance.py::TestCriterion5::test_end_to_end_equivalence",
+    ),
 ]
 
 

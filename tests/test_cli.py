@@ -264,6 +264,15 @@ class TestGadget:
         assert report["a_0"] == "2 completions, 0 acyclic"
         assert "a_1" not in report
 
+    def test_unknown_flag_names_the_kind(self, capsys):
+        # the base gadget has no copies: its own parser refuses the flag
+        with pytest.raises(SystemExit) as exit_:
+            run("gadget", "base", "--copies", 2)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: oddorient gadget base" in err
+        assert "oddorient gadget base: error: unrecognized arguments: --copies 2" in err
+
     def test_bad_polarities(self):
         assert run("gadget", "clause", "--polarities", "+*-") == 2
 

@@ -1,4 +1,13 @@
-"""Graph type invariants, boundaries, acyclicity, and parity checks."""
+"""Graph type invariants, boundaries, acyclicity, parity checks, and the
+collector pause of the calls that build instance-sized object graphs."""
+
+import ast
+import gc
+import inspect
+import random
+from collections import Counter
+from importlib.util import find_spec
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +30,11 @@ from oddorient.pdgraph import (
     reverse_graph,
     validate,
 )
+from oddorient import search, solver
+from oddorient.io import FormatError, read_instance, write_instance, write_witness
+from oddorient.p3sat import SizeError, generate
+from oddorient.reduction import assemble, structural_check
+from oddorient.solver import decide
 
 
 def small_graph():
@@ -390,3 +404,120 @@ def test_set_based_checks_match_loops(inst, data):
         assert extends(g, spoilt)
         if data is None:
             assert is_T_odd_on(prob, spoilt)
+
+
+# -- the collector pause ------------------------------------------------------
+
+
+def _planted_forest(size: int, seed: int) -> OrientationProblem:
+    """A random tree on ``size`` vertices, each joined to an earlier one,
+    with the odd set of one random orientation, so it is feasible."""
+    rng = random.Random(seed)
+    edges = [(rng.randrange(v), v) for v in range(1, size)]
+    heads = [v if rng.random() < 0.5 else u for u, v in edges]
+    odd = [v for v, d in Counter(heads).items() if d % 2]
+    return OrientationProblem.build(PartiallyDirectedGraph.build(range(size), edges), odd)
+
+
+def _paused_calls(problem=None):
+    """(function, arguments) of each call that pauses the collector, in
+    pipeline order: on the 12/17 reduction of seed 0, or, given
+    ``problem``, those that take an instance or its witness."""
+    calls = []
+    if problem is None:
+        planar = generate(0, 12, 17)
+        red = assemble(planar)
+        problem = red.problem
+        calls += [(generate, (0, 12, 17)), (assemble, (planar,)), (structural_check, (red,))]
+    witness = decide(problem).witness
+    return calls + [
+        (write_instance, (problem,)),
+        (read_instance, (write_instance(problem),)),
+        (decide, (problem,)),
+        (write_witness, (witness,)),
+    ]
+
+
+@pytest.fixture
+def collector():
+    """Give the collector back to the next test as this one found it."""
+    was = gc.isenabled()
+    yield
+    if was:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_paused_calls_are_the_decorated_ones():
+    """The calls below cover every function the package decorates."""
+    package = Path(find_spec("oddorient").submodule_search_locations[0])
+    decorated = {
+        node.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(d, ast.Name) and d.id == "_gc_paused" for d in node.decorator_list)
+    }
+    assert decorated == {f.__name__ for f, _ in _paused_calls()}
+
+
+def test_paused_calls_keep_the_callers_setting(collector):
+    """On after the call when it was on before, off when the caller had
+    turned it off, and the name and docstring are the function's own."""
+    for f, args in _paused_calls():
+        assert f.__doc__ == f.__wrapped__.__doc__
+        gc.enable()
+        f(*args)
+        assert gc.isenabled(), f.__name__
+        gc.disable()
+        f(*args)
+        assert not gc.isenabled(), f.__name__
+
+
+def test_collector_is_on_after_a_raise(collector):
+    gc.enable()
+    with pytest.raises(FormatError):
+        read_instance(b"{")
+    assert gc.isenabled()
+    with pytest.raises(SizeError):
+        generate(0, 2, 3)
+    assert gc.isenabled()
+
+
+def test_decide_runs_with_the_collector_off(collector, monkeypatch):
+    """The witness check inside ``decide``, on either branch, sees the
+    collector off."""
+    seen = []
+
+    def spy(check):
+        def check_witness(*args):
+            seen.append(gc.isenabled())
+            return check(*args)
+        return check_witness
+
+    for module in (search, solver):
+        monkeypatch.setattr(module, "_check_witness", spy(module._check_witness))
+    gc.enable()
+    assert decide(assemble(generate(0, 12, 17)).problem).feasible
+    assert decide(_planted_forest(50, 0)).feasible
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+def test_decide_keeps_its_signature():
+    budget = inspect.signature(decide).parameters["budget"]
+    assert budget.kind is inspect.Parameter.KEYWORD_ONLY
+    assert budget.default == 10_000_000
+
+
+@pytest.mark.parametrize("problem", [None, _planted_forest(300, 1)], ids=["12/17", "forest"])
+def test_paused_calls_leave_no_cyclic_garbage(collector, problem):
+    """Pausing holds no memory only while the paused calls make no
+    reference cycles: each leaves nothing for the collector to find."""
+    calls = _paused_calls(problem)
+    gc.disable()
+    for f, args in calls:
+        gc.collect()
+        f(*args)
+        assert gc.collect() == 0, f.__name__
