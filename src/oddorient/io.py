@@ -103,9 +103,7 @@ def write_instance(
         "arcs": sorted(g.arcs),
     }
     if rotation is not None:
-        doc["rotation"] = [
-            [v, list(rotation.orders[v])] for v in sorted(rotation.orders)
-        ]
+        doc["rotation"] = [[v, rotation.orders[v]] for v in sorted(rotation.orders)]
     if formula is not None:
         doc["formula"] = {
             "variables": formula.variable_count,
@@ -119,8 +117,12 @@ def write_instance(
 
 def _canonical_bytes(doc: dict) -> bytes:
     """The one canonical layout: sorted keys, no whitespace, one trailing
-    newline.  ``json`` takes its C encoder only when ``indent`` is None."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    newline.  ``json`` takes its C encoder only when ``indent`` is None.
+    Every document is built fresh and no container in it holds itself, so
+    the encoder's cycle check is skipped."""
+    return (
+        json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    ).encode()
 
 
 def _check_version(doc: dict) -> None:

@@ -68,6 +68,47 @@ MUTANTS = [
         "if not self.apply_arc(e, t, h, 0):",
         "tests/test_acceptance.py::TestCriterion5::test_end_to_end_equivalence",
     ),
+    # ring_dep leaves out the paths between ring vertices, so a probe
+    # forcing rests only on the links at the ring, not on the decisions
+    # that let one ring vertex reach another
+    (
+        "ring_dep paths",
+        "rest = (desc[x] & bits) ^ (1 << x)",
+        "rest = 0",
+        "tests/test_solver_exact.py::test_ring_chain_verdicts_match_enumerate",
+    ),
+    # a nogood's conflict rests on no level, so it ends the search as if the
+    # decisions under its literals had not caused it
+    (
+        "nogood_pass conflict mask",
+        "                    if free < 0:\n                        self.conflict = mask",
+        "                    if free < 0:\n                        self.conflict = 0",
+        "tests/test_solver_exact.py::test_dense_verdicts_match_enumerate",
+    ),
+    # an arc a nogood forces rests on no level, so a conflict on it
+    # backjumps past the decisions under the nogood's other literals
+    (
+        "nogood_pass forcing mask",
+        "self.apply_arc(e, t, h, mask) and self.propagate()",
+        "self.apply_arc(e, t, h, 0) and self.propagate()",
+        "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
+    ),
+    # learn stores the opposite of each decision, a nogood that does not
+    # follow from the constraints, so it forces arcs no solution needs
+    (
+        "learn opposite literal",
+        "lits.append(2 * e + (t < h))",
+        "lits.append(2 * e + (t > h))",
+        "tests/test_acceptance.py::TestCriterion6::test_three_way_agreement_on_500",
+    ),
+    # undo_to leaves linked the rings found since the mark, so the ring
+    # state goes stale and decide raises on a vertex whose ring is gone
+    (
+        "undo_to keeps new rings",
+        "for x in (t, h):",
+        "for x in ():",
+        "tests/test_solver.py::TestApexTransform::test_two_sided_equivalence_sample",
+    ),
 ]
 
 

@@ -5,18 +5,23 @@
 their modules may reach search code: ``oracle``, ``core`` and ``p3sat``
 import neither ``search`` nor ``solver``, directly or through another
 module of the package, and ``search`` imports only ``core`` and ``pdgraph``.
-Imports are read from the source, so one inside a function counts too,
-and the package is found without importing it, so an import cycle fails
-here rather than at collection.
+Imports are read from the source, so one inside a function counts too.
+Importing the package loads none of its modules, so an import cycle fails
+here rather than at collection, and each module, imported alone in a fresh
+interpreter, must load exactly the modules its source reaches.
 """
 
 import ast
-from importlib.util import find_spec
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(find_spec("oddorient").submodule_search_locations[0])
+import oddorient
+
+PACKAGE = Path(oddorient.__file__).parent
 
 JUDGES = ["oracle", "core", "p3sat"]
 
@@ -24,7 +29,7 @@ JUDGES = ["oracle", "core", "p3sat"]
 def package_imports(source: str) -> set[str]:
     """The modules of the package that ``source``, a module of it, imports
     anywhere, absolute or relative; ``__init__`` stands for the package
-    itself, which imports every module."""
+    itself."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -34,8 +39,12 @@ def package_imports(source: str) -> set[str]:
             if node.level:
                 base = "oddorient" + (f".{base}" if base else "")
             if base == "oddorient":
-                # ``from oddorient import x``: x is a module or a name of __init__
-                targets = [f"oddorient.{alias.name}" for alias in node.names]
+                # ``from oddorient import x``: x is a module, or a public name
+                # that the package imports from the module its table gives
+                targets = [
+                    f"oddorient.{oddorient._MODULE_OF.get(alias.name, alias.name)}"
+                    for alias in node.names
+                ]
             else:
                 targets = [base]
         else:
@@ -77,8 +86,25 @@ def test_search_imports_only_core_and_pdgraph():
     ("from .search import solve_exact", "search"),
     ("from . import solver", "solver"),
     ("def f():\n    from .solver import decide", "solver"),
+    ("from oddorient import decide", "solver"),
+    ("from oddorient import FormatError as E", "io"),
+    ("from . import read_instance", "io"),
     ("import oddorient", "__init__"),
     ("from oddorient import FEASIBLE", "__init__"),
 ])
 def test_package_imports_reads_every_form(line, module):
     assert package_imports(line) == {module}
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_import_loads_only_what_the_source_reaches(module):
+    """The boundary read from the source is also the one in ``sys.modules``:
+    ``oracle``, ``core`` and ``p3sat`` load neither ``search`` nor ``solver``."""
+    name = "oddorient" if module == "__init__" else f"oddorient.{module}"
+    code = f"import sys, {name}; print(*(m for m in sys.modules if m.startswith('oddorient.')))"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert {m.removeprefix("oddorient.") for m in loaded} == ({module} | reached(module)) - {"__init__"}

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,15 +25,19 @@ from oddorient.pdgraph import (
     OrientationProblem,
     PartiallyDirectedGraph,
     extends,
+    is_T_odd_on,
     validate,
 )
 from oddorient.reduction import (
     GadgetRegistry,
     assemble,
     build_base_gadget,
+    build_clause_gadget,
+    build_variable_gadget,
     orientation_from_assignment,
 )
 from oddorient.samples import sample_planar_formula
+from oddorient.solver import decide
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -267,6 +272,61 @@ class TestWitness:
         )
         with pytest.raises((FormatError, GraphError)):
             read_witness(o_doc, p)
+
+
+def _planted_tree(size: int, seed: int):
+    """A random tree on ``size`` vertices with about a fifth of its links
+    fixed, the odd set read off a random orientation of it, and that
+    orientation."""
+    rng = random.Random(seed)
+    oriented = []
+    for v in range(1, size):
+        p = rng.randrange(v)
+        oriented.append((v, p) if rng.random() < 0.5 else (p, v))
+    fixed = [a for a in oriented if rng.random() < 0.2]
+    edges = sorted(set(oriented) - set(fixed))
+    odd: set = set()
+    for _, h in oriented:
+        odd ^= {h}
+    graph = PartiallyDirectedGraph.build(range(size), edges, fixed)
+    return OrientationProblem.build(graph, odd), Orientation.of(graph, edges)
+
+
+def _gadget_blob(problem, ids) -> bytes:
+    return write_instance(problem, registry=GadgetRegistry.build([(v, n) for n, v in ids]))
+
+
+class TestCanonicalBytes:
+    """Both writers give what ``json.dumps`` with sorted keys and compact
+    separators gives for the document they write, cycle check included."""
+
+    @staticmethod
+    def _check(blob: bytes) -> None:
+        assert blob == _layout(blob, sort_keys=True, separators=(",", ":"))
+
+    def test_labelled_reduction_with_rotation(self):
+        red = assemble(generate(0, 12, 17))
+        self._check(write_instance(
+            red.problem, rotation=red.rotation, registry=red.registry,
+            formula=red.formula,
+        ))
+        self._check(write_witness(decide(red.problem).witness))
+
+    def test_gadgets(self):
+        base = build_base_gadget()
+        self._check(_gadget_blob(base.problem, base.ids.items()))
+        ring = build_variable_gadget(3)
+        self._check(_gadget_blob(ring.problem, [
+            (v, f"{i}.{n}") for i, ids in enumerate(ring.ids) for n, v in ids.items()
+        ]))
+        clause = build_clause_gadget((True, False, True))
+        self._check(_gadget_blob(clause.problem, clause.ids.items()))
+
+    def test_planted_2000_vertices(self):
+        problem, witness = _planted_tree(2000, 7)
+        assert extends(problem.graph, witness) and is_T_odd_on(problem, witness)
+        self._check(write_instance(problem))
+        self._check(write_witness(witness))
 
 
 class TestFormulaText:

@@ -757,6 +757,81 @@ def test_verdicts_match_sat_oracle():
     assert not wrong
 
 
+def dense_draw(rng: random.Random) -> OrientationProblem:
+    """A seeded instance on 6 to 9 vertices with n+2 to 3n edges, up to 3
+    fixed arcs, and an odd set that passes the parity gate."""
+    n = rng.randint(6, 9)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    a = rng.randint(0, 3)
+    k = rng.randint(n + 2, min(3 * n, len(pairs) - a))
+    chosen = rng.sample(pairs, k + a)
+    arcs = [(u, v) if rng.random() < 0.5 else (v, u) for u, v in chosen[k:]]
+    odd = {v for v in range(n) if rng.random() < 0.5}
+    if (k + a + len(odd)) % 2:
+        odd ^= {rng.randrange(n)}
+    return problem(range(n), chosen[:k], arcs, odd)
+
+
+# an edge on every pair of 0-7 but 0-7, 1-3, 2-6 and 2-7, and the fixed arcs
+# 1->3, 6->2 and 7->2: 46 acyclic T-odd orientations.  A nogood conflict
+# that rests on no level ended this search at 37 decisions, infeasible
+DENSE_FEASIBLE = problem(
+    range(8),
+    [(u, v) for u in range(8) for v in range(u + 1, 8)
+     if (u, v) not in {(0, 7), (1, 3), (2, 6), (2, 7)}],
+    [(1, 3), (6, 2), (7, 2)],
+    {1, 2, 4, 6, 7},
+)
+
+
+def test_dense_verdicts_match_enumerate():
+    """Every status of ``decide`` on 2,500 dense draws of ``random.Random(0)``
+    and on ``DENSE_FEASIBLE`` is the one ``enumerate`` counts.  Dense graphs
+    learn nogoods that conflict outright, which the reductions of
+    ``test_verdicts_match_sat_oracle`` rarely do (about 1.5 s)."""
+    assert enum(DENSE_FEASIBLE, witness_cap=0).total_valid == 46
+    rng = random.Random(0)
+    cases = [("DENSE_FEASIBLE", DENSE_FEASIBLE)]
+    cases += [(f"draw {i}", dense_draw(rng)) for i in range(2500)]
+    wrong = []
+    for name, prob in cases:
+        expected = FEASIBLE if enum(prob, witness_cap=0).total_valid else INFEASIBLE
+        status = decide(prob).status
+        if status != expected:
+            wrong.append((name, status, expected))
+    assert not wrong
+
+
+# three 4-rings, 0-3, 4-7 and 8-11, joined only by fixed arcs.  Deciding
+# 1->0 orients the first ring so that 4->0~>2->6 joins two opposite vertices
+# of the second, whose probe forces it; its arcs then force the third ring
+# into a conflict.  Only that path rests on the decision, so a probe reason
+# without its paths makes the conflict rest on no level, and the search
+# answered 5 feasible odd sets, {3, 4, 5, 6} among them, infeasible
+RING_CHAIN = PartiallyDirectedGraph.build(
+    range(12),
+    [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7),
+     (8, 9), (9, 10), (10, 11), (8, 11)],
+    [(4, 0), (2, 6), (8, 4), (5, 10), (9, 6), (7, 11)],
+)
+
+
+def test_ring_chain_verdicts_match_enumerate():
+    """Every odd set of ``RING_CHAIN`` that passes the parity gate gets the
+    status ``enumerate`` counts (2,048 sets, about 0.2 s)."""
+    wrong = []
+    for bits in range(1 << 12):
+        odd = [v for v in range(12) if (bits >> v) & 1]
+        if len(odd) % 2:
+            continue
+        prob = OrientationProblem.build(RING_CHAIN, odd)
+        expected = FEASIBLE if enum(prob, witness_cap=0).total_valid else INFEASIBLE
+        status = decide(prob).status
+        if status != expected:
+            wrong.append((odd, status, expected))
+    assert not wrong
+
+
 @pytest.mark.parametrize("index", range(3))
 def test_renamed_unsat_cores_stay_infeasible(index):
     rng = random.Random(index)
