@@ -102,6 +102,49 @@ def _names_to_ids(names: Sequence[str], base: int) -> dict[str, Vertex]:
     return {name: base + i for i, name in enumerate(names)}
 
 
+# -- layout: each gadget kind is laid by one routine, on the ids it is given,
+# for the stand-alone builders and the assembly alike
+
+
+def _lay_core(ids: dict[str, Vertex], edges: list, arcs: list, odd: list) -> None:
+    """Append one copy core's edges, fixed arcs and marks."""
+    edges.extend((ids[x], ids[y]) for x, y in CORE_EDGES)
+    arcs.extend((ids[x], ids[y]) for x, y in CORE_ARCS)
+    odd.extend(ids[x] for x in CORE_ODD)
+
+
+def _lay_ring(
+    copies: Sequence[dict[str, Vertex]], edges: list, arcs: list, odd: list
+) -> tuple[tuple[Vertex, Vertex], ...]:
+    """Append a ring of copy cores and its links t -> next s; return the links."""
+    for ids in copies:
+        _lay_core(ids, edges, arcs, odd)
+    links = tuple(
+        (c["t"], copies[(k + 1) % len(copies)]["s"]) for k, c in enumerate(copies)
+    )
+    edges.extend(links)
+    return links
+
+
+def _lay_clause(
+    ids: dict[str, Vertex], polarities: Iterable[bool], edges: list, odd: list
+) -> None:
+    """Append a clause's hexagon and matching edges, and its marks: every
+    hexagon vertex, and a slot's two ports iff its literal is positive."""
+    edges.extend((ids[x], ids[y]) for x, y in HEX_EDGES + MATCH_EDGES)
+    odd.extend(ids[x] for x in HEX_NAMES)
+    for p, positive in zip((1, 2, 3), polarities):
+        if positive:
+            odd.extend((ids[f"v{p}"], ids[f"vh{p}"]))
+
+
+def _port_arcs(
+    ids: dict[str, Vertex], p: int
+) -> tuple[tuple[Vertex, Vertex], tuple[Vertex, Vertex]]:
+    """Slot p's port pair pointing into the hexagon: (v_p, w_p), (vh_p, wh_p)."""
+    return ((ids[f"v{p}"], ids[f"w{p}"]), (ids[f"vh{p}"], ids[f"wh{p}"]))
+
+
 def attach_stubs(
     problem: OrientationProblem, attach: Sequence[Vertex]
 ) -> tuple[OrientationProblem, tuple[Vertex, ...]]:
@@ -149,12 +192,10 @@ def build_base_gadget() -> BaseGadget:
     as its ``modes``.
     """
     ids = _names_to_ids(CORE_NAMES, 0)
-    graph = PartiallyDirectedGraph.build(
-        ids.values(),
-        [(ids[x], ids[y]) for x, y in CORE_EDGES],
-        [(ids[x], ids[y]) for x, y in CORE_ARCS],
-    )
-    problem = OrientationProblem.build(graph, [ids[x] for x in CORE_ODD])
+    edges, arcs, odd = [], [], []
+    _lay_core(ids, edges, arcs, odd)
+    graph = PartiallyDirectedGraph.build(ids.values(), edges, arcs)
+    problem = OrientationProblem.build(graph, odd)
     boundary = ("u", "uh", "s", "t")
     gamma, outside = attach_stubs(problem, [ids[x] for x in boundary])
     stubs = dict(zip(boundary, outside))
@@ -198,19 +239,10 @@ def build_variable_gadget(copies: int) -> VariableGadget:
     """
     if copies < 1:
         raise GadgetError("a variable gadget needs at least one copy")
-    base = build_base_gadget()
+    build_base_gadget()   # the copy core's self-check
     ids = tuple(_names_to_ids(CORE_NAMES, 10 * k) for k in range(copies))
-    edges = []
-    arcs = []
-    odd = []
-    for k in range(copies):
-        edges.extend((ids[k][x], ids[k][y]) for x, y in CORE_EDGES)
-        arcs.extend((ids[k][x], ids[k][y]) for x, y in CORE_ARCS)
-        odd.extend(ids[k][x] for x in CORE_ODD)
-    links = tuple(
-        (ids[k]["t"], ids[(k + 1) % copies]["s"]) for k in range(copies)
-    )
-    edges.extend(links)
+    edges, arcs, odd = [], [], []
+    links = _lay_ring(ids, edges, arcs, odd)
     graph = PartiallyDirectedGraph.build(
         [v for c in ids for v in c.values()], edges, arcs
     )
@@ -250,11 +282,8 @@ def build_clause_gadget(polarities: Sequence[bool]) -> ClauseGadget:
     if len(pols) != 3:
         raise GadgetError("a clause gadget has exactly three slots")
     ids = _names_to_ids(HEX_NAMES + PORT_NAMES, 0)
-    edges = [(ids[x], ids[y]) for x, y in HEX_EDGES + MATCH_EDGES]
-    odd = [ids[x] for x in HEX_NAMES]
-    for p, positive in zip((1, 2, 3), pols):
-        if positive:
-            odd.extend([ids[f"v{p}"], ids[f"vh{p}"]])
+    edges, odd = [], []
+    _lay_clause(ids, pols, edges, odd)
     graph = PartiallyDirectedGraph.build(ids.values(), edges, [])
     return ClauseGadget(
         problem=OrientationProblem.build(graph, odd),
@@ -292,8 +321,8 @@ def _connectors(
     They cross: u meets the hatted port and uh the plain one, which keeps
     the corridor between copy and clause planar.  Each pair is written copy
     side first, which is its direction when the copy runs in outward mode.
-    Both back-maps read the connectors through this one rule, walking the
-    clause slots of the reduction.
+    The assembly lays the connectors and both back-maps read them through
+    this one rule, walking the clause slots of the reduction.
     """
     return ((copy["u"], ports[f"vh{p}"]), (copy["uh"], ports[f"v{p}"]))
 
@@ -313,83 +342,21 @@ def assemble(planar: PlanarFormula) -> Reduction:
     m = formula.clause_count
 
     labels: list[tuple[Vertex, str]] = []
+    edges: list[tuple[Vertex, Vertex]] = []
+    arcs: list[tuple[Vertex, Vertex]] = []
+    odd: list[Vertex] = []
+    # rotation system: fixed chirality templates inside every gadget; all
+    # cross-gadget junctions pass through degree-2 vertices
+    orders: dict[Vertex, Sequence[Vertex]] = {}
     variable_ids: list[tuple[dict[str, Vertex], ...]] = []
     nxt = 0
     for i in range(n):
         d = len(rot.orders[variable_vertex(formula, i)])
-        copies = []
-        for k in range(d):
-            ids = _names_to_ids(CORE_NAMES, nxt)
-            nxt += len(CORE_NAMES)
-            copies.append(ids)
-            labels.extend((ids[name], f"x{i}.k{k}.{name}") for name in CORE_NAMES)
-        variable_ids.append(tuple(copies))
-    clause_ids: list[dict[str, Vertex]] = []
-    for j in range(m):
-        ids = _names_to_ids(HEX_NAMES + PORT_NAMES, nxt)
-        nxt += 12
-        clause_ids.append(ids)
-        labels.extend(
-            (ids[name], f"c{j}.{name}") for name in HEX_NAMES + PORT_NAMES
-        )
-
-    edges: list[tuple[Vertex, Vertex]] = []
-    arcs: list[tuple[Vertex, Vertex]] = []
-    odd: list[Vertex] = []
-    # the neighbors of the degree <= 2 vertices: outward copy vertices and
-    # ports, each with one link inside its gadget plus its connectors
-    ends: dict[Vertex, list[Vertex]] = {}
-    for i in range(n):
-        copies = variable_ids[i]
-        d = len(copies)
-        for k in range(d):
-            ids = copies[k]
-            edges.extend((ids[x], ids[y]) for x, y in CORE_EDGES)
-            arcs.extend((ids[x], ids[y]) for x, y in CORE_ARCS)
-            odd.extend(ids[x] for x in CORE_ODD)
-            ends[ids["u"]] = [ids["a"]]
-            ends[ids["uh"]] = [ids["d"]]
-        edges.extend(
-            (copies[k]["t"], copies[(k + 1) % d]["s"]) for k in range(d)
-        )
-    for j in range(m):
-        ids = clause_ids[j]
-        edges.extend((ids[x], ids[y]) for x, y in HEX_EDGES + MATCH_EDGES)
-        odd.extend(ids[x] for x in HEX_NAMES)
-        for x, y in MATCH_EDGES:
-            ends[ids[x]] = [ids[y]]
-
-    # connectors and port marks, one slot per literal
-    polarity: list[dict[int, bool]] = [dict(cl) for cl in formula.clauses]
-    slots: list[tuple[tuple[int, int, bool], ...]] = []
-    for j in range(m):
-        cv = clause_vertex(formula, j)
-        row = []
-        for p, vv in zip((1, 2, 3), rot.orders[cv]):
-            i = vv
-            k = rot.position(variable_vertex(formula, i), cv)
-            ports = clause_ids[j]
-            for a, b in _connectors(variable_ids[i][k], ports, p):
-                edges.append((a, b))
-                ends[a].append(b)
-                ends[b].append(a)
-            positive = polarity[j][i]
-            if positive:
-                odd.extend([ports[f"v{p}"], ports[f"vh{p}"]])
-            row.append((i, k, positive))
-        slots.append(tuple(row))
-
-    graph = PartiallyDirectedGraph.build(range(nxt), edges, arcs)
-    problem = OrientationProblem.build(graph, odd)
-
-    # rotation system: fixed chirality templates inside every gadget; all
-    # cross-gadget junctions pass through degree-2 vertices
-    orders: dict[Vertex, Sequence[Vertex]] = {}
-    for i in range(n):
-        copies = variable_ids[i]
-        d = len(copies)
-        for k in range(d):
-            c = copies[k]
+        copies = tuple(_names_to_ids(CORE_NAMES, nxt + 10 * k) for k in range(d))
+        nxt += 10 * d
+        _lay_ring(copies, edges, arcs, odd)
+        for k, c in enumerate(copies):
+            labels.extend((c[name], f"x{i}.k{k}.{name}") for name in CORE_NAMES)
             prev_t = copies[(k - 1) % d]["t"]
             next_s = copies[(k + 1) % d]["s"]
             orders[c["a"]] = (c["b"], c["u"], c["s"])
@@ -400,18 +367,43 @@ def assemble(planar: PlanarFormula) -> Reduction:
             orders[c["e"]] = (c["f"], c["b"], c["s"])
             orders[c["f"]] = (c["t"], c["c"], c["e"])
             orders[c["t"]] = (next_s, c["d"], c["f"])
+        variable_ids.append(copies)
+
+    # one slot per literal: the clause is laid from its slot row, then each
+    # slot's connectors join the port pair to its copy
+    clause_ids: list[dict[str, Vertex]] = []
+    slots: list[tuple[tuple[int, int, bool], ...]] = []
     for j in range(m):
-        ids = clause_ids[j]
-        # the hexagon winds against the copy template's chirality; with the
-        # crossed connectors this keeps every corridor twist-free
-        for p in (1, 2, 3):
-            prev_wh = ids[f"wh{(p - 2) % 3 + 1}"]
-            orders[ids[f"w{p}"]] = (ids[f"wh{p}"], ids[f"v{p}"], prev_wh)
-            orders[ids[f"wh{p}"]] = (
-                ids[f"w{p % 3 + 1}"], ids[f"vh{p}"], ids[f"w{p}"],
-            )
-    for v, nbrs in ends.items():
-        orders[v] = sorted(nbrs)   # degree <= 2: order is immaterial
+        ids = _names_to_ids(HEX_NAMES + PORT_NAMES, nxt)
+        nxt += 12
+        labels.extend(
+            (ids[name], f"c{j}.{name}") for name in HEX_NAMES + PORT_NAMES
+        )
+        cv = clause_vertex(formula, j)
+        polarity = dict(formula.clauses[j])
+        row = tuple(
+            (i, rot.position(variable_vertex(formula, i), cv), polarity[i])
+            for i in rot.orders[cv]
+        )
+        _lay_clause(ids, (positive for _, _, positive in row), edges, odd)
+        for p, (i, k, _) in zip((1, 2, 3), row):
+            copy = variable_ids[i][k]
+            (v, w), (vh, wh) = _port_arcs(ids, p)
+            # the hexagon winds against the copy template's chirality; with
+            # the crossed connectors this keeps every corridor twist-free
+            orders[w] = (wh, v, ids[f"wh{(p - 2) % 3 + 1}"])
+            orders[wh] = (ids[f"w{p % 3 + 1}"], vh, w)
+            # each end of a connector has degree 2, its other link inside its
+            # gadget; at degree 2 the rotation is immaterial
+            inner = {copy["u"]: copy["a"], copy["uh"]: copy["d"], v: w, vh: wh}
+            for a, b in _connectors(copy, ids, p):
+                edges.append((a, b))
+                orders[a], orders[b] = (inner[a], b), (inner[b], a)
+        clause_ids.append(ids)
+        slots.append(row)
+
+    graph = PartiallyDirectedGraph.build(range(nxt), edges, arcs)
+    problem = OrientationProblem.build(graph, odd)
     rotation = RotationSystem.build(orders)
 
     return Reduction(
@@ -605,10 +597,10 @@ def orientation_from_assignment(
             out_mode = bool(assignment[i])
             for a, b in _connectors(red.variable_ids[i][k], ids, p):
                 directed.append((a, b) if out_mode else (b, a))
-            pair = ((ids[f"v{p}"], ids[f"w{p}"]), (ids[f"vh{p}"], ids[f"wh{p}"]))
+            pair = _port_arcs(ids, p)
             if out_mode == positive:
                 directed.extend(pair)
-                turns.update((ids[f"w{p}"], ids[f"wh{p}"]))
+                turns.update(w for _, w in pair)
             else:
                 directed.extend((b, a) for a, b in pair)
         if not turns:
@@ -665,8 +657,7 @@ def clause_boundary_class(
     ids = red.clause_ids[j]
     inward = 0
     for p in (1, 2, 3):
-        a = (ids[f"v{p}"], ids[f"w{p}"]) in directs
-        b = (ids[f"vh{p}"], ids[f"wh{p}"]) in directs
+        a, b = (arc in directs for arc in _port_arcs(ids, p))
         if a != b:
             raise GadgetError(
                 f"clause {j} slot {p} has a split port pair; not a gadget witness"

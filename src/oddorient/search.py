@@ -288,12 +288,14 @@ class _ExactSearch:
         ``run`` pushes.  The entries go newest first: a ring at either end
         of an entry's arc was found since ``mark`` (one there before would
         have been dropped by the arc) and is unlinked, and the ring the arc
-        dropped is linked again, pending.  A ring that a closure walk made
-        pending since ``mark`` stays pending, which costs at most one probe
-        too many.  The queues are emptied, except that both literals of each
-        edge made undecided are queued, newest edge first: a nogood learned
-        since ``mark`` can be unit there, with its undecided literal the only
-        one that moved."""
+        dropped is linked again, pending: a rewind to a state that is not a
+        ``quiesce`` fixed point needs its probe, and ``run`` clears
+        ``pending`` after the call only because it rewinds to fixed points
+        alone.  A ring that a closure walk made pending since ``mark`` stays
+        pending, which costs at most one probe too many.  The queues are
+        emptied, except that both literals of each edge made undecided are
+        queued, newest edge first: a nogood learned since ``mark`` can be unit
+        there, with its undecided literal the only one that moved."""
         trail = self.trail
         if len(trail) > mark:
             und, decided, dep = self.und, self.decided, self.dep

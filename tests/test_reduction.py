@@ -1,11 +1,13 @@
 """Tests for the gadget builders, the assembly, and the semantic bridge."""
 
 import dataclasses
+import hashlib
 import itertools
 
 import pytest
 
 from oddorient import reduction, solver
+from oddorient.io import write_instance
 from oddorient.p3sat import (
     Formula,
     PlanarFormula,
@@ -19,6 +21,8 @@ from oddorient.pdgraph import (
     Orientation,
     OrientationProblem,
     PartiallyDirectedGraph,
+    canonical_edge,
+    gamma_subgraph,
     is_acyclic,
     is_T_odd_on,
 )
@@ -211,6 +215,79 @@ class TestAssemble:
         rep = structural_check(dataclasses.replace(red, rotation=rotation))
         assert not rep.ok and rep.faces == 0
         assert any("non-vertices: [1000000]" in p for p in rep.problems)
+
+
+def _glued_formulas():
+    """The sample, the three frozen UNSAT cores and 12/17 seeds 0-4."""
+    return [sample_planar_formula(), *unsat_samples()] + [
+        generate(seed, 12, 17) for seed in range(5)
+    ]
+
+
+def _glued_and_alone(red, names, alone, attach):
+    """Γ of one gadget of the assembly and the stand-alone gadget with a stub
+    at each of ``attach``, as (edges, arcs, marks).
+
+    ``names`` maps each assembled vertex of the gadget to its vertex in
+    ``alone``.  The far end of each link leaving the gadget is relabelled to
+    the stub at the link's near end; marks are read on the gadget's own
+    vertices only, since ``attach_stubs`` leaves its stubs unmarked.
+    """
+    stubbed, outside = attach_stubs(alone, attach)
+    stub_at = dict(zip(attach, outside))
+    gamma = gamma_subgraph(red.problem.graph, names)
+    relabel = dict(names)
+    for a, b in gamma.edges:
+        for near, far in ((a, b), (b, a)):
+            if near in names and far not in names:
+                assert far not in relabel, f"two links leave for {far}"
+                relabel[far] = stub_at[names[near]]
+    assert sorted(relabel.values()) == sorted(stubbed.graph.vertices)
+    glued = (
+        {canonical_edge(relabel[a], relabel[b]) for a, b in gamma.edges},
+        {(relabel[a], relabel[b]) for a, b in gamma.arcs},
+        {names[v] for v in names if v in red.problem.odd_set},
+    )
+    return glued, (stubbed.graph.edges, stubbed.graph.arcs, alone.odd_set)
+
+
+class TestGluing:
+    def test_glued_gadgets_are_the_stand_alone_gadgets(self):
+        """Γ of each ring and each clause of the assembly, relabelled, is the
+        stand-alone gadget with a stub at each outward vertex or port: the
+        same edges, fixed arcs and marks.  The gadget claims are checked on
+        the stand-alone gadgets, so they hold for the glued ones."""
+        for f, pf in enumerate(_glued_formulas()):
+            red = assemble(pf)
+            for i, copies in enumerate(red.variable_ids):
+                if not copies:
+                    continue
+                gad = build_variable_gadget(len(copies))
+                names = {
+                    c[x]: g[x] for c, g in zip(copies, gad.ids) for x in CORE_NAMES
+                }
+                attach = [v for pair in gad.stub_pairs for v in pair]
+                glued, alone = _glued_and_alone(red, names, gad.problem, attach)
+                assert glued == alone, (f, f"x{i}")
+            for j, ids in enumerate(red.clause_ids):
+                gad = build_clause_gadget([pol for _, _, pol in red.slots[j]])
+                names = {ids[x]: gad.ids[x] for x in ids}
+                attach = [v for pair in gad.port_pairs for v in pair]
+                glued, alone = _glued_and_alone(red, names, gad.problem, attach)
+                assert glued == alone, (f, f"c{j}")
+
+    def test_artifact_bytes_are_pinned(self):
+        """The canonical bytes, with rotation, registry and formula, of the
+        sample, the three frozen cores and 12/17 seeds 0-2: any change to
+        the ids, labels, links, marks or rotation of an assembly shows."""
+        digest = hashlib.sha256()
+        for pf in _glued_formulas()[:7]:
+            red = assemble(pf)
+            digest.update(write_instance(
+                red.problem, rotation=red.rotation, registry=red.registry,
+                formula=red.formula,
+            ))
+        assert digest.hexdigest()[:16] == "d941af6fa2bcdac6"
 
 
 def _corrupt(red, how: str):

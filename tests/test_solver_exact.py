@@ -4,12 +4,12 @@ from scratch, its ring probe against trial propagation, the completeness of
 its cycle forcing, the soundness of the decision levels each forced arc and
 conflict rests on and of the nogoods it learns, its completeness through a
 count by self-reduction, its verdicts against the oracle, against
-sat_oracle on a fixed corpus of reductions and on renamed UNSAT cores, its
-parity refusal per edge component before any search, its
-component-by-component search of disconnected instances,
-and its decision and propagation counts on the frozen UNSAT samples, on
-small seeded draws and on generated reductions, with the witnesses of the
-latter."""
+sat_oracle on a fixed corpus of reductions and on renamed UNSAT cores, and
+against the closed form on complete graphs, its parity refusal per edge
+component before any search, its component-by-component search of
+disconnected instances, and its decision and propagation counts on the
+frozen UNSAT samples, on small seeded draws and on generated reductions,
+with the witnesses of the latter."""
 
 import hashlib
 import random
@@ -26,6 +26,7 @@ from oddorient.pdgraph import (
     extends,
     is_T_odd_on,
     is_acyclic,
+    parity_feasible,
 )
 from oddorient.reduction import assemble, assignment_from_orientation
 from oddorient.samples import sample_planar_formula, unsat_samples
@@ -800,6 +801,45 @@ def test_dense_verdicts_match_enumerate():
         if status != expected:
             wrong.append((name, status, expected))
     assert not wrong
+
+
+def complete_graph(n: int, odd_size: int, seed: int) -> OrientationProblem:
+    """K_n, odd on ``odd_size`` vertices, under a relabelling drawn from
+    ``random.Random(seed)``.
+
+    An acyclic orientation of K_n is a transitive tournament, with in-degrees
+    0 to n-1, so exactly n // 2 vertices are odd: the instance is feasible
+    iff ``odd_size == n // 2``.  n // 2 and n(n-1)/2 have the same parity,
+    so every size n // 2 +- 2k passes the global parity gate.
+    """
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges = [(label[u], label[v]) for u in range(n) for v in range(u + 1, n)]
+    return problem(range(n), edges, odd=label[:odd_size])
+
+
+@pytest.mark.parametrize("solve", [decide, solve_exact])
+def test_complete_graphs_off_the_closed_form_are_infeasible(solve):
+    """K6-K8 with n // 2 - 2 or n // 2 + 2 odd vertices: the parity gate
+    passes, so each answer is a complete search (50 to 833 decisions, about
+    0.5 s for the six)."""
+    for n in (6, 7, 8):
+        for odd_size in (n // 2 - 2, n // 2 + 2):
+            prob = complete_graph(n, odd_size, seed=n)
+            assert parity_feasible(prob)
+            assert solve(prob).status == INFEASIBLE, (n, odd_size)
+
+
+@pytest.mark.parametrize("solve", [decide, solve_exact])
+def test_complete_graphs_on_the_closed_form_are_feasible(solve):
+    """K4-K18 with n // 2 odd vertices, each witness checked in full."""
+    for n in range(4, 19):
+        prob = complete_graph(n, n // 2, seed=n)
+        res = solve(prob)
+        assert res.status == FEASIBLE, n
+        assert extends(prob.graph, res.witness)
+        assert is_T_odd_on(prob, res.witness)
+        assert is_acyclic(res.witness.arcs).acyclic
 
 
 # three 4-rings, 0-3, 4-7 and 8-11, joined only by fixed arcs.  Deciding
