@@ -29,7 +29,7 @@ from .pdgraph import (
     PartiallyDirectedGraph,
     Vertex,
     _gc_paused,
-    validate,
+    canonical_edge,
 )
 from .reduction import GadgetError, GadgetRegistry
 
@@ -149,53 +149,30 @@ def _vertex_pairs(raw, section: str) -> list[tuple[Vertex, Vertex]]:
     return pairs
 
 
-def _normalize_links(raw_edges, raw_arcs, normalize_multi: bool):
-    """Collapse parallel links per the multigraph reduction, or reject them.
+def _normalize_links(raw_edges, raw_arcs):
+    """Collapse parallel links per the multigraph reduction.
 
     An even bundle of parallel edges is parity-neutral and removable; an odd
     bundle collapses to a single edge.  Fixed arcs cannot be dropped, so only
-    odd same-direction bundles collapse; anything else is an error.  The
-    result is canonical and simple: edges lower id first, no loops, no two
-    links on one pair of endpoints.
+    odd same-direction bundles collapse and an even one is refused, as is a
+    pair that carries both an edge and an arc.  Loops are kept whatever their
+    count, so that ``PartiallyDirectedGraph.build`` refuses them with every
+    other broken link.
     """
-    loops = [u for u, v in raw_edges if u == v]
-    if loops:
-        raise FormatError(f"self-loop at vertex {loops[0]}")
-    loops = [u for u, v in raw_arcs if u == v]
-    if loops:
-        raise FormatError(f"self-loop arc at vertex {loops[0]}")
-    canon = [(u, v) if u < v else (v, u) for u, v in raw_edges]
-    edges = frozenset(canon)
-    arcs = frozenset(raw_arcs)
-
-    clashes = [
-        (u, v) for u, v in arcs
-        if (v, u) in arcs or ((u, v) if u < v else (v, u)) in edges
-    ]
-    if clashes:
-        u, v = min(clashes)
-        if (v, u) in arcs:
-            raise FormatError(f"opposite fixed arcs between {u} and {v}")
-        raise FormatError(f"both an edge and an arc between {u} and {v}")
-
-    if not normalize_multi:
-        if len(edges) < len(canon):
-            pair = min(p for p, k in Counter(canon).items() if k > 1)
-            raise FormatError(f"duplicate edge {pair} (use normalize_multi)")
-        if len(arcs) < len(raw_arcs):
-            pair = min(p for p, k in Counter(raw_arcs).items() if k > 1)
-            raise FormatError(f"duplicate arc {pair} (use normalize_multi)")
-        return edges, arcs
-
+    edge_count = Counter(canonical_edge(u, v) for u, v in raw_edges)
     arc_count = Counter(raw_arcs)
-    even = [pair for pair, k in arc_count.items() if k % 2 == 0]
+    mixed = {canonical_edge(u, v) for u, v in arc_count} & edge_count.keys()
+    if mixed:
+        u, v = min(mixed)
+        raise FormatError(f"both an edge and an arc between {u} and {v}")
+    even = [(u, v) for (u, v), k in arc_count.items() if k % 2 == 0 and u != v]
     if even:
         pair = min(even)
         raise FormatError(
             f"even bundle of {arc_count[pair]} fixed arcs {pair} has no simple equivalent"
         )
-    edges = frozenset(pair for pair, k in Counter(canon).items() if k % 2 == 1)
-    return edges, arcs
+    edges = [(u, v) for (u, v), k in edge_count.items() if k % 2 == 1 or u == v]
+    return edges, list(arc_count)
 
 
 @_gc_paused
@@ -205,7 +182,8 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
     Any JSON layout of the document reads, the canonical compact one as well
     as an indented one.  With ``normalize_multi`` the document may contain
     parallel links, which are collapsed to an equivalent simple instance
-    before validation.
+    before validation.  ``PartiallyDirectedGraph.build`` checks the graph
+    rules, and every refusal is a ``FormatError``.
     """
     doc = _json(data)
     if not isinstance(doc, dict) or doc.get("format") != INSTANCE_FORMAT:
@@ -242,12 +220,12 @@ def read_instance(data: Union[bytes, str], *, normalize_multi: bool = False) -> 
     if len(vertices) != len(ids):
         raise FormatError("duplicate vertex ids")
 
-    edges, arcs = _normalize_links(raw_edges, raw_arcs, normalize_multi)
-    graph = PartiallyDirectedGraph(vertices=vertices, edges=edges, arcs=arcs)
-    # the links are canonical and simple already, so a dangling endpoint is
-    # the one thing ``validate`` could still report
-    if not vertices.issuperset(chain.from_iterable(chain(edges, arcs))):
-        raise GraphError("; ".join(validate(graph)))
+    if normalize_multi:
+        raw_edges, raw_arcs = _normalize_links(raw_edges, raw_arcs)
+    try:
+        graph = PartiallyDirectedGraph.build(vertices, raw_edges, raw_arcs)
+    except GraphError as exc:
+        raise FormatError(str(exc)) from exc
     problem = OrientationProblem(graph=graph, odd_set=frozenset(odd))
 
     rotation = None

@@ -64,11 +64,12 @@ def _gc_paused(func):
 class PartiallyDirectedGraph:
     """Simple graph with undirected edges and pre-directed arcs.
 
-    ``build`` is the checked constructor: it canonicalizes edge tuples and
-    rejects loops, parallel links, and dangling endpoints.  It checks with
-    set operations and calls ``validate`` only to word an error.  The raw
-    dataclass constructor performs no checks so that ``validate`` can be
-    pointed at malformed data (for example while importing documents).
+    ``build`` is the checked constructor, the instance reader's included:
+    it canonicalizes edge tuples and rejects loops, parallel links, and
+    dangling endpoints.  It checks with set operations and calls
+    ``validate`` only to word an error.  The raw dataclass constructor
+    performs no checks so that ``validate`` can be pointed at malformed
+    data.
     """
 
     vertices: frozenset[Vertex]
@@ -148,29 +149,19 @@ def validate(graph: PartiallyDirectedGraph) -> list[str]:
     edge/arc mixtures), and endpoints missing from the vertex set.
     """
     problems: list[str] = []
-    seen_pairs: dict[Edge, str] = {}
-    for u, v in sorted(graph.edges):
-        if u == v:
-            problems.append(f"loop at {u}")
-            continue
-        pair = canonical_edge(u, v)
-        if pair in seen_pairs:
-            problems.append(f"parallel links between {pair[0]} and {pair[1]}")
-        seen_pairs[pair] = "edge"
-        for w in (u, v):
-            if w not in graph.vertices:
-                problems.append(f"dangling endpoint {w} on edge {u}-{v}")
-    for u, v in sorted(graph.arcs):
-        if u == v:
-            problems.append(f"loop at {u}")
-            continue
-        pair = canonical_edge(u, v)
-        if pair in seen_pairs:
-            problems.append(f"parallel links between {pair[0]} and {pair[1]}")
-        seen_pairs[pair] = "arc"
-        for w in (u, v):
-            if w not in graph.vertices:
-                problems.append(f"dangling endpoint {w} on arc {u}->{v}")
+    seen_pairs: set[Edge] = set()
+    for kind, sign, links in (("edge", "-", graph.edges), ("arc", "->", graph.arcs)):
+        for u, v in sorted(links):
+            if u == v:
+                problems.append(f"loop at {u}")
+                continue
+            pair = canonical_edge(u, v)
+            if pair in seen_pairs:
+                problems.append(f"parallel links between {pair[0]} and {pair[1]}")
+            seen_pairs.add(pair)
+            for w in (u, v):
+                if w not in graph.vertices:
+                    problems.append(f"dangling endpoint {w} on {kind} {u}{sign}{v}")
     return problems
 
 

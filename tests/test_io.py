@@ -164,6 +164,51 @@ class TestNormalizeMulti:
         with pytest.raises(FormatError):
             read_instance(_doc_with_links([(0, 0)], []), normalize_multi=True)
 
+    def test_even_bundle_of_loops_rejected(self):
+        # a loop is refused at any count, not dropped as an even bundle
+        with pytest.raises(FormatError, match="loop at 0"):
+            read_instance(
+                _doc_with_links([(0, 0), (0, 0), (0, 1)], []), normalize_multi=True
+            )
+
+    def test_edge_beside_an_arc_rejected_before_the_collapse(self):
+        # the two edges are an even bundle, but an arc shares their pair
+        with pytest.raises(FormatError, match="both an edge and an arc between 0 and 1"):
+            read_instance(
+                _doc_with_links([(0, 1), (1, 0)], [(0, 1)]), normalize_multi=True
+            )
+
+
+class TestStrictLinks:
+    """Without ``normalize_multi``, every break of the graph rules is a
+    ``FormatError`` worded by ``PartiallyDirectedGraph.build``."""
+
+    @pytest.mark.parametrize("edges, arcs, message", [
+        pytest.param([(0, 0), (0, 1)], [], "loop at 0", id="loop-edge"),
+        pytest.param([(0, 1)], [(1, 1)], "loop at 1", id="loop-arc"),
+        pytest.param([(0, 1), (1, 0)], [], "parallel links between 0 and 1, listed twice",
+                     id="edge-twice"),
+        pytest.param([], [(0, 1), (0, 1)], "parallel links between 0 and 1, listed twice",
+                     id="arc-twice"),
+        pytest.param([], [(0, 1), (1, 0)], "parallel links between 0 and 1",
+                     id="opposite-arcs"),
+        pytest.param([(0, 1)], [(1, 0)], "parallel links between 0 and 1",
+                     id="edge-and-arc"),
+    ])
+    def test_rejected(self, edges, arcs, message):
+        with pytest.raises(FormatError, match=message):
+            read_instance(_doc_with_links(edges, arcs))
+
+    @pytest.mark.parametrize("edges, arcs, message", [
+        pytest.param([(0, 1), (1, 2)], [], "dangling endpoint 2 on edge 1-2", id="edge"),
+        pytest.param([(0, 1)], [(2, 0)], "dangling endpoint 2 on arc 2->0", id="arc"),
+    ])
+    def test_dangling_endpoint_rejected(self, edges, arcs, message):
+        doc = json.loads(_doc_with_links(edges, arcs))
+        doc["vertices"] = [rec for rec in doc["vertices"] if rec["id"] != 2]
+        with pytest.raises(FormatError, match=message):
+            read_instance(json.dumps(doc))
+
 
 class TestMalformedLinks:
     def test_edge_of_three_endpoints(self):
@@ -562,11 +607,11 @@ class TestReadInstanceFuzz:
     @settings(max_examples=400, deadline=None)
     @given(_mutated_documents())
     def test_rejects_or_round_trips(self, data):
-        """A mutated document is either rejected with a FormatError or a
-        GraphError, or it reads to a valid instance that round-trips."""
+        """A mutated document is either rejected with a FormatError, or it
+        reads to a valid instance that round-trips."""
         try:
             bundle = read_instance(data)
-        except (FormatError, GraphError):
+        except FormatError:
             return
         problem = bundle.problem
         assert validate(problem.graph) == []
