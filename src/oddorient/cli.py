@@ -219,6 +219,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"{row['name']}: sat={row['sat']} "
                   f"feasible={row['orientation_feasible']} agree={row['agree']}")
         print(f"agree: {agreed}/{len(jobs)}")
+    if any(row["agree"] is None for row in rows):
+        return EXIT_ERROR   # an abort is neither agreement nor disagreement
     return EXIT_OK if agreed == len(jobs) else EXIT_NEGATIVE
 
 

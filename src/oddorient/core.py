@@ -12,9 +12,8 @@ imports nothing of the package but ``pdgraph``.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from oddorient.pdgraph import Orientation, PartiallyDirectedGraph, Vertex
@@ -63,22 +62,21 @@ class _Index:
     branch of ``decide`` and by its witness check.
 
     ``labels`` lists the vertices in ascending order; a vertex is known by
-    its position there, so positions compare as labels do.  ``ends`` holds
-    the position pair of every link, the ``k`` edges first in the graph's
-    set order and then the fixed arcs as (tail, head).  ``deg`` counts the
+    its position there, so positions compare as labels do.  ``edges``
+    holds the position pair of every edge in the graph's set order, and
+    ``arcs`` the (tail, head) pair of every fixed arc.  ``deg`` counts the
     links at each vertex.
     """
 
-    __slots__ = ("labels", "ends", "k", "deg")
+    __slots__ = ("labels", "edges", "arcs", "deg")
 
     def __init__(self, graph: PartiallyDirectedGraph):
         self.labels = labels = sorted(graph.vertices)
         at = dict(zip(labels, range(len(labels))))
-        self.ends = ends = [(at[u], at[v]) for u, v in graph.edges]
-        self.k = len(ends)
-        ends += [(at[t], at[h]) for t, h in graph.arcs]
+        self.edges = edges = [(at[u], at[v]) for u, v in graph.edges]
+        self.arcs = arcs = [(at[t], at[h]) for t, h in graph.arcs]
         self.deg = deg = [0] * len(labels)
-        for a, b in ends:
+        for a, b in chain(edges, arcs):
             deg[a] += 1
             deg[b] += 1
 
@@ -108,22 +106,19 @@ def _union(root: list[int], links: Iterable[tuple[int, int]]) -> bool:
 
 def _is_forest(ix: _Index) -> bool:
     """True when the links together (direction ignored) contain no cycle."""
-    if len(ix.ends) >= len(ix.labels) > 0:
+    if len(ix.edges) + len(ix.arcs) >= len(ix.labels) > 0:
         return False   # a forest has fewer links than vertices
-    return not _union(list(range(len(ix.labels))), ix.ends)
+    return not _union(list(range(len(ix.labels))), chain(ix.edges, ix.arcs))
 
 
 def underlying_is_forest(graph: PartiallyDirectedGraph) -> bool:
     """True when edges and arcs together (direction ignored) contain no cycle."""
-    if len(graph.edges) + len(graph.arcs) >= len(graph.vertices) > 0:
-        return False   # as in _is_forest, before any index is built
     return _is_forest(_Index(graph))
 
 
 def max_degree(graph: PartiallyDirectedGraph) -> int:
     """The most links (edges and arcs) at one vertex; 0 without links."""
-    deg = Counter(chain.from_iterable(chain(graph.edges, graph.arcs)))
-    return max(deg.values(), default=0)
+    return max(_Index(graph).deg, default=0)
 
 
 class _Part(NamedTuple):
@@ -152,24 +147,24 @@ def _split(ix: _Index, target: list[bool]) -> tuple[list[_Part], int]:
     that sum.  The fixed arcs, merged next, join edge components into the
     parts searched.  A connected index is its one part, in place: its
     positions stay, and only its edges are sorted."""
-    ends, k, n = ix.ends, ix.k, len(ix.labels)
+    edges, arcs, n = ix.edges, ix.arcs, len(ix.labels)
     root = list(range(n))
-    _union(root, islice(ends, k))
+    _union(root, edges)
     odd = [0] * n
     for r, t in zip(root, target):
         if t:
             odd[r] ^= 1
-    for a, _ in islice(ends, k):
+    for a, _ in edges:
         odd[root[a]] ^= 1
-    for _, h in islice(ends, k, None):
+    for _, h in arcs:
         odd[root[h]] ^= 1
     if 1 in odd:
         return [], odd.index(1)
-    _union(root, islice(ends, k, None))
+    _union(root, arcs)
     # ascending order of the edges' ends, (a, b) keyed as the int a * n + b
-    ids = sorted(range(k), key=[a * n + b for a, b in ends[:k]].__getitem__)
+    ids = sorted(range(len(edges)), key=[a * n + b for a, b in edges].__getitem__)
     if not any(root):
-        return [_Part(range(n), ids, [ends[i] for i in ids], ends[k:])], -1
+        return [_Part(range(n), ids, [edges[i] for i in ids], arcs)], -1
     pos = [0] * n       # a vertex's position in its part
     part_at = [0] * n   # a lowest vertex's part
     parts: list[_Part] = []
@@ -182,11 +177,11 @@ def _split(ix: _Index, target: list[bool]) -> tuple[list[_Part], int]:
             pos[v] = len(verts)
             verts.append(v)
     for i in ids:
-        a, b = ends[i]
+        a, b = edges[i]
         part = parts[part_at[root[a]]]
         part.edge_ids.append(i)
         part.ends.append((pos[a], pos[b]))
-    for t, h in islice(ends, k, None):
+    for t, h in arcs:
         parts[part_at[root[t]]].arcs.append((pos[t], pos[h]))
     return parts, -1
 
@@ -205,18 +200,18 @@ def _check_witness(
     search raises on False, and the linear pass answers infeasible, since
     its witness is acyclic when any parity orientation is.
     """
-    labels, ends, k = ix.labels, ix.ends, ix.k
+    labels = ix.labels
     n = len(labels)
-    if len(arcs) != k:
+    if len(arcs) != len(ix.edges):
         raise RuntimeError("solver produced a witness that misses an edge")
-    for (t, h), (a, b) in zip(arcs, ends):
+    for (t, h), (a, b) in zip(arcs, ix.edges):
         if t + h != a + b or (t != a and t != b):
             raise RuntimeError(
                 f"solver produced an arc {labels[t]}->{labels[h]} on no edge"
             )
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
-    for t, h in chain(arcs, islice(ends, k, None)):
+    for t, h in chain(arcs, ix.arcs):
         out[t].append(h)
         indeg[h] += 1
     left = indeg[:]

@@ -39,7 +39,7 @@ from oddorient.pdgraph import (
     is_T_odd_on,
     parity_feasible,
 )
-from oddorient.solver import SolveResult, decide, enumerate as sweep
+from oddorient.solver import ABORTED, SolveResult, decide, enumerate as sweep
 
 
 class GadgetError(ValueError):
@@ -219,7 +219,6 @@ def build_base_gadget() -> BaseGadget:
 @dataclass(frozen=True)
 class VariableGadget:
     problem: OrientationProblem
-    copies: int
     # per copy: name -> vertex id
     ids: tuple[dict[str, Vertex], ...]
     link_edges: tuple[tuple[Vertex, Vertex], ...]
@@ -248,7 +247,6 @@ def build_variable_gadget(copies: int) -> VariableGadget:
     )
     return VariableGadget(
         problem=OrientationProblem.build(graph, odd),
-        copies=copies,
         ids=ids,
         link_edges=links,
     )
@@ -257,7 +255,6 @@ def build_variable_gadget(copies: int) -> VariableGadget:
 @dataclass(frozen=True)
 class ClauseGadget:
     problem: OrientationProblem
-    polarities: tuple[bool, bool, bool]
     ids: dict[str, Vertex]
 
     @property
@@ -287,7 +284,6 @@ def build_clause_gadget(polarities: Sequence[bool]) -> ClauseGadget:
     graph = PartiallyDirectedGraph.build(ids.values(), edges, [])
     return ClauseGadget(
         problem=OrientationProblem.build(graph, odd),
-        polarities=pols,
         ids=ids,
     )
 
@@ -301,7 +297,6 @@ class Reduction:
     orientations back as assignments."""
 
     formula: Formula
-    source: PlanarFormula
     problem: OrientationProblem
     rotation: RotationSystem
     registry: GadgetRegistry
@@ -408,7 +403,6 @@ def assemble(planar: PlanarFormula) -> Reduction:
 
     return Reduction(
         formula=formula,
-        source=planar,
         problem=problem,
         rotation=rotation,
         registry=GadgetRegistry.build(labels),
@@ -669,17 +663,22 @@ def clause_boundary_class(
 def verify_equivalence(planar: PlanarFormula, *, budget: int = 10_000_000) -> dict:
     """Decide the formula twice: by assignment sweep and by orientation.
 
-    Returns {"sat", "orientation_feasible", "agree"} plus witness detail.
-    When both sides produce witnesses, each is checked in full: the
-    assignment satisfies the formula, the orientation is acyclic, odd
-    exactly on the marked set, and reads back to a satisfying assignment.
+    Returns {"sat", "status", "orientation_feasible", "agree"} plus
+    witness detail, where ``status`` is the search's.  When both sides
+    produce witnesses, each is checked in full: the assignment satisfies
+    the formula, the orientation is acyclic, odd exactly on the marked set,
+    and reads back to a satisfying assignment.  A search that ran out of
+    ``budget`` proves nothing either way: it leaves ``orientation_feasible``
+    None, and ``agree`` None unless the assignment's own orientation fails
+    its check, which is a disagreement whatever the search would answer.
     """
     red = assemble(planar)
     witness = sat_oracle(planar.formula)
     res: SolveResult = decide(red.problem, budget=budget)
     sat = witness is not None
-    feasible = res.feasible
-    agree = sat == feasible
+    # a search out of budget proves neither answer
+    feasible = None if res.status == ABORTED else res.feasible
+    agree = None if feasible is None else sat == feasible
 
     if sat:
         built = orientation_from_assignment(red, witness)
@@ -694,6 +693,7 @@ def verify_equivalence(planar: PlanarFormula, *, budget: int = 10_000_000) -> di
 
     return {
         "sat": sat,
+        "status": res.status,
         "orientation_feasible": feasible,
         "agree": agree,
         "assignment": witness,

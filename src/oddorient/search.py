@@ -757,7 +757,7 @@ def _solve_exact(problem: OrientationProblem, ix: _Index, budget: int) -> SolveR
     if odd >= 0:
         status, detail = INFEASIBLE, _PARITY_REFUSAL.format(labels[odd])
     decisions = propagations = 0
-    arcs = ix.ends[: ix.k]   # each edge's (tail, head), filled in per part
+    arcs = ix.edges[:]   # each edge's (tail, head), filled in per part
     for part in parts:
         search = _ExactSearch(part, target, budget - decisions)
         status, detail = search.run()

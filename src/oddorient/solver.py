@@ -23,11 +23,11 @@ plus ``decide`` (dispatcher) and the two instance transforms
 (``apex_transform``, ``normalize_empty_T``).
 
 ``decide`` builds one integer index of the problem per call (``_Index``:
-vertices in ascending label order, link end pairs, link counts).  Its class
-tests, the linear pass, the exact search's components and the witness
-check all read that index, and the index lives only for the call.  Every
-feasible answer passes ``_check_witness`` on the index before it is
-returned.
+vertices in ascending label order, edges and fixed arcs as two lists of
+position pairs, link counts).  Its class tests, the linear pass, the exact
+search's components and the witness check all read that index, and the
+index lives only for the call.  Every feasible answer passes
+``_check_witness`` on the index before it is returned.
 
 The code lives in four modules, split along what judges what:
 
@@ -49,7 +49,6 @@ so callers import every decider and its types from here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 from typing import Optional
 
 from oddorient.core import (
@@ -123,7 +122,7 @@ def solve_degree_two(problem: OrientationProblem) -> SolveResult:
 
 def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
     """One linear pass for a forest or a graph of maximum degree 2, over the
-    problem's index, whose ``ends`` number the links.
+    problem's index, whose ``edges`` are numbered by their position there.
 
     A fixed arc only flips the parity its head still owes; the pass peels
     undirected edges alone.  A vertex with one edge left takes it in when it
@@ -142,21 +141,21 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
     ``propagations`` counts the edges oriented by a parity demand: every
     edge but the one cut from each cycle, or none on a parity refusal.
     """
-    labels, ends, k = ix.labels, ix.ends, ix.k   # links k.. are the fixed arcs
+    labels, edges = ix.labels, ix.edges
     n = len(labels)
     owe = [v in problem.odd_set for v in labels]   # odd in-degree still owed
-    for _, h in islice(ends, k, None):
+    for _, h in ix.arcs:
         owe[h] = not owe[h]
     # The edges at a vertex are kept as their count, the XOR of their ids and
     # one of them: with one edge left the XOR is its id.
     deg, xor, one = [0] * n, [0] * n, [0] * n
-    for li, (a, b) in zip(range(k), ends):
+    for li, (a, b) in zip(range(len(edges)), edges):
         deg[a] += 1
         deg[b] += 1
         xor[a] ^= li
         xor[b] ^= li
         one[a] = one[b] = li
-    arcs = ends[:k]   # the (tail, head) chosen for each edge
+    arcs = edges[:]   # the (tail, head) chosen for each edge
 
     steps = 0
     ready = [v for v in range(n) if deg[v] == 1]
@@ -166,7 +165,7 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
             if deg[v] != 1:
                 continue
             li = xor[v]
-            a, b = ends[li]
+            a, b = edges[li]
             u = a + b - v
             head = v if owe[v] else u
             arcs[li] = (a + b - head, head)
@@ -181,9 +180,9 @@ def _solve_sparse(problem: OrientationProblem, ix: _Index) -> SolveResult:
             # the trees and every lower cycle are peeled, so c is the lowest
             # vertex of a cycle of edges; c is an end of both its edges
             li = one[c]
-            if sum(ends[xor[c] ^ li]) < sum(ends[li]):
+            if sum(edges[xor[c] ^ li]) < sum(edges[li]):
                 li ^= xor[c]
-            u = sum(ends[li]) - c
+            u = sum(edges[li]) - c
             arcs[li] = (u, c)
             owe[c] = not owe[c]
             deg[c] = deg[u] = 1

@@ -16,6 +16,7 @@ from oddorient.cli import main
 from oddorient.io import write_formula, write_instance
 from oddorient.p3sat import generate
 from oddorient.pdgraph import OrientationProblem, PartiallyDirectedGraph
+from oddorient.samples import unsat_samples
 
 
 def run(*argv):
@@ -153,6 +154,29 @@ class TestVerify:
         f.write_bytes(b"p cnf 3 0\nr 0\nr 1\nr 2\n")
         assert run("verify", f) == 0
         assert capsys.readouterr().out.splitlines()[-1] == "agree: 1/1"
+
+    def test_an_aborted_search_exits_2(self, tmp_path, capsys):
+        # with no decision to spend, the search aborts on frozen UNSAT core 0
+        # and on the satisfiable 6/7 seed 3 formula alike: neither agrees
+        # nor disagrees, and an abort exits 2
+        core, sat = tmp_path / "core0.cnf", tmp_path / "f.cnf"
+        core.write_bytes(write_formula(unsat_samples()[0]))
+        sat.write_bytes(write_formula(generate(3, 6, 7)))
+        for f in (core, sat):
+            assert run("verify", f, "--budget", 0) == 2
+            row, total = capsys.readouterr().out.splitlines()
+            assert row.endswith(" feasible=None agree=None")
+            assert total == "agree: 0/1"
+        # one abort beside an agreeing formula still exits 2: a formula with
+        # no clause reduces to an empty instance, decided with no decision
+        empty = tmp_path / "empty.cnf"
+        empty.write_bytes(b"p cnf 3 0\nr 0\nr 1\nr 2\n")
+        assert run("verify", empty, core, "--budget", 0, "--json") == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [r["agree"] for r in report["results"]] == [True, None]
+        assert report["agree"] == "1/2"
+        assert run("verify", core, sat, "--json") == 0
+        assert json.loads(capsys.readouterr().out)["agree"] == "2/2"
 
     def test_negative_batch_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exit_:

@@ -527,6 +527,7 @@ class TestVerifyEquivalence:
     def test_sample_agrees_sat(self):
         out = verify_equivalence(sample_planar_formula())
         assert out["agree"]
+        assert out["status"] == solver.FEASIBLE
         assert out["sat"] is True
         assert out["orientation_feasible"] is True
         assert out["assignment"] is not None
@@ -536,6 +537,7 @@ class TestVerifyEquivalence:
             assert sat_oracle(pf.formula) is None
             out = verify_equivalence(pf)
             assert out["agree"]
+            assert out["status"] == solver.INFEASIBLE
             assert out["sat"] is False
             assert out["orientation_feasible"] is False
 
@@ -543,6 +545,19 @@ class TestVerifyEquivalence:
         for seed, n, m in [(5, 6, 7), (7, 7, 9), (13, 8, 11)]:
             out = verify_equivalence(generate(seed, n, m))
             assert out["agree"], (seed, n, m)
+
+    @pytest.mark.parametrize("formula, sat", [
+        (lambda: unsat_samples()[0], False),
+        (lambda: generate(3, 6, 7), True),
+    ], ids=["unsat-core0", "sat-6-7-seed3"])
+    def test_an_aborted_search_is_no_verdict(self, formula, sat):
+        # a search out of budget proves neither answer, so it neither
+        # agrees nor disagrees with sat_oracle, whichever way the formula is
+        out = verify_equivalence(formula(), budget=0)
+        assert out["status"] == solver.ABORTED
+        assert out["sat"] is sat
+        assert out["orientation_feasible"] is None
+        assert out["agree"] is None
 
     @pytest.mark.parametrize("name, broken", [
         ("is_T_odd_on", lambda problem, orientation: False),
@@ -555,6 +570,14 @@ class TestVerifyEquivalence:
         monkeypatch.setattr(reduction, name, broken)
         out = verify_equivalence(sample_planar_formula())
         assert out["sat"] is True and out["orientation_feasible"] is True
+        assert out["agree"] is False
+
+    def test_a_failed_built_witness_disagrees_past_an_abort(self, monkeypatch):
+        # the orientation built from the satisfying assignment fails its
+        # check, which no answer of the search could mend
+        monkeypatch.setattr(reduction, "is_T_odd_on", lambda problem, orientation: False)
+        out = verify_equivalence(sample_planar_formula(), budget=0)
+        assert out["status"] == solver.ABORTED and out["orientation_feasible"] is None
         assert out["agree"] is False
 
 

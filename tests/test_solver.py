@@ -391,7 +391,7 @@ def indexed(prob, witness):
     labels = ix.labels
     arcs = [
         (a, b) if (labels[a], labels[b]) in witness.arcs else (b, a)
-        for a, b in ix.ends[: ix.k]
+        for a, b in ix.edges
     ]
     return ix, arcs
 
@@ -835,6 +835,41 @@ def test_parity_refusal_names_an_odd_edge_component(prob):
     if refused:
         named = int(res.detail.rsplit(" ", 1)[1])
         assert any(named in comp for comp in odd_comps)
+
+
+@st.composite
+def link_graphs(draw):
+    """Graphs on scattered labels, the empty graph and isolated vertices
+    included, whose links are each an edge or a fixed arc either way."""
+    labels = draw(st.lists(st.integers(-20, 20), max_size=9, unique=True))
+    pairs = list(itertools.combinations(labels, 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    edges, arcs = [], []
+    for u, v in chosen:
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            edges.append((u, v))
+        else:
+            arcs.append((u, v) if kind == 1 else (v, u))
+    return PartiallyDirectedGraph.build(labels, edges, arcs)
+
+
+@given(link_graphs())
+@example(PartiallyDirectedGraph.build([], [], []))
+@example(PartiallyDirectedGraph.build([4, -3, 11], [], []))   # isolated vertices only
+@example(PartiallyDirectedGraph.build([0, 1, 2, 9], [(0, 1), (1, 2)], [(2, 0)]))
+@example(PartiallyDirectedGraph.build([-5, 0, 6, 7], [(-5, 0)], [(7, 0), (0, 6)]))
+@settings(max_examples=300, deadline=None)
+def test_class_helpers_match_networkx(graph):
+    """``max_degree`` and ``underlying_is_forest``, which the benchmark's
+    branch labels read, agree with networkx on the links taken undirected:
+    a forest is a graph with no cycle basis."""
+    nx = pytest.importorskip("networkx")
+    links = nx.Graph()
+    links.add_nodes_from(graph.vertices)
+    links.add_edges_from(graph.edges | graph.arcs)
+    assert max_degree(graph) == max((d for _, d in links.degree), default=0)
+    assert underlying_is_forest(graph) == (not nx.cycle_basis(links))
 
 
 def test_ring_seed_points_at_the_lowest_vertex_first():

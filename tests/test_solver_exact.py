@@ -6,10 +6,11 @@ conflict rests on and of the nogoods it learns, its completeness through a
 count by self-reduction, its verdicts against the oracle, against
 sat_oracle on a fixed corpus of reductions and on renamed UNSAT cores, and
 against the closed form on complete graphs, its parity refusal per edge
-component before any search, its component-by-component search of
-disconnected instances, and its decision and propagation counts on the
-frozen UNSAT samples, on small seeded draws and on generated reductions,
-with the witnesses of the latter."""
+component before any search, the split into components against
+networkx, its component-by-component search of disconnected instances, and
+its decision and propagation counts on the frozen UNSAT samples, on small
+seeded draws and on generated reductions, with the witnesses of the
+latter."""
 
 import hashlib
 import random
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oddorient.core import _Index, _Part
+from oddorient.core import _Index, _Part, _split
 from oddorient.p3sat import Formula, PlanarFormula, eval_formula, generate, sat_oracle
 from oddorient.pdgraph import (
     OrientationProblem,
@@ -97,10 +98,8 @@ def search_on(prob, budget=0) -> _ExactSearch:
     with only the edges sorted by their ends.  ``solve_exact`` runs one
     search per connected component."""
     ix = _Index(prob.graph)
-    ids = sorted(range(ix.k), key=ix.ends.__getitem__)
-    whole = _Part(
-        range(len(ix.labels)), ids, [ix.ends[i] for i in ids], ix.ends[ix.k:]
-    )
+    ids = sorted(range(len(ix.edges)), key=ix.edges.__getitem__)
+    whole = _Part(range(len(ix.labels)), ids, [ix.edges[i] for i in ids], ix.arcs)
     target = [v in prob.odd_set for v in ix.labels]
     return _ExactSearch(whole, target, budget)
 
@@ -980,6 +979,124 @@ def test_parity_refusal_is_exact_per_edge_component(prob, data):
             assert (res.status, res.decisions, res.propagations) == (INFEASIBLE, 0, 0)
             named = int(res.detail.rsplit(" ", 1)[1])
             assert any(named in comp for comp in odd_comps)
+
+
+@st.composite
+def connected_instances(draw):
+    """Graphs on 1 to 7 vertices connected by their links: a random
+    spanning tree plus further links, each an edge or a fixed arc either
+    way, with a random odd set."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    links = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    more = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in links]
+    if more:
+        links += draw(st.lists(st.sampled_from(more), unique=True, max_size=8))
+    edges, arcs = [], []
+    for u, v in links:
+        kind = draw(st.integers(0, 2))
+        if kind == 0:
+            edges.append((u, v))
+        else:
+            arcs.append((u, v) if kind == 1 else (v, u))
+    return problem(range(n), edges, arcs, draw(st.sets(st.integers(0, n - 1))))
+
+
+def scattered(prob: OrientationProblem) -> OrientationProblem:
+    """``prob`` with vertex v renamed 3v - 5, so positions differ from labels
+    but keep their order."""
+    g, name = prob.graph, (lambda v: 3 * v - 5)
+    return problem(
+        map(name, g.vertices),
+        [(name(u), name(v)) for u, v in g.edges],
+        [(name(t), name(h)) for t, h in g.arcs],
+        map(name, prob.odd_set),
+    )
+
+
+def edge_tallies(ix: _Index, target: list[bool]) -> dict[int, int]:
+    """Each edge component of ``ix`` (fixed arcs ignored), keyed by its
+    lowest position, mapped to its count of edges, fixed arcs into it and
+    odd vertices; by networkx."""
+    nx = pytest.importorskip("networkx")
+    edge_graph = nx.Graph()
+    edge_graph.add_nodes_from(range(len(ix.labels)))
+    edge_graph.add_edges_from(ix.edges)
+    return {
+        min(comp): sum(a in comp for a, _ in ix.edges)
+        + sum(h in comp for _, h in ix.arcs)
+        + sum(target[v] for v in comp)
+        for comp in nx.connected_components(edge_graph)
+    }
+
+
+def even_target(ix: _Index, target: list[bool]) -> list[bool]:
+    """``target`` flipped at the lowest vertex of each edge component whose
+    count is odd, so that every count is even."""
+    target = target[:]
+    for low, count in edge_tallies(ix, target).items():
+        target[low] ^= count % 2
+    return target
+
+
+@given(st.one_of(instances(), connected_instances()), st.booleans())
+@example(prisms(10, odd=[0, 20]), False)   # both prisms odd: the lower is named
+@example(problem([0, 1, 2, 3], [(2, 3)], [(1, 0)]), True)   # an arc joins two parts
+@settings(max_examples=300, deadline=None)
+def test_split_cuts_the_links_into_components(prob, even):
+    """``_split`` on connected and disconnected indices: a parity refusal
+    names the lowest vertex of the lowest edge component whose count is
+    odd; otherwise the parts are the components of the links, in order of
+    their lowest vertex, each part's edges ascend by their ends and map back
+    through ``edge_ids``, and each fixed arc lands in the part of its ends."""
+    nx = pytest.importorskip("networkx")
+    ix = _Index(scattered(prob).graph)
+    target = [v in prob.odd_set for v in sorted(prob.graph.vertices)]
+    if even:
+        target = even_target(ix, target)
+    parts, odd = _split(ix, target)
+    odd_lows = [low for low, count in edge_tallies(ix, target).items() if count % 2]
+    if odd_lows:
+        assert (parts, odd) == ([], min(odd_lows))
+        return
+    assert odd == -1
+    link_graph = nx.Graph()
+    link_graph.add_nodes_from(range(len(ix.labels)))
+    link_graph.add_edges_from(ix.edges + ix.arcs)
+    components = sorted(sorted(comp) for comp in nx.connected_components(link_graph))
+    assert [list(part.verts) for part in parts] == components
+    edge_ids, arcs = [], []
+    for part in parts:
+        verts = part.verts
+        assert part.ends == sorted(part.ends)
+        assert [(verts[a], verts[b]) for a, b in part.ends] == [
+            ix.edges[i] for i in part.edge_ids
+        ]
+        edge_ids += part.edge_ids
+        arcs += [(verts[t], verts[h]) for t, h in part.arcs]
+    assert sorted(edge_ids) == list(range(len(ix.edges)))
+    assert sorted(arcs) == sorted(ix.arcs)
+
+
+@given(connected_instances())
+@example(problem([0]))
+@settings(max_examples=200, deadline=None)
+def test_split_in_place_part_matches_the_general_path(prob):
+    """A connected index is its one part, in place; adding an isolated
+    vertex with a higher label sends the same links down the general path,
+    which builds the same part and a part of the new vertex alone."""
+    g = prob.graph
+    ix = _Index(g)
+    target = even_target(ix, [v in prob.odd_set for v in ix.labels])
+    lone = max(g.vertices) + 1
+    wide = _Index(PartiallyDirectedGraph(g.vertices | {lone}, g.edges, g.arcs))
+    assert wide.edges == ix.edges and wide.arcs == ix.arcs
+    (part,), odd = _split(ix, target)
+    assert odd == -1 and part.verts == range(len(ix.labels))
+    (general, alone), odd = _split(wide, target + [False])
+    assert odd == -1
+    assert isinstance(general.verts, list)
+    assert (list(part.verts), *part[1:]) == tuple(general)
+    assert alone == _Part([len(ix.labels)], [], [], [])
 
 
 def test_components_share_the_decision_budget():
