@@ -53,14 +53,19 @@ class _ExactSearch:
     and a cycle-component probe.
 
     Parity forcing: a vertex with exactly one undecided link forces that
-    link by the parity its in-degree still owes.  Cycle forcing: an edge
-    with one direction closing a directed cycle among decided arcs is forced
-    the other way.  The probe tests both directions of one edge in each pure cycle
-    component of the undecided subgraph; if both fail the state is
-    conflicting, if one fails the other is forced.  All three rules are
-    sound, so exhausted search remains a proof of infeasibility.  They are
-    also monotone (a rule that fires keeps firing as arcs are added), so the
-    state ``quiesce`` reaches does not depend on the order in which they fire.
+    link by the parity its in-degree still owes.  It runs inside
+    ``apply_arc``: each arc queues the ends it leaves with one undecided
+    link, and the same loop applies the arcs they force, first queued
+    first, so every call returns with the queue drained (or on a conflict).
+    Only the root queues vertices outside that loop, for ``propagate``.
+    Cycle forcing: an edge with one direction closing a directed cycle
+    among decided arcs is forced the other way.  The probe tests both
+    directions of one edge in each pure cycle component of the undecided
+    subgraph; if both fail the state is conflicting, if one fails the other
+    is forced.  All three rules are sound, so exhausted search remains a
+    proof of infeasibility.  They are also monotone (a rule that fires keeps
+    firing as arcs are added), so the state ``quiesce`` reaches does not
+    depend on the order in which they fire.
 
     State is indexed by part position, the index's own when the part spans
     a connected index; ``m - len(trail)`` edges are undecided.
@@ -103,25 +108,27 @@ class _ExactSearch:
     ring[-1] to ring[0]), and ``ring_of``/``ring_mask`` give each ring
     vertex its rep and the ring's vertex bitmask.  Only the root walks every
     vertex.  After that a component can become a pure cycle only at an
-    endpoint of a newly decided arc, so each probe pass walks from the
-    endpoints of the arcs on the trail since the previous pass, and a ring
-    leaves the set when one of its edges is decided (any undecided link at a
-    ring vertex is a ring edge).  The in-parities of a ring's vertices
-    cannot change while it stays a ring, so a probe that lets both
-    directions through stays valid until the closure of a ring vertex gains
-    another ring vertex, which the closure walk sees.  ``pending`` holds the
-    rings not probed since they appeared or since that happened.  A pass
-    probes each of them once, in ascending rep order; a ring that a forcing
-    in the pass makes pending is probed in the next pass, which ``quiesce``
-    runs whenever a pass grew the trail.  The trail is the one undo record of this state: each entry
-    carries the ring its arc dropped, and ``undo_to`` links it again and
-    unlinks the rings found at the arc's ends since.  Neither a probe nor
-    closure growth leaves a record.  A ring that passes the probe also
-    passes it on any earlier state where it is a ring, whose closure is
-    smaller, so after an undo it needs no probe; a ring made pending by
-    closure growth stays pending, which costs at most one probe, and
-    ``run`` clears ``pending`` after each backjump, since every frame is
-    pushed at a fixed point of ``quiesce``, where no ring waits.
+    endpoint of a newly decided arc, which is then a ring vertex with two
+    undecided links.  So ``apply_arc`` lists in ``twos`` each endpoint it
+    leaves with two, each probe pass walks only from those that still have
+    two, and a ring leaves the set when one of its edges is decided (any
+    undecided link at a ring vertex is a ring edge).  The in-parities of a
+    ring's vertices cannot change while it stays a ring, so a probe that
+    lets both directions through stays valid until the closure of a ring
+    vertex gains another ring vertex, which the closure walk sees.
+    ``pending`` holds the rings not probed since they appeared or since that
+    happened.  A pass probes each of them once, in ascending rep order; a
+    ring that a forcing in the pass makes pending is probed in the next
+    pass, which ``quiesce`` runs whenever a pass grew the trail.  The trail is the one undo record
+    of this state: each entry carries the ring its arc dropped, and
+    ``undo_to`` links it again and unlinks the rings found at the arc's ends
+    since.  Neither a probe nor closure growth leaves a record.  A ring that
+    passes the probe also passes it on any earlier state where it is a
+    ring, whose closure is smaller, so after an undo it needs no probe; a
+    ring made pending by closure growth stays pending, which costs at most
+    one probe, and ``run`` clears ``pending`` after each backjump, since
+    every frame is pushed at a fixed point of ``quiesce``, where no ring
+    waits.
 
     The branch edge has the fewest undecided links at its lower-count end,
     lowest id first.  ``quiesce`` forces the last undecided link at every
@@ -169,19 +176,21 @@ class _ExactSearch:
         self.target = target
 
         self.edge_at = edge_at = [[] for _ in range(n)]
+        # bit x stands for vertex x in every mask; each x reaches itself
+        self.desc = bit = [1 << x for x in range(n)]
         # bitmask of the vertices joined to x by an edge
         self.nbr_bits = nbr_bits = [0] * n
         for i, (u, v) in zip(range(m), ends):
             edge_at[u].append(i)
             edge_at[v].append(i)
-            nbr_bits[u] |= 1 << v
-            nbr_bits[v] |= 1 << u
+            nbr_bits[u] |= bit[v]
+            nbr_bits[v] |= bit[u]
         self.und = list(map(len, edge_at))   # undecided links at x
 
         self.decided: list[Optional[Arc]] = [None] * m
         self.low = 0   # every edge below it is decided
         self.cycle_q: list[int] = []
-        self.desc = [1 << x for x in range(n)]
+        self.force_q: deque[int] = deque()
         self.in_adj: list[list[int]] = [[] for _ in range(n)]
         # decision levels each decided arc rests on (0 while undecided)
         self.dep = [0] * m
@@ -197,94 +206,129 @@ class _ExactSearch:
         self.ring_of = [-1] * n
         self.ring_mask = [0] * n
         self.pending: set[int] = set()
-        self.fixed_acyclic = all(self.apply_arc(-1, t, h) for t, h in part.arcs)
-
         # (edge, tail, head, dropped): dropped is the (rep, ring, bitmask) of
         # the pure cycle the arc's edge was on, None when it was on none
         self.trail: list[tuple[int, int, int, Optional[tuple[int, list[int], int]]]] = []
+        self.decisions = 0
+        self.undone = 0   # trail entries ``undo_to`` has dropped
+        # vertices left with two undecided links since the last ring walk
+        self.twos: list[int] = []
+        self.fixed_acyclic = all(self.apply_arc(-1, t, h) for t, h in part.arcs)
+
         self.seen = [0] * n   # the stamp of the last walk to reach x
         self.stamp = 0
         self._find_rings(range(n))
-        self.scanned = 0   # trail entries whose endpoints have been walked
-        self.force_q: deque[int] = deque()
-        self.decisions = 0
-        self.propagations = 0
+
+    @property
+    def propagations(self) -> int:
+        """The arcs a rule forced and applied, undone ones included: every
+        trail entry made, less the decisions.  ``run`` applies each decision
+        at a ``quiesce`` fixed point, where no undecided edge closes a cycle,
+        so every decision makes one entry."""
+        return len(self.trail) + self.undone - self.decisions
 
     # -- state updates ------------------------------------------------------
 
-    def apply_arc(
-        self, e: int, t: int, h: int, mask: int = 0, decision: bool = False
-    ) -> bool:
+    def apply_arc(self, e: Optional[int], t: int, h: int, mask: int = 0) -> bool:
         """Decide edge e as t->h, resting on the decision levels ``mask``,
-        or add a fixed arc t->h when e is -1; False on a conflict, whose
-        levels go to ``conflict``.  An arc that closes a directed cycle
-        changes nothing."""
-        desc = self.desc
-        below = desc[h]
-        if (below >> t) & 1:
-            self.conflict = mask | self.path_dep(h, t)
-            return False
-        in_adj, nbr_bits, ring_mask = self.in_adj, self.nbr_bits, self.ring_mask
-        in_adj[h].append(t)
-        stack = [t]
-        while stack:
-            y = stack.pop()
-            old = desc[y]
-            grown = old | below
-            if grown == old:
-                continue   # y reaches h already
-            desc[y] = grown
-            new = grown ^ old
-            gained = new & nbr_bits[y]
-            # at t a lone gained bit is h, across e itself; a fixed arc is on no edge
-            if gained and (y != t or e < 0 or gained & (gained - 1)):
-                ends, cycle_q = self.ends, self.cycle_q
-                for i in self.edge_at[y]:
-                    u, v = ends[i]
-                    if (gained >> (u + v - y)) & 1:
-                        cycle_q.append(i)
-            if new & ring_mask[y]:
-                # y now reaches another vertex of its ring: probe it again
-                self.pending.add(self.ring_of[y])
-            stack.extend(in_adj[y])
-        if e < 0:
-            return True
+        then each arc that parity forces after it, first queued first; or
+        add a fixed arc t->h when e is -1, which forces nothing.  With e
+        None it decides no arc of its own and starts at the queue.  False on
+        a conflict, whose levels go to ``conflict``; an arc that closes a
+        directed cycle changes nothing, and the arcs before it stay.
 
-        if not decision:
-            self.propagations += 1
-        self.decided[e] = (t, h)
-        self.dep[e] = mask
-        r = self.ring_of[t]
-        # e is an edge of t's ring, if t has one, so h is on it too
-        self.trail.append((e, t, h, None if r < 0 else self._unlink_ring(r)))
-        if self.occ:
-            lit = 2 * e + (t < h)
-            if lit in self.occ:
-                self.lit_q.append(lit)
-        und = self.und
-        left = und[t] = und[t] - 1
-        right = und[h] = und[h] - 1
-        if left > 1 and right > 1:
-            return True
-        target = self.target
-        if left < 2:
-            if left:
-                self.force_q.append(t)
-            elif len(in_adj[t]) & 1 != target[t]:
-                self.conflict = self.links_dep(t)
+        A vertex left with one undecided link is queued, and its link is
+        forced by the parity its in-degree still owes, resting on the other
+        links there; it is skipped when that edge was decided first, from
+        its other end.  An endpoint left with two undecided links goes on
+        ``twos``, for the next ring walk."""
+        desc, in_adj, nbr_bits, ring_mask = self.desc, self.in_adj, self.nbr_bits, self.ring_mask
+        ring_of, und, target, force_q = self.ring_of, self.und, self.target, self.force_q
+        decided, dep, edge_at, ends = self.decided, self.dep, self.edge_at, self.ends
+        cycle_q, pending, trail, occ = self.cycle_q, self.pending, self.trail, self.occ
+        twos = self.twos
+        while True:
+            if e is None:
+                # the first queued vertex still left with one undecided link
+                while force_q:
+                    x = force_q.popleft()
+                    if und[x] == 1:
+                        break
+                else:
+                    return True
+                mask = 0
+                for f in edge_at[x]:
+                    if decided[f] is None:
+                        e = f
+                    else:
+                        mask |= dep[f]
+                u, v = ends[e]
+                if len(in_adj[x]) & 1 != target[x]:
+                    t, h = u + v - x, x
+                else:
+                    t, h = x, u + v - x
+            below = desc[h]
+            if (below >> t) & 1:
+                self.conflict = mask | self.path_dep(h, t)
                 return False
-        if right < 2:
-            if right:
-                self.force_q.append(h)
-            elif len(in_adj[h]) & 1 != target[h]:
-                self.conflict = self.links_dep(h)
-                return False
-        return True
+            in_adj[h].append(t)
+            stack = [t]
+            while stack:
+                y = stack.pop()
+                old = desc[y]
+                grown = old | below
+                if grown == old:
+                    continue   # y reaches h already
+                desc[y] = grown
+                new = grown ^ old
+                gained = new & nbr_bits[y]
+                # at t a lone gained bit is h, across e itself; a fixed arc is on no edge
+                if gained and (y != t or e < 0 or gained & (gained - 1)):
+                    for i in edge_at[y]:
+                        a, b = ends[i]
+                        if (gained >> (a + b - y)) & 1:
+                            cycle_q.append(i)
+                if new & ring_mask[y]:
+                    # y now reaches another vertex of its ring: probe it again
+                    pending.add(ring_of[y])
+                stack.extend(in_adj[y])
+            if e < 0:
+                return True
+
+            decided[e] = (t, h)
+            dep[e] = mask
+            r = ring_of[t]
+            # e is an edge of t's ring, if t has one, so h is on it too
+            trail.append((e, t, h, None if r < 0 else self._unlink_ring(r)))
+            if occ:
+                lit = 2 * e + (t < h)
+                if lit in occ:
+                    self.lit_q.append(lit)
+            left = und[t] = und[t] - 1
+            right = und[h] = und[h] - 1
+            # recorded before a conflict can return, as the arc stays
+            if left == 2:
+                twos.append(t)
+            if right == 2:
+                twos.append(h)
+            if left < 2:
+                if left:
+                    force_q.append(t)
+                elif len(in_adj[t]) & 1 != target[t]:
+                    self.conflict = self.links_dep(t)
+                    return False
+            if right < 2:
+                if right:
+                    force_q.append(h)
+                elif len(in_adj[h]) & 1 != target[h]:
+                    self.conflict = self.links_dep(h)
+                    return False
+            e = None
 
     def undo_to(self, mark: int, desc: list[int]) -> None:
         """Pop the trail back to ``mark``; ``desc`` is the closure snapshot
         taken when the trail had that length, and the rings must have been
-        current then (``scanned`` equal to ``mark``), as at every frame
+        current then (no vertex waiting in ``twos``), as at every frame
         ``run`` pushes.  The entries go newest first: a ring at either end
         of an entry's arc was found since ``mark`` (one there before would
         have been dropped by the arc) and is unlinked, and the ring the arc
@@ -292,10 +336,13 @@ class _ExactSearch:
         ``quiesce`` fixed point needs its probe, and ``run`` clears
         ``pending`` after the call only because it rewinds to fixed points
         alone.  A ring that a closure walk made pending since ``mark`` stays
-        pending, which costs at most one probe too many.  The queues are
-        emptied, except that both literals of each edge made undecided are
-        queued, newest edge first: a nogood learned since ``mark`` can be unit
-        there, with its undecided literal the only one that moved."""
+        pending, which costs at most one probe too many.  The dropped
+        entries are counted in ``undone``, which ``propagations`` reads.  The
+        cycle and parity queues are emptied (the parity queue holds vertices
+        only after a conflict in ``apply_arc``'s loop), and both literals of
+        each edge made undecided are queued, newest edge first: a nogood
+        learned since ``mark`` can be unit there, with its undecided literal
+        the only one that moved."""
         trail = self.trail
         if len(trail) > mark:
             und, decided, dep = self.und, self.decided, self.dep
@@ -315,14 +362,15 @@ class _ExactSearch:
                 in_adj[h].pop()
                 und[t] += 1
                 und[h] += 1
-                for x in (t, h):
-                    if ring_of[x] >= 0:
-                        self._unlink_ring(ring_of[x])
+                if ring_of[t] >= 0:
+                    self._unlink_ring(ring_of[t])
+                if ring_of[h] >= 0:
+                    self._unlink_ring(ring_of[h])
                 if dropped:
                     self._link_ring(*dropped)
+            self.undone += len(trail) - mark
             del trail[mark:]
             self.low = low
-            self.scanned = min(self.scanned, mark)
         self.desc[:] = desc
         self.force_q.clear()
         self.cycle_q.clear()
@@ -398,13 +446,15 @@ class _ExactSearch:
             self._link_ring(rep, ring, bits)
 
     def _update_rings(self) -> None:
-        """Walk from the endpoints of the arcs decided since the last call."""
-        trail = self.trail
-        if self.scanned == len(trail):
-            return
-        starts = [x for item in trail[self.scanned:] for x in item[1:3]]
-        self.scanned = len(trail)
-        self._find_rings(starts)
+        """Walk from the vertices that arcs left with two undecided links
+        since the last call and that still have two, the only ones on which
+        a new ring can close."""
+        twos, und = self.twos, self.und
+        if twos:
+            starts = [x for x in twos if und[x] == 2]
+            twos.clear()
+            if starts:
+                self._find_rings(starts)
 
     # -- reasons -------------------------------------------------------------
 
@@ -453,27 +503,10 @@ class _ExactSearch:
 
     def propagate(self) -> bool:
         """Force the last undecided link at each queued vertex by its
-        parity; the arc rests on the other links there."""
-        force_q, und, decided, ends, dep = (
-            self.force_q, self.und, self.decided, self.ends, self.dep
-        )
-        edge_at, in_adj, target = self.edge_at, self.in_adj, self.target
-        while force_q:
-            x = force_q.popleft()
-            if und[x] != 1:
-                continue
-            mask = 0
-            for f in edge_at[x]:
-                if decided[f] is None:
-                    e = f
-                else:
-                    mask |= dep[f]
-            u, v = ends[e]
-            other = u + v - x
-            t, h = (other, x) if len(in_adj[x]) & 1 != target[x] else (x, other)
-            if not self.apply_arc(e, t, h, mask):
-                return False
-        return True
+        parity, in ``apply_arc``'s loop; False on a conflict.  Every
+        ``apply_arc`` call drains what it queues, so only the vertices
+        ``run`` queues at the root wait here."""
+        return not self.force_q or self.apply_arc(None, 0, 0)
 
     def cycle_force_pass(self) -> bool:
         """Drain the cycle queue, forcing each queued undecided edge that has
@@ -492,7 +525,7 @@ class _ExactSearch:
             else:
                 continue
             # the arc rests on one t~>h path, which h->t would close
-            if not (self.apply_arc(e, t, h, self.path_dep(t, h)) and self.propagate()):
+            if not self.apply_arc(e, t, h, self.path_dep(t, h)):
                 return False
         return True
 
@@ -538,10 +571,11 @@ class _ExactSearch:
     def probe_pass(self) -> bool:
         """Probe the rep edge of each pending pure cycle once, in ascending
         rep order, and force the survivor when exactly one direction works;
-        False on a conflict.  A forcing and the parity propagation after it
-        decide only edges of the probed ring, so every other ring of the
-        pass stays a ring.  A ring that a forcing makes pending waits for
-        the next pass, which ``quiesce`` runs because the trail grew."""
+        False on a conflict.  A forcing and the parity forcings that
+        ``apply_arc`` applies after it decide only edges of the probed ring,
+        so every other ring of the pass stays a ring.  A ring that a forcing
+        makes pending waits for the next pass, which ``quiesce`` runs
+        because the trail grew."""
         self._update_rings()
         pending, rings = self.pending, self.rings
         for e in sorted(pending):
@@ -555,7 +589,7 @@ class _ExactSearch:
                 continue
             lo, hi = ring[0], ring[1]
             t, h = (hi, lo) if hi_lo else (lo, hi)
-            if not (self.apply_arc(e, t, h, self.ring_dep(ring)) and self.propagate()):
+            if not self.apply_arc(e, t, h, self.ring_dep(ring)):
                 return False
         return True
 
@@ -594,7 +628,7 @@ class _ExactSearch:
                     u, v = ends[e]
                     # the opposite of the literal: t < h iff its low bit is 0
                     t, h = (u, v) if (u < v) != (free & 1) else (v, u)
-                    if not (self.apply_arc(e, t, h, mask) and self.propagate()):
+                    if not self.apply_arc(e, t, h, mask):
                         return False
         return True
 
@@ -719,7 +753,7 @@ class _ExactSearch:
             self.decisions += 1
             t, h = frame[1].pop()
             ok = (
-                self.apply_arc(frame[0], t, h, 1 << len(frames), decision=True)
+                self.apply_arc(frame[0], t, h, 1 << len(frames))
                 and self.quiesce()
             )
 

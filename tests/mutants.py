@@ -60,12 +60,14 @@ MUTANTS = [
         "frame[4] |= 0",
         "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
     ),
-    # parity forcing rests on no level, so a conflict on an arc it forced
-    # misses the decisions behind it and backjumps past them
+    # parity forcing in apply_arc's loop rests on no level, so a conflict on
+    # an arc it forced misses the decisions behind it and backjumps past them
     (
         "parity forcing mask",
-        "if not self.apply_arc(e, t, h, mask):",
-        "if not self.apply_arc(e, t, h, 0):",
+        "                        e = f\n                    else:\n"
+        "                        mask |= dep[f]",
+        "                        e = f\n                    else:\n"
+        "                        mask |= 0",
         "tests/test_acceptance.py::TestCriterion5::test_end_to_end_equivalence",
     ),
     # ring_dep leaves out the paths between ring vertices, so a probe
@@ -89,8 +91,8 @@ MUTANTS = [
     # backjumps past the decisions under the nogood's other literals
     (
         "nogood_pass forcing mask",
-        "self.apply_arc(e, t, h, mask) and self.propagate()",
-        "self.apply_arc(e, t, h, 0) and self.propagate()",
+        "if not self.apply_arc(e, t, h, mask):",
+        "if not self.apply_arc(e, t, h, 0):",
         "tests/test_solver_exact.py::test_verdicts_match_sat_oracle",
     ),
     # learn stores the opposite of each decision, a nogood that does not
@@ -105,8 +107,9 @@ MUTANTS = [
     # state goes stale and decide raises on a vertex whose ring is gone
     (
         "undo_to keeps new rings",
-        "for x in (t, h):",
-        "for x in ():",
+        "                if ring_of[t] >= 0:\n                    self._unlink_ring(ring_of[t])\n"
+        "                if ring_of[h] >= 0:\n                    self._unlink_ring(ring_of[h])\n",
+        "",
         "tests/test_solver.py::TestApexTransform::test_two_sided_equivalence_sample",
     ),
 ]

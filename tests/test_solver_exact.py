@@ -403,7 +403,7 @@ def test_quiesce_leaves_no_edge_closing_a_cycle(prob, seed):
         e = rng.choice(undecided)
         u, v = search.ends[e]
         t, h = (u, v) if rng.random() < 0.5 else (v, u)
-        if not search.apply_arc(e, t, h, decision=True):
+        if not search.apply_arc(e, t, h):
             search.undo_to(*frames.pop())
 
 
@@ -518,7 +518,7 @@ def replay(prob, decisions, mask) -> tuple[bool, _ExactSearch]:
         if not (mask >> level) & 1:
             continue
         if search.decided[e] is None:
-            ok = search.apply_arc(e, t, h, 1 << level, decision=True) and search.quiesce()
+            ok = search.apply_arc(e, t, h, 1 << level) and search.quiesce()
         else:
             # forced already: the other way contradicts this decision
             ok = search.decided[e] == (t, h)
@@ -564,7 +564,7 @@ def test_dependency_masks_are_sound(prob, seed):
         u, v = search.ends[e]
         t, h = (u, v) if rng.random() < 0.5 else (v, u)
         decisions.append((e, t, h))
-        ok = search.apply_arc(e, t, h, 1 << len(decisions), decision=True) and search.quiesce()
+        ok = search.apply_arc(e, t, h, 1 << len(decisions)) and search.quiesce()
     assert_masks_sound(prob, search, decisions, ok)
 
 
@@ -582,7 +582,7 @@ def test_probe_reason_holds_the_path_between_ring_vertices():
     search = search_on(prob)
     assert start(search) and search.m - len(search.trail) == 8
     decisions = [(4, 4, 5)]
-    assert search.apply_arc(4, 4, 5, 1 << 1, decision=True) and search.quiesce()
+    assert search.apply_arc(4, 4, 5, 1 << 1) and search.quiesce()
     assert search.decided[:4] == [(0, 1), (0, 3), (1, 2), (2, 3)]
     assert search.dep[:4] == [1 << 1] * 4
     assert_masks_sound(prob, search, decisions, True)
@@ -608,7 +608,7 @@ def replay_nogood(prob, earlier, lits) -> bool:
             break
         e, t, h = literal_arc(search, lit)
         if search.decided[e] is None:
-            ok = search.apply_arc(e, t, h, 1 << level, decision=True) and search.quiesce()
+            ok = search.apply_arc(e, t, h, 1 << level) and search.quiesce()
         else:
             # forced already: the other way contradicts this literal
             ok = search.decided[e] == (t, h)
@@ -1122,6 +1122,32 @@ def test_frozen_unsat_decision_counts(index):
     res = decide(assemble(unsat_samples()[index]).problem)
     assert res.status == INFEASIBLE
     assert (res.decisions, res.propagations) == FROZEN_UNSAT_DECISIONS[index]
+
+
+# The same beside the reduction of the satisfiable 3/1 formula of seed 0,
+# the two-part shape of the unsat-proof workload's padded instances, keyed
+# by (core, pad placement).  These take ``_split``'s path that builds one
+# part per component, where a connected core is searched in place.  Placed
+# first, the pad is solved once (4 decisions, 41 propagations) before the
+# core is exhausted; placed last, it is never reached.
+PADDED_UNSAT_DECISIONS = {
+    (0, "first"): (18, 1067),
+    (1, "first"): (22, 1531),
+    (2, "first"): (18, 1067),
+    (0, "last"): (14, 1026),
+    (1, "last"): (18, 1490),
+    (2, "last"): (14, 1026),
+}
+
+
+@pytest.mark.parametrize("index, placement", list(PADDED_UNSAT_DECISIONS))
+def test_padded_unsat_decision_counts(index, placement):
+    pad = assemble(generate(0, 3, 1)).problem
+    core = assemble(unsat_samples()[index]).problem
+    prob = disjoint_union(pad, core) if placement == "first" else disjoint_union(core, pad)
+    res = decide(prob)
+    assert res.status == INFEASIBLE
+    assert (res.decisions, res.propagations) == PADDED_UNSAT_DECISIONS[index, placement]
 
 
 def small_draw(seed: int) -> OrientationProblem:
